@@ -14,14 +14,12 @@ from .fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                     equilibrium_band, eval_fluid, fluid_abandoning,
                     fluid_age_count, fluid_nonabandoning, fluid_queue_length,
                     invariant_state, residual_deadline_limit, solve_fluid,
-                    solve_workload, tau)
+                    solve_workload)
 from .measures import (AtomicMeasure1D, AtomicMeasure2D, Box, EvolveResult,
                        Exit, corner_distance, corner_mass, eval_box, eval_tail,
                        evolve, project, rect_distance, superpose, upper_right)
 from .scaling import (ReportRow, ScalingError, ScalingPlan, ScalingReport,
-                      build_scaled, compare_residual_deadlines, compare_state,
-                      compare_workload, corner_regularity_probe,
-                      default_rect_grid, offered_load, run_plan)
+                      corner_regularity_probe, default_rect_grid, run_plan)
 from .simulate import (ClassSpec, Empty, JobRecord, SimConfig, SimTrace,
                        SimulationError, WarmStart, fluid_model_of, run)
 
@@ -35,13 +33,12 @@ __all__ = [
     "InvariantInitial", "InvariantState", "JobRecord", "Replay", "ReportRow",
     "ScalingError", "ScalingPlan", "ScalingReport", "SimConfig", "SimTrace",
     "SimulationError", "UniformInterval", "UniformMixture", "WarmStart",
-    "ZeroInitial", "build_scaled", "compare_residual_deadlines",
-    "compare_state", "compare_workload", "corner_distance", "corner_mass",
+    "ZeroInitial", "corner_distance", "corner_mass",
     "corner_mass_fluid", "corner_regularity_probe", "default_rect_grid",
     "equilibrium_band", "eval_box", "eval_fluid", "eval_tail", "evolve",
     "fluid_abandoning", "fluid_age_count", "fluid_model_of",
     "fluid_nonabandoning", "fluid_queue_length", "invariant_state",
-    "mix_seed", "offered_load", "project", "rect_distance",
+    "mix_seed", "project", "rect_distance",
     "residual_deadline_limit", "run", "run_plan", "solve_fluid",
-    "solve_workload", "stream", "superpose", "tau", "upper_right",
+    "solve_workload", "stream", "superpose", "upper_right",
 ]

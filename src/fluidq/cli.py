@@ -215,14 +215,12 @@ def _resolve_seed(args, sim_cfg: dict | None) -> int:
 
 
 def _out_dir(args, cfg: dict) -> str:
-    out = args.out
-    if out is None and "output" in cfg:
-        output = _require_mapping(cfg["output"], "output")
-        _check_keys(output, "output", {"dir", "formats"}, set())
-        out = output.get("dir")
-        if out is not None and not isinstance(out, str):
-            raise _config_error("output.dir", "expected a string")
-    out = out or "."
+    output = _require_mapping(cfg.get("output", {}), "output")
+    _check_keys(output, "output", {"dir"}, set())
+    out = output.get("dir")
+    if out is not None and not isinstance(out, str):
+        raise _config_error("output.dir", "expected a string")
+    out = (args.out if args.out is not None else out) or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -483,10 +481,8 @@ def cmd_invariant(cfg: dict, args) -> list[str]:
     except (SimulationError, FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    d_scale = 3.0 * max(c.deadline.mean() for c in model.classes)
-    d_tilde = min(model.d_max, d_scale)
     xs = np.linspace(0.0, w, 6)
-    ys = np.linspace(0.0, w + d_tilde, 6)
+    ys = np.linspace(0.0, w + model.d_tilde, 6)
 
     rows = []
     for k in range(len(model.classes)):

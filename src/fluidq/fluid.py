@@ -88,6 +88,12 @@ class FluidModelInput:
     def d_max(self) -> float:
         return max(c.deadline.sup_support() for c in self.classes)
 
+    @property
+    def d_tilde(self) -> float:
+        """Deadline scale of the probe grids: min(d_max, 3 * the largest
+        mean deadline), finite even for unbounded deadline laws."""
+        return min(self.d_max, 3.0 * max(c.deadline.mean() for c in self.classes))
+
     def load_survival(self, u):
         """sum_k rho_k G_k(u); the ODE right side plus one."""
         return sum(c.rho * c.deadline.survival(u) for c in self.classes)
@@ -429,12 +435,6 @@ def solve_fluid(model: FluidModelInput, initial: InitialFluidMeasure,
     w0 = initial.support_edge(model)
     path = solve_workload(model, w0, T, tol)
     return FluidSolution(model, initial, path)
-
-
-def tau(solution: FluidSolution | WorkloadPath, t: float) -> float:
-    """First time the moving frontier w(s) + s reaches level t."""
-    path = solution.workload if isinstance(solution, FluidSolution) else solution
-    return path.tau(t)
 
 
 def eval_fluid(solution: FluidSolution, k: int, t: float, box: Box) -> float:

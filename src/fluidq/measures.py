@@ -230,14 +230,17 @@ def corner_distance(w, p, x: float, y: float):
     return np.minimum(d_horiz, d_vert)
 
 
-def corner_mass(measure: AtomicMeasure2D, x: float, y: float, kappa: float) -> float:
-    """Mass strictly within distance kappa of the corner set at (x, y)."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+def corner_mass(measure: AtomicMeasure2D, x: float, y: float,
+                kappas: Sequence[float]) -> list[float]:
+    """Per radius kappa in kappas, the mass strictly within distance kappa
+    of the corner set at (x, y); the distances are computed once."""
+    for kappa in kappas:
+        if not kappa > 0:
+            raise ValueError(f"kappa must be positive, got {kappa}")
     if len(measure) == 0:
-        return 0.0
-    close = corner_distance(measure.w, measure.p, x, y) < kappa
-    return float(measure.mass[close].sum())
+        return [0.0] * len(kappas)
+    dist = corner_distance(measure.w, measure.p, x, y)
+    return [float(measure.mass[dist < kappa].sum()) for kappa in kappas]
 
 
 BoxEvaluator = Callable[[Box], float]

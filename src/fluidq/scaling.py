@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +25,7 @@ from .fluid import (FluidSolution, ZeroInitial, equilibrium_band, eval_fluid,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, corner_mass, rect_distance, upper_right
 from .numerics import sig17
-from .simulate import (ClassSpec, SimConfig, SimTrace, _warmup_duration,
-                       fluid_model_of, run)
+from .simulate import SimConfig, _warmup_duration, fluid_model_of, run
 
 
 class ScalingError(ValueError):
@@ -36,26 +34,6 @@ class ScalingError(ValueError):
 
 DEFAULT_C_GRID = (0.0, 0.5, 1.0)
 DEFAULT_KAPPAS = (0.05, 0.1, 0.2, 0.4)
-
-
-def offered_load(config: SimConfig) -> float:
-    """Total traffic intensity, as a ratio of per-class mean service to
-    mean interarrival (invariant under time acceleration)."""
-    return math.fsum(
-        spec.service.mean() / spec.interarrival.mean() for spec in config.classes)
-
-
-def build_scaled(base: SimConfig, n: int) -> SimConfig:
-    """The n-th accelerated system: interarrival and service laws divided
-    by n, deadline laws untouched."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ScalingError(f"scale must be an integer >= 1, got {n}")
-    if n == 1:
-        return base
-    classes = tuple(
-        ClassSpec(spec.interarrival.scaled(n), spec.service.scaled(n), spec.deadline)
-        for spec in base.classes)
-    return replace(base, classes=classes)
 
 
 def default_rect_grid(config: SimConfig) -> tuple[Box, ...]:
@@ -67,10 +45,8 @@ def default_rect_grid(config: SimConfig) -> tuple[Box, ...]:
     """
     model = fluid_model_of(config)
     _, w_u = equilibrium_band(model)
-    d_scale = 3.0 * max(c.deadline.mean() for c in model.classes)
-    d_tilde = min(model.d_max, d_scale)
-    xs = np.linspace(0.0, w_u + d_tilde, 6)
-    ys = np.linspace(0.0, d_tilde, 6)
+    xs = np.linspace(0.0, w_u + model.d_tilde, 6)
+    ys = np.linspace(0.0, model.d_tilde, 6)
     return tuple(upper_right(float(x), float(y)) for x in xs for y in ys)
 
 
@@ -190,12 +166,6 @@ class ScalingReport:
                 })
         return out
 
-    def mean_sup_error(self, n: int, metric: str) -> float:
-        sups = self.sup_errors(n, metric)
-        if not sups:
-            raise ScalingError(f"no rows for n={n}, metric={metric!r}")
-        return float(np.mean(sups))
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -273,73 +243,66 @@ def _row(n, rep, t, metric, cls, sim_value, fluid_value) -> ReportRow:
                      float(fluid_value), abs(float(sim_value) - float(fluid_value)))
 
 
-def _workload_rows(n, rep, trace: SimTrace, targets, grid) -> list[ReportRow]:
+def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, ages) -> list[ReportRow]:
     rows = []
-    for t in grid:
-        rows.append(_row(n, rep, t, "workload", None,
-                         trace.workload_at(t), targets.workload(t)))
-        rows.append(_row(n, rep, t, "idle", None, trace.idle_at(t), 0.0))
-    return rows
-
-
-def _state_rows(n, rep, trace, targets, grid, rect_grid, ages) -> list[ReportRow]:
-    rows = []
-    for t in grid:
-        counts = trace.queue_lengths(t)
-        snaps = trace.snapshot(t)
+    counts = trace.queue_lengths(t)
+    for k in range(targets.K):
+        z, nn, aa = counts[k]
+        rows.append(_row(n, rep, t, "queue_length", k, z / n,
+                         targets.queue_length(k, t)))
+        rows.append(_row(n, rep, t, "nonabandoning", k, nn / n,
+                         targets.nonabandoning(k, t)))
+        rows.append(_row(n, rep, t, "abandoning", k, aa / n,
+                         targets.abandoning(k, t)))
+        fluid_boxes = targets.box_values(k, t, rect_grid)
+        snap = snaps[k]
+        dist = rect_distance(lambda box: snap(box) / n,
+                             fluid_boxes.__getitem__, rect_grid)
+        rows.append(_row(n, rep, t, "rect_measure", k, dist, 0.0))
+    for u in ages:
+        if u > t:
+            continue
+        old = trace.age_count(t, u)
         for k in range(targets.K):
-            z, nn, aa = counts[k]
-            rows.append(_row(n, rep, t, "queue_length", k, z / n,
-                             targets.queue_length(k, t)))
-            rows.append(_row(n, rep, t, "nonabandoning", k, nn / n,
-                             targets.nonabandoning(k, t)))
-            rows.append(_row(n, rep, t, "abandoning", k, aa / n,
-                             targets.abandoning(k, t)))
-            fluid_boxes = targets.box_values(k, t, rect_grid)
-            snap = snaps[k]
-            dist = rect_distance(lambda box: snap(box) / n,
-                                 fluid_boxes.__getitem__, rect_grid)
-            rows.append(_row(n, rep, t, "rect_measure", k, dist, 0.0))
-        for u in ages:
-            if u > t:
-                continue
-            old = trace.age_count(t, u)
-            for k in range(targets.K):
-                rows.append(_row(n, rep, t, f"age_count@{u:g}", k, old[k] / n,
-                                 targets.age_count(k, t, u)))
+            rows.append(_row(n, rep, t, f"age_count@{u:g}", k, old[k] / n,
+                             targets.age_count(k, t, u)))
     return rows
 
 
-def _residual_rows(n, rep, trace, targets, grid, c_grid) -> list[ReportRow]:
+def _residual_rows(n, rep, trace, targets, t, c_grid) -> list[ReportRow]:
     rows = []
-    for t in grid:
-        per_class = trace.residual_deadline_measures(t)
-        for k in range(targets.K):
-            meas = per_class[k]
-            for c in c_grid:
-                target = targets.residual_tail(k, t, c)
-                rows.append(_row(n, rep, t, f"A_tail@{c:g}", k,
-                                 meas.residual(c) / n, target))
-                rows.append(_row(n, rep, t, f"V_tail@{c:g}", k,
-                                 meas.residual_with_service(c) / n, target))
+    per_class = trace.residual_deadline_measures(t)
+    for k in range(targets.K):
+        meas = per_class[k]
+        for c in c_grid:
+            target = targets.residual_tail(k, t, c)
+            rows.append(_row(n, rep, t, f"A_tail@{c:g}", k,
+                             meas.residual(c) / n, target))
+            rows.append(_row(n, rep, t, f"V_tail@{c:g}", k,
+                             meas.residual_with_service(c) / n, target))
     return rows
 
 
-def _corner_rows(n, rep, trace, grid, corners, kappas) -> list[ReportRow]:
-    rows = []
-    for t in grid:
-        snaps = trace.snapshot(t)
-        for kappa in kappas:
-            worst = 0.0
-            for snap in snaps:
-                for (x, y) in corners:
-                    worst = max(worst, corner_mass(snap, x, y, kappa) / n)
-            rows.append(_row(n, rep, t, f"corner_mass@{kappa:g}", None, worst, 0.0))
-    return rows
+def _corner_rows(n, rep, snaps, t, corners, kappas) -> list[ReportRow]:
+    worst = [0.0] * len(kappas)
+    for snap in snaps:
+        for (x, y) in corners:
+            masses = corner_mass(snap, x, y, kappas)
+            worst = [max(w, m / n) for w, m in zip(worst, masses)]
+    return [_row(n, rep, t, f"corner_mass@{kappa:g}", None, w, 0.0)
+            for kappa, w in zip(kappas, worst)]
 
 
-def _collect(plan: ScalingPlan, sections: frozenset[str],
-             c_grid=None, kappas=None) -> ScalingReport:
+def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
+    """Every comparison section, from one simulation per (scale, replication).
+
+    Rows per trace, in order: 'workload' and 'idle' (W^n against the fluid
+    workload and I^n against 0, both unscaled); fluid-scaled queue lengths,
+    fate splits, age counts and rectangle-grid measure distances; the
+    residual-deadline tails A_tail@c and V_tail@c against the common fluid
+    target lambda_k * int_c^{c+t} G_k; and the worst fluid-scaled mass near
+    any grid corner set, per kappa.
+    """
     targets = _FluidTargets(plan)
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
@@ -349,18 +312,22 @@ def _collect(plan: ScalingPlan, sections: frozenset[str],
 
     rows: list[ReportRow] = []
     for n in plan.scales:
-        scaled = build_scaled(plan.base, n)
         for rep in range(plan.replications):
-            trace = run(replace(scaled, seed=plan.seed(n, rep)))
-            if "workload" in sections:
-                rows.extend(_workload_rows(n, rep, trace, targets, grid))
-            if "state" in sections:
-                rows.extend(_state_rows(n, rep, trace, targets, grid,
-                                        rect_grid, plan.ages))
-            if "residual" in sections:
-                rows.extend(_residual_rows(n, rep, trace, targets, grid, c_grid))
-            if "corner" in sections:
-                rows.extend(_corner_rows(n, rep, trace, grid, corners, kappas))
+            trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
+            workload, state, residual, corner = [], [], [], []
+            for t in grid:
+                workload += [_row(n, rep, t, "workload", None, trace.workload_at(t),
+                                  targets.workload(t)),
+                             _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
+                # One snapshot per time, and none alive while the residual
+                # measures build their full-length temporaries.
+                residual += _residual_rows(n, rep, trace, targets, t, c_grid)
+                snaps = trace.snapshot(t)
+                state += _state_rows(n, rep, trace, snaps, targets, t, rect_grid,
+                                     plan.ages)
+                corner += _corner_rows(n, rep, snaps, t, corners, kappas)
+                del snaps
+            rows += workload + state + residual + corner
 
     footer = (
         f"statistical assertions use R={plan.replications} replications",
@@ -369,31 +336,9 @@ def _collect(plan: ScalingPlan, sections: frozenset[str],
     return ScalingReport(plan, rows, footer)
 
 
-def compare_workload(plan: ScalingPlan) -> ScalingReport:
-    """Rows for metrics 'workload' (W^n vs the fluid workload) and 'idle'
-    (I^n vs 0), both unscaled."""
-    return _collect(plan, frozenset({"workload"}))
-
-
-def compare_state(plan: ScalingPlan) -> ScalingReport:
-    """Rows for fluid-scaled queue lengths, fate splits, age counts, and
-    rectangle-grid measure distances."""
-    return _collect(plan, frozenset({"state"}))
-
-
-def compare_residual_deadlines(plan: ScalingPlan, c_grid=None) -> ScalingReport:
-    """Rows for the residual-deadline tails A_tail@c and V_tail@c against
-    the common fluid target lambda_k * int_c^{c+t} G_k."""
-    return _collect(plan, frozenset({"residual"}), c_grid=c_grid)
-
-
 def corner_regularity_probe(plan: ScalingPlan, kappas=None) -> ScalingReport:
     """Rows of the worst fluid-scaled mass near any grid corner set, per
     kappa; smaller kappa must not report more mass."""
-    return _collect(plan, frozenset({"corner"}), kappas=kappas)
-
-
-def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
-    """All comparison sections in one pass over the simulated traces."""
-    return _collect(plan, frozenset({"workload", "state", "residual", "corner"}),
-                    c_grid=c_grid, kappas=kappas)
+    report = run_plan(plan, kappas=kappas)
+    rows = [row for row in report.rows if row.metric.startswith("corner_mass@")]
+    return ScalingReport(plan, rows, report.footer)

@@ -24,10 +24,7 @@ import numpy as np
 
 from .distributions import Distribution, DistributionError, Replay, stream
 from .fluid import FluidClass, FluidModelInput, equilibrium_band
-from .measures import AtomicMeasure1D, AtomicMeasure2D
-
-SERVICE = "service"
-ABANDONMENT = "abandonment"
+from .measures import ABANDONMENT, SERVICE, AtomicMeasure1D, AtomicMeasure2D
 
 
 class SimulationError(ValueError):

@@ -337,6 +337,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 2
     assert "sim.extra" in err and "unknown key" in err
 
+    cfg = write_config(tmp_path, {
+        "model": {"classes": [MARKOV_CLASS]},
+        "sim": {"horizon": 1.0},
+        "output": {"dir": str(tmp_path / "o"), "formats": ["csv"]},
+    })
+    for flags in ((), ("--out", str(tmp_path / "o"))):
+        code, _, err = run_cli(capsys, "simulate", "--config", cfg, *flags)
+        assert code == 2
+        assert "output.formats" in err and "unknown key" in err
+
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {

@@ -14,7 +14,7 @@ from fluidq.fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                           eval_fluid, fluid_abandoning, fluid_age_count,
                           fluid_nonabandoning, fluid_queue_length,
                           invariant_state, residual_deadline_limit,
-                          solve_fluid, solve_workload, tau)
+                          solve_fluid, solve_workload)
 from fluidq.measures import Box, upper_right
 
 LN2 = math.log(2.0)
@@ -138,17 +138,17 @@ def test_frontier_map_strictly_increases(empty_solution):
 
 
 def test_tau_oracles(empty_solution, equilibrium_solution):
-    assert tau(empty_solution, 1.0) == pytest.approx(
+    assert empty_solution.workload.tau(1.0) == pytest.approx(
         0.62011450695827752463, abs=1e-8)
     path = empty_solution.workload
     assert path.tau(1.1) == pytest.approx(0.69418814455548550116, abs=1e-8)
     assert path.tau(1.4) == pytest.approx(0.92727022935850561719, abs=1e-8)
     # at the fixed point w(s) = ln 2, so w(s) + s = t solves to s = t - ln 2
-    assert tau(equilibrium_solution, 2.0) == pytest.approx(
+    assert equilibrium_solution.workload.tau(2.0) == pytest.approx(
         2.0 - LN2, abs=1e-8)
     # before the support edge the frontier already covers t
-    assert tau(equilibrium_solution, 0.5) == 0.0
-    assert tau(empty_solution, 0.0) == 0.0
+    assert equilibrium_solution.workload.tau(0.5) == 0.0
+    assert path.tau(0.0) == 0.0
 
 
 def test_tau_consistency_identity(empty_solution):

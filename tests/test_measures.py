@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluidq.measures import (ABANDONMENT, SERVICE, AtomicMeasure1D,
-                             AtomicMeasure2D, Box, corner_mass, eval_box,
+                             AtomicMeasure2D, Box, corner_distance,
+                             corner_mass, eval_box,
                              eval_tail, evolve, measure_rows, project,
                              rect_distance, superpose, total_mass, upper_right)
 
@@ -133,20 +134,46 @@ def test_one_dimensional_atoms_at_zero_dropped():
 
 def test_corner_mass_examples():
     m = AtomicMeasure2D([(1.0, 5.0, 1.0)])
-    assert corner_mass(m, 1.0, 0.0, 0.1) == 1.0
-    assert corner_mass(m, 3.0, 3.0, 0.5) == 0.0
+    assert corner_mass(m, 1.0, 0.0, (0.1,)) == [1.0]
+    assert corner_mass(m, 3.0, 3.0, (0.5, 2.5)) == [0.0, 1.0]
     with pytest.raises(ValueError):
-        corner_mass(m, 1.0, 0.0, 0.0)
+        corner_mass(m, 1.0, 0.0, (0.1, 0.0))
 
 
 def test_corner_mass_counts_both_rays():
     near_vertical = AtomicMeasure2D([(1.05, 7.0, 1.0)])
     near_horizontal = AtomicMeasure2D([(6.0, 2.04, 2.0)])
-    assert corner_mass(near_vertical, 1.0, 2.0, 0.1) == 1.0
-    assert corner_mass(near_horizontal, 1.0, 2.0, 0.1) == 2.0
+    assert corner_mass(near_vertical, 1.0, 2.0, (0.1,)) == [1.0]
+    assert corner_mass(near_horizontal, 1.0, 2.0, (0.1,)) == [2.0]
     # strictly inside the box but away from its boundary rays
     far = AtomicMeasure2D([(5.0, 5.0, 1.0)])
-    assert corner_mass(far, 1.0, 2.0, 0.1) == 0.0
+    assert corner_mass(far, 1.0, 2.0, (0.1,)) == [0.0]
+
+
+radius = st.floats(1e-3, 10.0)
+
+
+@given(st.lists(st.tuples(dyadic, dyadic, st.integers(1, 4)), max_size=12),
+       dyadic, dyadic, st.lists(radius, min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_corner_mass_matches_per_radius_distances(atoms, x, y, kappas):
+    m = AtomicMeasure2D(atoms)
+    dist = corner_distance(m.w, m.p, x, y)
+    assert corner_mass(m, x, y, kappas) == [
+        float(m.mass[dist < kappa].sum()) for kappa in kappas]
+    masses = corner_mass(m, x, y, sorted(kappas))
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
+
+
+@given(dyadic, dyadic, st.lists(radius, max_size=5),
+       st.floats(-10.0, 0.0) | st.just(math.nan))
+@settings(max_examples=50, deadline=None)
+def test_corner_mass_empty_measure_and_bad_radius(x, y, kappas, bad):
+    empty = AtomicMeasure2D()
+    assert corner_mass(empty, x, y, kappas) == [0.0] * len(kappas)
+    for m in (empty, AtomicMeasure2D([(1.0, 1.0, 1.0)])):
+        with pytest.raises(ValueError):
+            corner_mass(m, x, y, [*kappas, bad])
 
 
 def test_rect_distance_example():

@@ -7,15 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from fluidq.distributions import (Deterministic, Exponential, UniformInterval,
-                                  mix_seed)
+from fluidq.distributions import Exponential, mix_seed
 from fluidq.fluid import ZeroInitial, solve_workload
-from fluidq.measures import upper_right
 from fluidq.scaling import (CSV_COLUMNS, DEFAULT_C_GRID, DEFAULT_KAPPAS,
-                            ScalingError, ScalingPlan, ScalingReport,
-                            build_scaled, compare_workload, corner_points,
+                            ScalingError, ScalingPlan, corner_points,
                             corner_regularity_probe, default_rect_grid,
-                            offered_load, run_plan)
+                            run_plan)
 from fluidq.simulate import ClassSpec, SimConfig, WarmStart, fluid_model_of
 
 LN2 = math.log(2.0)
@@ -32,34 +29,6 @@ def small_report():
     plan = ScalingPlan(base=markov_base(), scales=(5, 20), replications=2,
                        time_grid=(0.0, 1.0, 2.0))
     return run_plan(plan)
-
-
-def test_build_scaled_examples():
-    base = markov_base()
-    assert build_scaled(base, 1) is base
-    scaled = build_scaled(base, 10)
-    assert scaled.classes[0].interarrival == Exponential(20.0)
-    assert scaled.classes[0].service == Exponential(10.0)
-    assert scaled.classes[0].deadline is base.classes[0].deadline
-    assert scaled.scale == 1
-    assert scaled.horizon == base.horizon and scaled.seed == base.seed
-    with pytest.raises(ScalingError):
-        build_scaled(base, 0)
-
-
-def test_offered_load_invariant_under_scaling():
-    configs = [
-        markov_base(),
-        SimConfig(classes=(ClassSpec(UniformInterval(0.25, 0.75),
-                                     Deterministic(1.0),
-                                     UniformInterval(0.0, 2.0)),),
-                  horizon=1.0),
-    ]
-    for base in configs:
-        rho = offered_load(base)
-        assert rho == 2.0
-        for n in (10, 100, 1000):
-            assert offered_load(build_scaled(base, n)) == rho
 
 
 def test_default_rect_grid_shape():
@@ -167,8 +136,8 @@ def test_summary_structure(small_report):
         assert entry["sup_mean_err"] <= entry["max_sup_err"] + 1e-12
     sups = small_report.sup_errors(5, "workload")
     assert len(sups) == 2
-    assert small_report.mean_sup_error(5, "workload") == pytest.approx(
-        float(np.mean(sups)), abs=1e-15)
+    entry = next(e for e in summary if e["n"] == 5 and e["metric"] == "workload")
+    assert entry["mean_sup_err"] == float(np.mean(sups))
     with pytest.raises(ScalingError):
         small_report.sup_of_mean_error(5, "no-such-metric")
 
@@ -207,20 +176,21 @@ def test_run_plan_is_deterministic():
     assert first.rows == second.rows
 
 
-def test_compare_workload_reports_only_workload_metrics():
+def test_corner_probe_is_run_plan_corner_rows():
     plan = ScalingPlan(base=markov_base(), scales=(5,), replications=1,
                        time_grid=(0.0, 2.0))
-    report = compare_workload(plan)
-    assert set(report.metrics()) == {"workload", "idle"}
-    probe = corner_regularity_probe(plan)
-    assert all(m.startswith("corner_mass@") for m in probe.metrics())
+    probe = corner_regularity_probe(plan, kappas=(0.1, 0.4))
+    assert probe.metrics() == ["corner_mass@0.1", "corner_mass@0.4"]
+    full = run_plan(plan, kappas=(0.1, 0.4))
+    assert probe.rows == [r for r in full.rows if r.metric.startswith("corner_mass@")]
+    assert probe.footer == full.footer
 
 
 def test_warm_start_plan_targets_shifted_fluid():
     base = markov_base(horizon=1.0, seed=9, initial=WarmStart())
     plan = ScalingPlan(base=base, scales=(20,), replications=1,
                        time_grid=(0.0, 0.5, 1.0))
-    report = compare_workload(plan)
+    report = run_plan(plan)
     fluid_at = {row.t: row.fluid_value for row in report.rows
                 if row.metric == "workload"}
     # after warming 4 * w_u from empty, the fluid workload sits near ln 2
@@ -232,7 +202,7 @@ def test_warm_start_plan_targets_shifted_fluid():
 def test_errors_shrink_with_scale():
     plan = ScalingPlan(base=markov_base(horizon=4.0, seed=2),
                        scales=(10, 200), replications=3)
-    report = compare_workload(plan)
+    report = run_plan(plan)
     coarse = report.sup_of_mean_error(10, "workload")
     fine = report.sup_of_mean_error(200, "workload")
     assert fine < coarse
