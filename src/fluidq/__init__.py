@@ -16,8 +16,9 @@ from .fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                     invariant_state, residual_deadline_limit, solve_fluid,
                     solve_workload)
 from .measures import (AtomicMeasure1D, AtomicMeasure2D, Box, EvolveResult,
-                       Exit, corner_distance, corner_mass, eval_box, eval_tail,
-                       evolve, project, rect_distance, superpose, upper_right)
+                       Exit, box_masses, corner_distance, corner_mass, eval_box,
+                       eval_tail, evolve, project, rect_distance, superpose,
+                       upper_right)
 from .scaling import (ReportRow, ScalingError, ScalingPlan, ScalingReport,
                       corner_regularity_probe, default_rect_grid, run_plan)
 from .simulate import (ClassSpec, Empty, JobRecord, SimConfig, SimTrace,
@@ -33,7 +34,7 @@ __all__ = [
     "InvariantInitial", "InvariantState", "JobRecord", "Replay", "ReportRow",
     "ScalingError", "ScalingPlan", "ScalingReport", "SimConfig", "SimTrace",
     "SimulationError", "UniformInterval", "UniformMixture", "WarmStart",
-    "ZeroInitial", "corner_distance", "corner_mass",
+    "ZeroInitial", "box_masses", "corner_distance", "corner_mass",
     "corner_mass_fluid", "corner_regularity_probe", "default_rect_grid",
     "equilibrium_band", "eval_box", "eval_fluid", "eval_tail", "evolve",
     "fluid_abandoning", "fluid_age_count", "fluid_model_of",

@@ -274,6 +274,7 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     except (SimulationError, FluidModelError) as exc:
         raise CliError(EXIT_CONFIG, f"config error at model: {exc}") from exc
 
+    out = _out_dir(args, cfg)
     try:
         w_l, w_u = equilibrium_band(model)
         initial = _fluid_initial(fl, model, (w_l, w_u))
@@ -281,7 +282,6 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     except (FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    out = _out_dir(args, cfg)
     grid = _time_grid(horizon, step)
     path = solution.workload
     workload_rows = [(_fmt(t), _fmt(path(t)), _fmt(path.tau(t))) for t in grid]
@@ -386,11 +386,11 @@ def _parse_sim_config(cfg: dict, args, *, allow_replay: bool) -> SimConfig:
 
 def cmd_simulate(cfg: dict, args) -> list[str]:
     config = _parse_sim_config(cfg, args, allow_replay=True)
+    out = _out_dir(args, cfg)
     try:
         trace = run(config)
     except (SimulationError, DistributionError, FluidModelError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
-    out = _out_dir(args, cfg)
 
     job_rows = []
     for job in trace.jobs():
@@ -452,6 +452,7 @@ def cmd_converge(cfg: dict, args) -> list[str]:
     ages = (_number_list(conv["ages"], "converge.ages", minimum=0.0)
             if "ages" in conv else (0.25,))
 
+    out = _out_dir(args, cfg)
     try:
         plan = ScalingPlan(base, scales, reps, time_grid=time_grid,
                            rect_grid=rect_grid, ages=ages)
@@ -459,7 +460,6 @@ def cmd_converge(cfg: dict, args) -> list[str]:
     except (ScalingError, SimulationError, FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    out = _out_dir(args, cfg)
     report_path = os.path.join(out, "report.csv")
     summary_path = os.path.join(out, "summary.json")
     try:
@@ -473,6 +473,7 @@ def cmd_converge(cfg: dict, args) -> list[str]:
 def cmd_invariant(cfg: dict, args) -> list[str]:
     specs = parse_model(cfg, allow_replay=False)
     sim_cfg = SimConfig(specs, horizon=0.0)
+    out = _out_dir(args, cfg)
     try:
         model = fluid_model_of(sim_cfg)
         w_l, w_u = equilibrium_band(model)
@@ -495,7 +496,6 @@ def cmd_invariant(cfg: dict, args) -> list[str]:
         rows.append((k, "nonabandoning", "", "", "", "", _fmt(state.nonabandoning(k))))
         rows.append((k, "abandoning", "", "", "", "", _fmt(state.abandoning(k))))
 
-    out = _out_dir(args, cfg)
     path = os.path.join(out, "invariant.csv")
     _write_csv(path, ("class", "metric", "a", "b", "c", "d", "value"), rows)
     return [path]

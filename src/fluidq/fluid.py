@@ -120,6 +120,8 @@ def equilibrium_band(model: FluidModelInput) -> tuple[float, float]:
     a, b = 0.0, hi
     while b - a > BAND_TOL:
         m = 0.5 * (a + b)
+        if m in (a, b):     # adjacent floats: spacing exceeds BAND_TOL here
+            break
         if load(m) <= 1.0:
             b = m
         else:
@@ -130,6 +132,8 @@ def equilibrium_band(model: FluidModelInput) -> tuple[float, float]:
     a, b = 0.0, hi
     while b - a > BAND_TOL:
         m = 0.5 * (a + b)
+        if m in (a, b):
+            break
         if load(m) >= 1.0:
             a = m
         else:

@@ -230,17 +230,106 @@ def corner_distance(w, p, x: float, y: float):
     return np.minimum(d_horiz, d_vert)
 
 
-def corner_mass(measure: AtomicMeasure2D, x: float, y: float,
-                kappas: Sequence[float]) -> list[float]:
-    """Per radius kappa in kappas, the mass strictly within distance kappa
-    of the corner set at (x, y); the distances are computed once."""
-    for kappa in kappas:
-        if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
-    if len(measure) == 0:
-        return [0.0] * len(kappas)
-    dist = corner_distance(measure.w, measure.p, x, y)
-    return [float(measure.mass[dist < kappa].sum()) for kappa in kappas]
+def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
+    """Mass of each half-open box [a_i, b_i) x [c_i, d_i), from one binning.
+
+    The edges broadcast against each other and may be any floats, infinite
+    right edges included. Each coordinate is binned once into the sorted
+    distinct edges, a mass-weighted 2-D bincount and reverse cumulative
+    sums give the mass of every upper-right quadrant with corner on the
+    edge grid, and inclusion-exclusion turns those into box masses. With
+    integer masses every sum is exact, so each entry equals eval_box.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in (a, b, c, d)))
+    w_edges = np.unique(np.concatenate([a.ravel(), b.ravel()]))
+    p_edges = np.unique(np.concatenate([c.ravel(), d.ravel()]))
+    # bin i holds the atoms with exactly i edges at or below the coordinate
+    iw = np.searchsorted(w_edges, measure.w, side="right")
+    ip = np.searchsorted(p_edges, measure.p, side="right")
+    shape = (len(w_edges) + 1, len(p_edges) + 1)
+    grid = np.bincount(iw * shape[1] + ip, weights=measure.mass,
+                       minlength=shape[0] * shape[1]).reshape(shape)
+    # tail[i, j]: mass with w >= w_edges[i - 1] and p >= p_edges[j - 1]
+    tail = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
+    ka, kb = (np.searchsorted(w_edges, e) + 1 for e in (a, b))
+    kc, kd = (np.searchsorted(p_edges, e) + 1 for e in (c, d))
+    return tail[ka, kc] - tail[kb, kc] - tail[ka, kd] + tail[kb, kd]
+
+
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float_key(c: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 image of a float array (both zeros map to 0)."""
+    bits = c.view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+
+
+def _key_float(key: np.ndarray) -> np.ndarray:
+    return np.where(key < 0, (-key) | ~_MAGNITUDE, key).view(np.float64)
+
+
+def _lowest(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+            width: np.ndarray) -> np.ndarray:
+    """Smallest float c with inside(c), for an up-set whose edge lies
+    strictly within width of start, by bisection over the floats."""
+    lo, hi = _float_key(start - width), _float_key(start + width)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = inside(_key_float(mid))
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return _key_float(hi)
+
+
+def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]],
+                kappas: Sequence[float]) -> np.ndarray:
+    """Mass strictly within distance kappa of each corner set, as an array
+    indexed [corner, kappa].
+
+    Off the lower-left quadrant of a corner (x, y), corner_distance is
+    exactly |w - x| (for p >= y) or |p - y| (for w >= x), since
+    hypot(0, s) == |s| and hypot(r, s) >= max(|r|, |s|). So the mass there
+    is three box masses whose edges are the exact float cut points of
+    w - x < kappa, x - w < kappa and their p twins. Only the atoms in the
+    kappa_max square below-left of the corner go through corner_distance.
+    Equal to the per-corner corner_distance count when the masses are
+    integers and the atoms finite.
+    """
+    kap = np.asarray(kappas, dtype=float).reshape(1, -1)
+    if not np.all((kap > 0) & np.isfinite(kap)):
+        raise ValueError(f"kappas must be positive and finite, got {list(kappas)}")
+    xy = np.asarray(corners, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(xy)):
+        raise ValueError("corners must be finite")
+    if len(measure) == 0 or kap.size == 0:
+        return np.zeros((len(xy), kap.size))
+    x, y = xy[:, :1], xy[:, 1:]
+    # Each cut lies within one ulp of max(|x|, |y|, kappa) of x +- kappa or
+    # y +- kappa, so four such ulps bracket it.
+    width = 4 * np.spacing(np.maximum(np.maximum(abs(x), abs(y)), kap))
+    w_hi = _lowest(lambda e: e - x >= kap, x + kap, width)   # w - x < kappa below it
+    w_lo = _lowest(lambda e: x - e < kap, x - kap, width)    # x - w < kappa from it on
+    p_hi = _lowest(lambda e: e - y >= kap, y + kap, width)
+    p_lo = _lowest(lambda e: y - e < kap, y - kap, width)
+    inf = np.full_like(w_hi, np.inf)
+    xs, ys = np.broadcast_to(x, inf.shape), np.broadcast_to(y, inf.shape)
+    # [w_lo, w_hi) x [y, inf), [w_hi, inf) x [y, p_hi) and [x, inf) x [p_lo, y)
+    masses = box_masses(measure, [w_lo, w_hi, xs], [w_hi, inf, inf],
+                        [ys, ys, p_lo], [inf, p_hi, ys]).sum(axis=0)
+    # The lower-left quadrant, within the widest radius: atoms sorted by w,
+    # so each corner's w-range is one slice.
+    order = np.argsort(measure.w)
+    w_sorted, p_by_w = measure.w[order], measure.p[order]
+    widest = int(np.argmax(kap))
+    starts = np.searchsorted(w_sorted, w_lo[:, widest])
+    stops = np.searchsorted(w_sorted, xy[:, 0])
+    for i, (xi, yi) in enumerate(xy):
+        strip = p_by_w[starts[i]:stops[i]]
+        near = order[starts[i] + np.flatnonzero((strip >= p_lo[i, widest]) & (strip < yi))]
+        if len(near):
+            dist = corner_distance(measure.w[near], measure.p[near], xi, yi)
+            masses[i] += measure.mass[near] @ (dist[:, None] < kap)
+    return masses
 
 
 BoxEvaluator = Callable[[Box], float]

@@ -23,7 +23,7 @@ from .distributions import mix_seed
 from .fluid import (FluidSolution, ZeroInitial, equilibrium_band, eval_fluid,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
-from .measures import Box, corner_mass, rect_distance, upper_right
+from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
 from .numerics import sig17
 from .simulate import SimConfig, _warmup_duration, fluid_model_of, run
 
@@ -243,7 +243,8 @@ def _row(n, rep, t, metric, cls, sim_value, fluid_value) -> ReportRow:
                      float(fluid_value), abs(float(sim_value) - float(fluid_value)))
 
 
-def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, ages) -> list[ReportRow]:
+def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, rect_edges,
+                ages) -> list[ReportRow]:
     rows = []
     counts = trace.queue_lengths(t)
     for k in range(targets.K):
@@ -255,8 +256,8 @@ def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, ages) -> list[Repor
         rows.append(_row(n, rep, t, "abandoning", k, aa / n,
                          targets.abandoning(k, t)))
         fluid_boxes = targets.box_values(k, t, rect_grid)
-        snap = snaps[k]
-        dist = rect_distance(lambda box: snap(box) / n,
+        sim_boxes = dict(zip(rect_grid, box_masses(snaps[k], *rect_edges).tolist()))
+        dist = rect_distance(lambda box: sim_boxes[box] / n,
                              fluid_boxes.__getitem__, rect_grid)
         rows.append(_row(n, rep, t, "rect_measure", k, dist, 0.0))
     for u in ages:
@@ -284,11 +285,9 @@ def _residual_rows(n, rep, trace, targets, t, c_grid) -> list[ReportRow]:
 
 
 def _corner_rows(n, rep, snaps, t, corners, kappas) -> list[ReportRow]:
-    worst = [0.0] * len(kappas)
+    worst = np.zeros(len(kappas))
     for snap in snaps:
-        for (x, y) in corners:
-            masses = corner_mass(snap, x, y, kappas)
-            worst = [max(w, m / n) for w, m in zip(worst, masses)]
+        worst = np.maximum(worst, corner_mass(snap, corners, kappas).max(axis=0) / n)
     return [_row(n, rep, t, f"corner_mass@{kappa:g}", None, w, 0.0)
             for kappa, w in zip(kappas, worst)]
 
@@ -306,6 +305,7 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     targets = _FluidTargets(plan)
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
+    rect_edges = np.array([(box.a, box.b, box.c, box.d) for box in rect_grid]).T
     corners = corner_points(rect_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(float(c) for c in c_grid)
     kappas = DEFAULT_KAPPAS if kappas is None else tuple(float(k) for k in kappas)
@@ -313,6 +313,7 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     rows: list[ReportRow] = []
     for n in plan.scales:
         for rep in range(plan.replications):
+            trace = None    # freed before run builds the next trace
             trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
             workload, state, residual, corner = [], [], [], []
             for t in grid:
@@ -324,7 +325,7 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
                 residual += _residual_rows(n, rep, trace, targets, t, c_grid)
                 snaps = trace.snapshot(t)
                 state += _state_rows(n, rep, trace, snaps, targets, t, rect_grid,
-                                     plan.ages)
+                                     rect_edges, plan.ages)
                 corner += _corner_rows(n, rep, snaps, t, corners, kappas)
                 del snaps
             rows += workload + state + residual + corner

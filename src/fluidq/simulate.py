@@ -27,6 +27,15 @@ from .fluid import FluidClass, FluidModelInput, equilibrium_band
 from .measures import ABANDONMENT, SERVICE, AtomicMeasure1D, AtomicMeasure2D
 
 
+# Jobs per block of SimTrace's running bound on exit times; a query skips
+# whole blocks of jobs that left before its time.
+EXIT_BLOCK = 1024
+# The skip margin in ulps of the query's raw time: a job that left at least
+# this long before raw has residual sojourn or patience <= 0 there, whatever
+# the rounding of raw - t_arr.
+EXIT_MARGIN_ULPS = 4
+
+
 class SimulationError(ValueError):
     """Invalid simulation configuration or query."""
 
@@ -276,8 +285,11 @@ class SimTrace:
         self.t_exit = t_exit
         self.w_after = w_after
         self.cum_idle = cum_idle
+        # exit_bound[j]: the latest exit among the jobs of blocks 0..j
+        self.exit_bound = (np.maximum.accumulate(np.maximum.reduceat(
+            t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
         for arr in (t_arr, cls, idx, v, d, w_before, virtual, patience,
-                    served, t_exit, w_after, cum_idle):
+                    served, t_exit, w_after, cum_idle, self.exit_bound):
             arr.flags.writeable = False
 
     @property
@@ -330,18 +342,31 @@ class SimTrace:
             return raw
         return float(self.cum_idle[i]) + max(raw - self.t_arr[i] - self.w_after[i], 0.0)
 
-    def _live(self, raw: float) -> np.ndarray:
-        return (self.t_arr <= raw) & (self.t_exit > raw)
+    def _window(self, raw: float) -> slice:
+        """Index range of every job that can be in the system at raw: later
+        jobs arrive after raw, and each earlier job left by raw minus the
+        margin, so its residual sojourn or patience at raw is <= 0."""
+        hi = int(np.searchsorted(self.t_arr, raw, side="right"))
+        cut = raw - EXIT_MARGIN_ULPS * np.spacing(abs(raw))
+        lo = EXIT_BLOCK * int(np.searchsorted(self.exit_bound, cut, side="right"))
+        return slice(min(lo, hi), hi)
+
+    def _live(self, raw: float) -> tuple[slice, np.ndarray]:
+        """The query window and which of its jobs are in the system at raw."""
+        win = self._window(raw)
+        return win, self.t_exit[win] > raw
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class unit-atom measures at (residual sojourn, residual patience)."""
         raw = self._raw(t)
-        arrived = self.t_arr <= raw
-        rw = self.virtual - (raw - self.t_arr)
-        rp = self.patience - (raw - self.t_arr)
+        win = self._window(raw)
+        elapsed = raw - self.t_arr[win]
+        rw = self.virtual[win] - elapsed
+        rp = self.patience[win] - elapsed
+        cls = self.cls[win]
         out = []
         for k in range(self.K):
-            sel = arrived & (self.cls == k)
+            sel = cls == k
             out.append(AtomicMeasure2D.from_arrays(
                 rw[sel], rp[sel], np.ones(int(sel.sum())), class_id=k))
         return out
@@ -349,11 +374,12 @@ class SimTrace:
     def queue_lengths(self, t: float) -> list[ClassCounts]:
         """Per class: jobs in system at t, split by eventual fate."""
         raw = self._raw(t)
-        live = self._live(raw)
+        win, live = self._live(raw)
+        cls, served = self.cls[win], self.served[win]
         out = []
         for k in range(self.K):
-            sel = live & (self.cls == k)
-            n_served = int(np.count_nonzero(sel & self.served))
+            sel = live & (cls == k)
+            n_served = int(np.count_nonzero(sel & served))
             total = int(np.count_nonzero(sel))
             out.append(ClassCounts(total, n_served, total - n_served))
         return out
@@ -362,18 +388,20 @@ class SimTrace:
         """Per class, over arrivals in model (0, t]: raw deadline atoms,
         residual-deadline atoms, and residual atoms shifted by service."""
         raw = self._raw(t)
-        window = (self.t_arr > self.origin) & (self.t_arr <= raw)
-        elapsed = raw - self.t_arr
+        win = slice(int(np.searchsorted(self.t_arr, self.origin, side="right")),
+                    int(np.searchsorted(self.t_arr, raw, side="right")))
+        elapsed = raw - self.t_arr[win]
+        cls, d, v = self.cls[win], self.d[win], self.v[win]
         out = []
         for k in range(self.K):
-            sel = window & (self.cls == k)
+            sel = cls == k
             ones = np.ones(int(sel.sum()))
             out.append(DeadlineMeasures(
-                deadlines=AtomicMeasure1D.from_arrays(self.d[sel], ones, class_id=k),
+                deadlines=AtomicMeasure1D.from_arrays(d[sel], ones, class_id=k),
                 residual=AtomicMeasure1D.from_arrays(
-                    self.d[sel] - elapsed[sel], ones, class_id=k),
+                    d[sel] - elapsed[sel], ones, class_id=k),
                 residual_with_service=AtomicMeasure1D.from_arrays(
-                    self.d[sel] + self.v[sel] - elapsed[sel], ones, class_id=k),
+                    d[sel] + v[sel] - elapsed[sel], ones, class_id=k),
             ))
         return out
 
@@ -382,5 +410,7 @@ class SimTrace:
         if u < 0:
             raise SimulationError(f"age must be nonnegative, got {u}")
         raw = self._raw(t)
-        old = self._live(raw) & (self.t_arr <= raw - u)
-        return [int(np.count_nonzero(old & (self.cls == k))) for k in range(self.K)]
+        win, live = self._live(raw)
+        old = live & (self.t_arr[win] <= raw - u)
+        cls = self.cls[win]
+        return [int(np.count_nonzero(old & (cls == k))) for k in range(self.K)]

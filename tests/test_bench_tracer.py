@@ -1,0 +1,41 @@
+"""The benchmark's per-layer tracer still finds the names it wraps.
+
+bench/tracer.py replaces fluidq functions and methods by name; a rename in
+fluidq would silently zero its counters. Tracing a tiny run_plan here
+makes such a rename fail the test suite instead of the traced benchmark.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from fluidq import measures, scaling
+from fluidq.distributions import Exponential
+from fluidq.scaling import ScalingPlan
+from fluidq.simulate import ClassSpec, SimConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_harness_layers():
+    original = scaling.corner_mass
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        spec = ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0))
+        scaling.run_plan(ScalingPlan(SimConfig((spec,), horizon=1.0, seed=3), (10,), 1))
+    finally:
+        tracer.uninstall()
+    assert scaling.corner_mass is original is measures.corner_mass
+    metrics = tracer.metrics(wall_s=1.0, bytes_written=0)
+    assert metrics["measures.corner_calls"] > 0
+    assert tracer.stats["measures.rect"][0] > 0
+    assert metrics["simulate.query_calls"] > 0
+    assert metrics["scaling.rows"] > 0

@@ -348,6 +348,25 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert "output.formats" in err and "unknown key" in err
 
 
+def test_output_block_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    import fluidq.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("converge ran before the output block was checked")
+
+    monkeypatch.setattr(fluidq.cli, "run_plan", no_work)
+    cfg = write_config(tmp_path, {
+        "model": {"classes": [MARKOV_CLASS]},
+        "sim": {"horizon": 1.0},
+        "converge": {"scales": [10], "reps": 1},
+        "output": {"formats": ["csv"]},
+    })
+    code, _, err = run_cli(capsys, "converge", "--config", cfg,
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "output.formats" in err
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"classes": [MARKOV_CLASS]},

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -111,6 +112,27 @@ def test_equilibrium_band_examples(markovian, uniform_model, gapped_model):
     assert w_u == pytest.approx(LN2, abs=1e-9)
     assert equilibrium_band(uniform_model) == pytest.approx((1.0, 1.0), abs=1e-9)
     assert equilibrium_band(gapped_model) == pytest.approx((1.0, 2.0), abs=1e-9)
+
+
+def test_equilibrium_band_returns_where_float_spacing_exceeds_tol(markovian):
+    """An Exponential(1e-5) deadline puts the band near 6.9e4, where adjacent
+    floats are farther apart than BAND_TOL; bands that bisection already
+    resolved keep their bits."""
+    far = FluidModelInput((FluidClass(2.0, 1.0, Exponential(1e-5)),))
+
+    def stop(signum, frame):
+        raise TimeoutError("equilibrium_band did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        w_l, w_u = equilibrium_band(far)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert w_l == pytest.approx(LN2 / 1e-5, rel=1e-9)
+    assert w_u == pytest.approx(LN2 / 1e-5, rel=1e-9)
+    assert equilibrium_band(markovian) == (0.693147180559663, 0.693147180559663)
 
 
 def test_band_levels_are_fixed_points(markovian, uniform_model, gapped_model):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluidq.measures import (ABANDONMENT, SERVICE, AtomicMeasure1D,
-                             AtomicMeasure2D, Box, corner_distance,
+                             AtomicMeasure2D, Box, box_masses, corner_distance,
                              corner_mass, eval_box,
                              eval_tail, evolve, measure_rows, project,
                              rect_distance, superpose, total_mass, upper_right)
@@ -134,20 +134,23 @@ def test_one_dimensional_atoms_at_zero_dropped():
 
 def test_corner_mass_examples():
     m = AtomicMeasure2D([(1.0, 5.0, 1.0)])
-    assert corner_mass(m, 1.0, 0.0, (0.1,)) == [1.0]
-    assert corner_mass(m, 3.0, 3.0, (0.5, 2.5)) == [0.0, 1.0]
+    assert corner_mass(m, [(1.0, 0.0)], (0.1,)).tolist() == [[1.0]]
+    assert corner_mass(m, [(3.0, 3.0)], (0.5, 2.5)).tolist() == [[0.0, 1.0]]
+    assert corner_mass(m, [(1.0, 0.0), (3.0, 3.0)], (0.5,)).tolist() == [[1.0], [0.0]]
     with pytest.raises(ValueError):
-        corner_mass(m, 1.0, 0.0, (0.1, 0.0))
+        corner_mass(m, [(1.0, 0.0)], (0.1, 0.0))
+    with pytest.raises(ValueError):
+        corner_mass(m, [(math.inf, 0.0)], (0.1,))
 
 
 def test_corner_mass_counts_both_rays():
     near_vertical = AtomicMeasure2D([(1.05, 7.0, 1.0)])
     near_horizontal = AtomicMeasure2D([(6.0, 2.04, 2.0)])
-    assert corner_mass(near_vertical, 1.0, 2.0, (0.1,)) == [1.0]
-    assert corner_mass(near_horizontal, 1.0, 2.0, (0.1,)) == [2.0]
+    assert corner_mass(near_vertical, [(1.0, 2.0)], (0.1,)).tolist() == [[1.0]]
+    assert corner_mass(near_horizontal, [(1.0, 2.0)], (0.1,)).tolist() == [[2.0]]
     # strictly inside the box but away from its boundary rays
     far = AtomicMeasure2D([(5.0, 5.0, 1.0)])
-    assert corner_mass(far, 1.0, 2.0, (0.1,)) == [0.0]
+    assert corner_mass(far, [(1.0, 2.0)], (0.1,)).tolist() == [[0.0]]
 
 
 radius = st.floats(1e-3, 10.0)
@@ -159,9 +162,9 @@ radius = st.floats(1e-3, 10.0)
 def test_corner_mass_matches_per_radius_distances(atoms, x, y, kappas):
     m = AtomicMeasure2D(atoms)
     dist = corner_distance(m.w, m.p, x, y)
-    assert corner_mass(m, x, y, kappas) == [
-        float(m.mass[dist < kappa].sum()) for kappa in kappas]
-    masses = corner_mass(m, x, y, sorted(kappas))
+    assert corner_mass(m, [(x, y)], kappas).tolist() == [[
+        float(m.mass[dist < kappa].sum()) for kappa in kappas]]
+    masses = corner_mass(m, [(x, y)], sorted(kappas))[0]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
@@ -170,10 +173,55 @@ def test_corner_mass_matches_per_radius_distances(atoms, x, y, kappas):
 @settings(max_examples=50, deadline=None)
 def test_corner_mass_empty_measure_and_bad_radius(x, y, kappas, bad):
     empty = AtomicMeasure2D()
-    assert corner_mass(empty, x, y, kappas) == [0.0] * len(kappas)
+    assert corner_mass(empty, [(x, y)], kappas).tolist() == [[0.0] * len(kappas)]
     for m in (empty, AtomicMeasure2D([(1.0, 1.0, 1.0)])):
         with pytest.raises(ValueError):
-            corner_mass(m, x, y, [*kappas, bad])
+            corner_mass(m, [(x, y)], [*kappas, bad])
+
+
+@st.composite
+def corner_case(draw):
+    """Integer-mass atoms, corners and radii; each atom sits near one corner,
+    on its lines x and y, at x +- kappa and y +- kappa, one ulp off them,
+    or anywhere on the dyadic grid."""
+    corners = draw(st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=4))
+    kappas = draw(st.lists(st.sampled_from((0.1, 0.125, 0.3, 0.5, 1.0, 2.75))
+                           | radius, min_size=1, max_size=4))
+
+    def near(v):
+        lines = {v} | {v + s * k for k in kappas for s in (-1, 1)}
+        return sorted(lines | {math.nextafter(e, to) for e in lines
+                               for to in (-math.inf, math.inf)})
+
+    atoms = []
+    for _ in range(draw(st.integers(0, 30))):
+        x, y = draw(st.sampled_from(corners))
+        atoms.append((draw(st.sampled_from(near(x)) | dyadic),
+                      draw(st.sampled_from(near(y)) | dyadic), draw(st.integers(1, 4))))
+    return AtomicMeasure2D(atoms), corners, kappas
+
+
+@given(corner_case())
+@settings(max_examples=200, deadline=None)
+def test_multi_corner_mass_equals_corner_distance_counts(case):
+    m, corners, kappas = case
+    want = [[float(m.mass[corner_distance(m.w, m.p, x, y) < k].sum()) for k in kappas]
+            for x, y in corners]
+    assert corner_mass(m, corners, kappas).tolist() == want
+
+
+right_edge = dyadic | st.just(math.inf)
+
+
+@given(st.lists(st.tuples(dyadic, dyadic, st.integers(1, 4)), max_size=30),
+       st.lists(st.tuples(dyadic, right_edge, dyadic, right_edge), min_size=1,
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_box_masses_equal_eval_box(atoms, corners):
+    m = AtomicMeasure2D(atoms)
+    boxes = [Box(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in corners]
+    edges = np.array([(box.a, box.b, box.c, box.d) for box in boxes]).T
+    assert box_masses(m, *edges).tolist() == [eval_box(m, box) for box in boxes]
 
 
 def test_rect_distance_example():

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fluidq.distributions import (Deterministic, DistributionError,
                                   Exponential, Replay, UniformInterval)
-from fluidq.simulate import (ABANDONMENT, SERVICE, ClassSpec, Empty,
+from fluidq.measures import AtomicMeasure1D, AtomicMeasure2D
+from fluidq.simulate import (ABANDONMENT, SERVICE, EXIT_BLOCK, ClassSpec, Empty,
                              SimConfig, SimulationError, WarmStart,
                              fluid_model_of, run)
 
@@ -262,7 +265,7 @@ def test_warm_start_structure():
     assert any(j.arrival < 0 for j in jobs)
     assert trace.workload_at(0.0) > 0.0
     # residual virtual sojourns of live jobs are nondecreasing in arrival order
-    live = trace._live(trace.origin)
+    live = (trace.t_arr <= trace.origin) & (trace.t_exit > trace.origin)
     order = np.argsort(trace.t_arr[live], kind="stable")
     rw = (trace.virtual[live] - (trace.origin - trace.t_arr[live]))[order]
     assert np.all(np.diff(rw) >= -1e-9)
@@ -336,3 +339,81 @@ def test_queries_past_horizon_rejected(hand_trace):
 def test_trace_arrays_immutable(hand_trace):
     with pytest.raises(ValueError):
         hand_trace.t_arr[0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def query_traces():
+    """Two-class traces spanning several EXIT_BLOCKs, from empty and warm."""
+    classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
+               ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
+                         UniformInterval(0.0, 2.0)))
+    traces = [run(SimConfig(classes, horizon=3.0, scale=1000, seed=seed, initial=initial))
+              for seed, initial in ((4, Empty()), (5, WarmStart()))]
+    assert all(len(tr.exit_bound) > 5 for tr in traces)
+    return traces
+
+
+def full_scan_queries(tr, raw, u):
+    """Every windowed SimTrace query at raw time, by masks over the whole trace."""
+    arrived = tr.t_arr <= raw
+    live = arrived & (tr.t_exit > raw)
+    rw = tr.virtual - (raw - tr.t_arr)
+    rp = tr.patience - (raw - tr.t_arr)
+    window = (tr.t_arr > tr.origin) & arrived
+    elapsed = raw - tr.t_arr
+    snap, counts, resid, ages = [], [], [], []
+    for k in range(tr.K):
+        cls = tr.cls == k
+        sel = arrived & cls
+        snap.append(AtomicMeasure2D.from_arrays(rw[sel], rp[sel], np.ones(int(sel.sum()))))
+        total = int(np.count_nonzero(live & cls))
+        served = int(np.count_nonzero(live & cls & tr.served))
+        counts.append((total, served, total - served))
+        sel = window & cls
+        ones = np.ones(int(sel.sum()))
+        resid.append([AtomicMeasure1D.from_arrays(x, ones) for x in (
+            tr.d[sel], tr.d[sel] - elapsed[sel], tr.d[sel] + tr.v[sel] - elapsed[sel])])
+        ages.append(int(np.count_nonzero(live & cls & (tr.t_arr <= raw - u))))
+    return snap, counts, resid, ages
+
+
+def model_time(tr, raw):
+    """A model time t with t + origin == raw when one is within an ulp, else raw - origin."""
+    t = raw - tr.origin
+    for cand in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)):
+        if cand + tr.origin == raw:
+            return cand
+    return t
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_trace_queries_equal_full_scan(query_traces, data):
+    tr = data.draw(st.sampled_from(query_traces))
+    kind = data.draw(st.sampled_from(("uniform", "arrival", "exit", "block_exit")))
+    if kind == "uniform":
+        t = data.draw(st.floats(0.0, tr.horizon))
+    else:
+        epochs = {"arrival": tr.t_arr, "exit": tr.t_exit, "block_exit": tr.exit_bound}[kind]
+        raw = float(epochs[data.draw(st.integers(0, len(epochs) - 1))])
+        for _ in range(data.draw(st.integers(0, 8))):
+            raw = math.nextafter(raw, data.draw(st.sampled_from((-math.inf, math.inf))))
+        t = model_time(tr, raw)
+        assume(0.0 <= t <= tr.horizon)
+    u = data.draw(st.sampled_from((0.0, 0.25)) | st.floats(0.0, t))
+    raw = t + tr.origin
+    snap, counts, resid, ages = full_scan_queries(tr, raw, u)
+    for got, want in zip(tr.snapshot(t), snap):
+        assert np.array_equal(got.w, want.w) and np.array_equal(got.p, want.p)
+        assert np.array_equal(got.mass, want.mass)
+    assert [tuple(c) for c in tr.queue_lengths(t)] == counts
+    for got, want in zip(tr.residual_deadline_measures(t), resid):
+        for g, w in zip(got, want):
+            assert np.array_equal(g.x, w.x) and np.array_equal(g.mass, w.mass)
+    assert tr.age_count(t, u) == ages
+
+
+def test_trace_window_skips_departed_blocks(query_traces):
+    tr = query_traces[0]
+    win = tr._window(tr.horizon + tr.origin)
+    assert win.start >= EXIT_BLOCK and win.start % EXIT_BLOCK == 0
