@@ -7,6 +7,10 @@ Every family exposes the same four primitives:
 * ``sample(rng, size)``        -- inverse-CDF sampling from a seeded stream;
 * ``sup_support()``            -- the exact supremum of the support.
 
+Deadline laws also give ``breakpoints()``, the points where G is not
+smooth; the fluid solver restarts its workload ODE at each one the path
+crosses.
+
 Survival integrals are deliberately closed form per family (never
 quadrature): the fluid performance formulas downstream are built from
 ``integrate_survival`` and need integrand-level exactness to meet 1e-8
@@ -71,6 +75,10 @@ class Distribution:
         """Exact supremum of the support (may be math.inf)."""
         raise NotImplementedError
 
+    def breakpoints(self) -> tuple[float, ...]:
+        """Sorted points where G is not smooth; G is analytic between them."""
+        raise NotImplementedError
+
     @property
     def is_continuous(self) -> bool:
         """Whether the CDF is continuous (required of deadline laws)."""
@@ -116,6 +124,9 @@ class Exponential(Distribution):
 
     def sup_support(self) -> float:
         return math.inf
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
 
     def scaled(self, n: float) -> "Exponential":
         return Exponential(self.rate * n) if n != 1 else self
@@ -195,6 +206,9 @@ class UniformInterval(Distribution):
     def sup_support(self) -> float:
         return self.hi
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return (self.lo, self.hi)
+
     def scaled(self, n: float) -> "UniformInterval":
         return UniformInterval(self.lo / n, self.hi / n) if n != 1 else self
 
@@ -267,6 +281,9 @@ class UniformMixture(Distribution):
     def sup_support(self) -> float:
         return max(hi for _, _, hi in self.components)
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return self._knots
+
     def scaled(self, n: float) -> "UniformMixture":
         if n == 1:
             return self
@@ -326,6 +343,9 @@ class HyperExponential(Distribution):
 
     def sup_support(self) -> float:
         return math.inf
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
 
     def scaled(self, n: float) -> "HyperExponential":
         if n == 1:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from . import numerics
 from .distributions import Distribution, require_deadline_law
@@ -146,17 +146,27 @@ def equilibrium_band(model: FluidModelInput) -> tuple[float, float]:
 
 
 class WorkloadPath:
-    """Workload fluid solution on [0, T] with monotone-safe interpolation."""
+    """Workload fluid solution on [0, T], interpolated with its exact slope.
+
+    Between the RK4 nodes the path is the cubic Hermite interpolant of the
+    node values and of the ODE slopes f(w) at them, so it keeps the
+    fourth-order accuracy of the nodes. knot_times are the times at which
+    the path crosses a deadline knot; each is a node, so no cubic piece
+    spans a kink.
+    """
 
     def __init__(self, model: FluidModelInput, w0: float, T: float,
-                 ts: np.ndarray, ws: np.ndarray, tol: float):
+                 ts: np.ndarray, ws: np.ndarray, tol: float,
+                 knot_times: tuple[float, ...]):
         self.model = model
         self.w0 = float(w0)
         self.T = float(T)
         self.grid_t = ts
         self.grid_w = ws
         self.tol = tol
-        self._interp = PchipInterpolator(ts, ws) if len(ts) > 1 else None
+        self.knot_times = knot_times
+        self._interp = (CubicHermiteSpline(ts, ws, _drift(model, ws))
+                        if len(ts) > 1 else None)
 
     def __call__(self, t: float) -> float:
         self._check_time(t)
@@ -196,14 +206,59 @@ class WorkloadPath:
             raise FluidModelError(f"time {t} outside the solved horizon [0, {self.T}]")
 
 
+def _drift(model: FluidModelInput, w):
+    """The ODE right side f(w) = sum_k rho_k G_k(w) - 1."""
+    return model.load_survival(np.maximum(w, 0.0)) - 1.0
+
+
+def _knot_crossings(model: FluidModelInput, w0: float,
+                    T: float, tol: float) -> list[tuple[float, float]]:
+    """(time, knot) for each deadline knot the path from w0 crosses before T.
+
+    w is monotone, so it crosses exactly the knots strictly between w0 and
+    the near edge of the equilibrium band: those above w0 where the load
+    still exceeds one, or those below w0 where it is still under one. The
+    load stays away from one up to such a knot, so the time to reach it,
+    the integral of du / |load(u) - 1| over the smooth level piece, is
+    finite. A knot within tol of the previous restart level gets no piece
+    of its own: its piece could be too short for the Hermite interpolant's
+    coefficients to stay finite.
+    """
+    load = model.load_survival
+    knots = sorted({x for c in model.classes for x in c.deadline.breakpoints()})
+    if load(w0) > 1.0:
+        ahead = [k for k in knots if k > w0 and load(k) > 1.0]
+    else:
+        ahead = [k for k in reversed(knots) if k < w0 and load(k) < 1.0]
+
+    def pace(u):
+        return 1.0 / np.abs(load(u) - 1.0)
+
+    crossings, t, level = [], 0.0, w0
+    for knot in ahead:
+        if abs(knot - level) <= tol:    # restarting would move w by at most tol
+            continue
+        t += numerics.integrate(pace, min(level, knot), max(level, knot), tol=tol)
+        if t >= T:
+            break
+        crossings.append((t, knot))
+        level = knot
+    return crossings
+
+
 def solve_workload(model: FluidModelInput, w0: float, T: float,
                    tol: float = 1e-10) -> WorkloadPath:
     """Solve w' = sum rho_k G_k(w) - 1 from w(0) = w0 on [0, T].
 
-    Classical fixed-step RK4, with the step refined until halving it moves
-    the solution by less than tol. The initial level must be reachable by
-    some deadline: w0 <= d_max (with room to spare when d_max is finite,
-    since G vanishes there and mass above it could never have arrived).
+    The right side is smooth except at the deadline knots, so the path is
+    solved piece by piece between the times it crosses them, restarting
+    exactly at each knot (the discontinuous-RHS restart of Hairer, Norsett
+    and Wanner). On each piece, classical fixed-step RK4 refines its step
+    until halving it moves the solution by less than tol; a path that
+    crosses no knot is the one-piece case. The initial level must be
+    reachable by some deadline: w0 <= d_max (with room to spare when d_max
+    is finite, since G vanishes there and mass above it could never have
+    arrived).
     """
     if w0 < 0:
         raise FluidModelError(f"w0 must be nonnegative, got {w0}")
@@ -215,15 +270,22 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
     if w0 > d_max:
         raise FluidModelError(
             f"w0={w0} exceeds the largest deadline support bound {d_max}")
-    if T == 0:
-        return WorkloadPath(model, w0, 0.0, np.array([0.0]), np.array([float(w0)]), tol)
 
-    def rhs(w):
-        return model.load_survival(np.maximum(w, 0.0)) - 1.0
-
-    steps0 = max(64, int(T * 8))
-    ts, ws = numerics.rk4_validated(rhs, w0, T, tol, initial_steps=steps0)
-    return WorkloadPath(model, w0, T, ts, ws, tol)
+    rhs = partial(_drift, model)
+    crossings = _knot_crossings(model, w0, T, tol)
+    starts = [(0.0, float(w0)), *crossings]
+    ends = [t for t, _ in crossings] + [T]
+    grid_t, grid_w = [], []
+    for (start, level), end in zip(starts, ends):
+        span = end - start
+        ts, ws = numerics.rk4_validated(rhs, level, span, tol,
+                                        initial_steps=max(64, int(span * 8)))
+        grid_t.append(start + ts[:-1])
+        grid_w.append(ws[:-1])
+    grid_t.append([T])
+    grid_w.append(ws[-1:])
+    return WorkloadPath(model, w0, T, np.concatenate(grid_t), np.concatenate(grid_w),
+                        tol, tuple(t for t, _ in crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +529,19 @@ def eval_fluid(solution: FluidSolution, k: int, t: float, box: Box) -> float:
 
 def _arrivals_in_system_integral(solution: FluidSolution, k: int,
                                  lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of G_k(w(v)) dv: arrivals still waiting."""
+    """Integral over [lo, hi] of G_k(w(v)) dv: arrivals still waiting.
+
+    The integrand has a kink wherever w crosses a deadline knot, so the
+    interval is split at those times and each smooth piece is integrated
+    on its own.
+    """
     if hi <= lo:
         return 0.0
     path = solution.workload
     surv = solution.model.classes[k].deadline.survival
-    return numerics.integrate(lambda v: surv(path.at(v)), lo, hi, tol=QUAD_TOL)
+    cuts = [lo, *(t for t in path.knot_times if lo < t < hi), hi]
+    return sum(numerics.integrate(lambda v: surv(path.at(v)), a, b, tol=QUAD_TOL)
+               for a, b in zip(cuts, cuts[1:]))
 
 
 def fluid_queue_length(solution: FluidSolution, k: int, t: float) -> float:

@@ -1,10 +1,11 @@
 """Numerical kernels shared by the fluid solver.
 
 Kept deliberately small: a classical fixed-step RK4 with step-halving
-validation (the right-hand sides here are bounded and Lipschitz, so an
-embedded adaptive pair would buy nothing), an adaptive Gauss-Legendre
-panel integrator for continuous integrands, and a bisection for
-nondecreasing functions.
+validation, an adaptive Gauss-Legendre panel integrator for continuous
+integrands, and a bisection for nondecreasing functions. The right-hand
+sides here are bounded, Lipschitz and smooth between the deadline knots,
+and the fluid solver calls the RK4 once per smooth piece, so an embedded
+adaptive pair would buy nothing.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ def rk4_validated(f, y0: float, T: float, tol: float,
     less than tol between consecutive refinements; the finer grid is
     returned. For a fourth-order method the self-difference overestimates
     the remaining error by roughly a factor 15/16, so this is conservative.
+    That order needs f smooth along the path: across a kink of f the
+    halving climbs towards max_steps, so callers split the horizon there.
     """
     if T == 0:
         return np.array([0.0]), np.array([float(y0)])

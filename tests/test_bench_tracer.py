@@ -2,15 +2,17 @@
 
 bench/tracer.py replaces fluidq functions and methods by name; a rename in
 fluidq would silently zero its counters. Tracing a tiny run_plan here
-makes such a rename fail the test suite instead of the traced benchmark.
+makes such a rename fail the test suite instead of the traced benchmark,
+and tracing a kink-crossing fluid solve bounds its RK4 and RHS work.
 """
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-from fluidq import measures, scaling
-from fluidq.distributions import Exponential
+from fluidq import fluid, measures, scaling
+from fluidq.distributions import Exponential, UniformInterval, UniformMixture
+from fluidq.fluid import FluidClass, FluidModelInput, ZeroInitial
 from fluidq.scaling import ScalingPlan
 from fluidq.simulate import ClassSpec, SimConfig
 
@@ -39,3 +41,22 @@ def test_tracer_counts_harness_layers():
     assert tracer.stats["measures.rect"][0] > 0
     assert metrics["simulate.query_calls"] > 0
     assert metrics["scaling.rows"] > 0
+
+
+def test_tracer_bounds_kink_solve_work():
+    """The fluid_kink model from empty crosses the knots at 0.5 and 1;
+    halving the step over the whole horizon took 65,536 final RK4 steps."""
+    model = FluidModelInput((
+        FluidClass(1.5, 1.0, UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
+        FluidClass(1.0, 2.0, UniformInterval(0.5, 2.5)),
+    ))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        fluid.solve_fluid(model, ZeroInitial(), 3.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(wall_s=1.0, bytes_written=0)
+    assert 0 < metrics["numerics.rk4_final_steps"] <= 1024
+    assert 0 < metrics["fluid.rhs_calls"] <= 10_000
+    assert tracer.stats["fluid.solve"][0] > 0

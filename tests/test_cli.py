@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import signal
 import subprocess
 import sys
 
@@ -272,6 +273,38 @@ def test_converge_command(tmp_path, capsys):
     assert code == 0
     assert (out / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_warm_converge_across_deadline_knots_is_quick(tmp_path, capsys):
+    """The warm-start fluid solve runs from empty across the knots at 0.5
+    and 1; splitting the ODE there keeps it well under a second."""
+    cfg = write_config(tmp_path, {
+        "model": {"classes": [
+            {"arrival": {"family": "exponential", "rate": 1.5},
+             "service": {"family": "exponential", "rate": 1.0},
+             "deadline": {"family": "uniform_mixture", "components": [
+                 {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+                 {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+            {"arrival": {"family": "exponential", "rate": 1.0},
+             "service": {"family": "exponential", "rate": 2.0},
+             "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+        ]},
+        "sim": {"horizon": 1.0, "seed": 3, "initial": {"kind": "warm"}},
+        "converge": {"scales": [5, 25], "reps": 2},
+    })
+
+    def stop(signum, frame):
+        raise TimeoutError("converge did not finish within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        code, _, _ = run_cli(capsys, "converge", "--config", cfg,
+                             "--out", str(tmp_path / "o"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
 
 
 def test_converge_rejects_scaled_base(tmp_path, capsys):

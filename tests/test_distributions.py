@@ -68,6 +68,40 @@ def test_sup_support_values():
     assert HyperExponential(((0.5, 1.0), (0.5, 3.0))).sup_support() == math.inf
 
 
+def test_breakpoints_values():
+    assert Exponential(1.0).breakpoints() == ()
+    assert HyperExponential(((0.5, 1.0), (0.5, 3.0))).breakpoints() == ()
+    assert UniformInterval(0.5, 2.5).breakpoints() == (0.5, 2.5)
+    assert UniformMixture(((0.5, 2.0, 3.0), (0.5, 0.0, 1.0))).breakpoints() == (
+        0.0, 1.0, 2.0, 3.0)
+
+
+# (weight, lo, width) components of a uniform mixture; weights are normalized.
+mixture_components = st.lists(
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 4.0), st.floats(0.05, 3.0)),
+    min_size=1, max_size=4)
+
+
+def uniform_mixture(components):
+    total = math.fsum(w for w, _, _ in components)
+    return UniformMixture(tuple((w / total, lo, lo + width)
+                                for w, lo, width in components))
+
+
+@given(components=mixture_components)
+@settings(max_examples=80, deadline=None)
+def test_mixture_breakpoints_bound_affine_pieces(components):
+    law = uniform_mixture(components)
+    points = law.breakpoints()
+    assert all(a < b for a, b in zip(points, points[1:]))
+    assert 0.0 <= points[0] and points[-1] == law.sup_support()
+    for _, lo, hi in law.components:
+        assert lo in points and hi in points
+    for a, b in zip(points, points[1:]):
+        mid = law.survival(0.5 * (a + b))
+        assert mid == pytest.approx(0.5 * (law.survival(a) + law.survival(b)), abs=1e-12)
+
+
 def test_mixture_survival_has_flat_stretch():
     law = UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))
     assert law.survival(1.0) == pytest.approx(0.5, abs=1e-15)

@@ -5,6 +5,9 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fluidq.distributions import (Deterministic, DistributionError,
                                   Exponential, UniformInterval,
@@ -40,6 +43,37 @@ def uniform_model():
 def gapped_model():
     law = UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))
     return FluidModelInput((FluidClass(2.0, 1.0, law),))
+
+
+@pytest.fixture(scope="module")
+def kink_model():
+    """Two classes whose path from empty crosses the knots at 0.5 and 1
+    on its way up to the degenerate band {1.5}."""
+    return FluidModelInput((
+        FluidClass(1.5, 1.0, UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
+        FluidClass(1.0, 2.0, UniformInterval(0.5, 2.5)),
+    ))
+
+
+def kink_load(u):
+    """sum_k rho_k G_k(u) of kink_model, written out by hand."""
+    g0 = 0.5 * min(max(1.0 - u, 0.0), 1.0) + 0.5 * min(max(3.0 - u, 0.0), 1.0)
+    g1 = min(max((2.5 - u) / 2.0, 0.0), 1.0)
+    return 1.5 * g0 + 0.5 * g1
+
+
+def kink_oracle_times(levels, knots=(0.5, 1.0)):
+    """t(w) = integral_0^w du / (load(u) - 1) at nondecreasing levels,
+    by quadrature on each smooth piece between knots and levels."""
+    out, t, at = [], 0.0, 0.0
+    for w in levels:
+        for edge in [k for k in knots if at < k < w] + [w]:
+            if edge > at:
+                t += quad(lambda u: 1.0 / (kink_load(u) - 1.0), at, edge,
+                          epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                at = edge
+        out.append(t)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +113,42 @@ def test_workload_matches_closed_form(markovian):
     assert path(6.0) == pytest.approx(0.69190703580989502459, abs=1e-9)
     from_above = solve_workload(markovian, 2.0, 6.0)
     assert from_above(1.0) == pytest.approx(1.3819155245221057362, abs=1e-9)
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.3, 2.0])
+def test_workload_between_nodes_matches_closed_form(markovian, w0):
+    """The dense output keeps the nodes' accuracy: most of these points fall
+    between RK4 nodes."""
+    ts = np.linspace(0.0, 10.0, 100_001)
+    path = solve_workload(markovian, w0, 10.0)
+    exact = np.log(2.0 - (2.0 - math.exp(w0)) * np.exp(-ts))
+    assert np.max(np.abs(path.at(ts) - exact)) <= 1e-10
+
+
+def test_kink_path_matches_quadrature_oracle(kink_model):
+    path = solve_workload(kink_model, 0.0, 3.0)
+    assert len(path.grid_t) - 1 <= 1024
+    assert len(path.knot_times) == 2
+    for t, knot in zip(path.knot_times, (0.5, 1.0)):
+        assert path(t) == knot and t in path.grid_t
+    ts = np.linspace(0.0, 3.0, 2001)
+    ws = path.at(ts)
+    assert np.all(np.diff(ws) > 0)
+    # A time error dt at level w is a level error of (load(w) - 1) * dt.
+    err = max(abs(t_w - t) * (kink_load(w) - 1.0)
+              for t, w, t_w in zip(ts, ws, kink_oracle_times(ws)))
+    assert err <= 1e-10
+
+
+def test_knot_next_to_the_start_gets_no_piece_of_its_own():
+    """A piece 1e-237 long would overflow the Hermite coefficients and read
+    back NaN at the knot."""
+    tiny = 1.1375865249490555e-237
+    law = UniformMixture(((1.0, tiny, 1.0 + tiny),))
+    path = solve_workload(FluidModelInput((FluidClass(2.0, 1.0, law),)), 0.0, 1.0)
+    assert path.knot_times == ()
+    ts = np.linspace(0.0, 100 * tiny, 101)
+    np.testing.assert_allclose(path.at(ts), ts, rtol=0, atol=1e-12)
 
 
 def test_workload_vectorized_evaluation(markovian):
@@ -383,3 +453,35 @@ def test_solution_band_property(empty_solution):
     w_l, w_u = empty_solution.band
     assert w_l == pytest.approx(LN2, abs=1e-9)
     assert w_u == pytest.approx(LN2, abs=1e-9)
+
+
+# (weight, lo, width) components of a random uniform mixture deadline law.
+mixture_components = st.lists(
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 3.0), st.floats(0.05, 2.0)),
+    min_size=1, max_size=3)
+
+
+@given(components=mixture_components, rho=st.floats(1.1, 4.0),
+       start=st.floats(0.0, 0.95), T=st.floats(0.5, 4.0))
+@settings(max_examples=30, deadline=None)
+def test_mixture_paths_are_monotone_and_stop_at_the_band(components, rho, start, T):
+    total = math.fsum(w for w, _, _ in components)
+    law = UniformMixture(tuple((w / total, lo, lo + width)
+                               for w, lo, width in components))
+    model = FluidModelInput((FluidClass(rho, 1.0, law),))
+    w0 = start * model.d_max
+    w_l, w_u = equilibrium_band(model)
+    path = solve_workload(model, w0, T)
+    ts = np.linspace(0.0, T, 4001)
+    ws = path.at(ts)
+    if w0 < w_l:
+        assert np.all(np.diff(ws) >= -1e-12)
+        assert ws.max() <= w_l + 1e-9
+    elif w0 > w_u:
+        assert np.all(np.diff(ws) <= 1e-12)
+        assert ws.min() >= w_u - 1e-9
+    else:
+        assert np.max(np.abs(ws - w0)) <= 1e-9
+    # phi = w + s has slope load(w) > 0 below d_max, so tau is well defined
+    # although a Hermite interpolant is not monotone by construction.
+    assert np.all(np.diff(ws + ts) > 0)
