@@ -96,6 +96,24 @@ def _number_list(value, path: str, *, minimum=None) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value))
 
 
+def _components(spec: dict, path: str, fields: tuple[str, ...]) -> tuple[tuple[float, ...], ...]:
+    """A mixture family's nonempty components array, each entry an object
+    with exactly these fields; "lo" may be zero, every other field is positive."""
+    _check_keys(spec, path, {"family", "components"}, {"components"})
+    comps = spec["components"]
+    if not isinstance(comps, list) or not comps:
+        raise _config_error(f"{path}.components", "expected a nonempty array")
+    parsed = []
+    for i, comp in enumerate(comps):
+        cpath = f"{path}.components[{i}]"
+        comp = _require_mapping(comp, cpath)
+        _check_keys(comp, cpath, set(fields), set(fields))
+        parsed.append(tuple(
+            _number(comp[f], f"{cpath}.{f}", minimum=0.0) if f == "lo"
+            else _number(comp[f], f"{cpath}.{f}", positive=True) for f in fields))
+    return tuple(parsed)
+
+
 def parse_distribution(spec, path: str, *, allow_replay: bool) -> Distribution:
     spec = _require_mapping(spec, path)
     family = spec.get("family")
@@ -113,32 +131,9 @@ def parse_distribution(spec, path: str, *, allow_replay: bool) -> Distribution:
             return UniformInterval(_number(spec["lo"], f"{path}.lo", minimum=0.0),
                                    _number(spec["hi"], f"{path}.hi", positive=True))
         if family == "uniform_mixture":
-            _check_keys(spec, path, {"family", "components"}, {"components"})
-            comps = spec["components"]
-            if not isinstance(comps, list) or not comps:
-                raise _config_error(f"{path}.components", "expected a nonempty array")
-            parsed = []
-            for i, comp in enumerate(comps):
-                cpath = f"{path}.components[{i}]"
-                comp = _require_mapping(comp, cpath)
-                _check_keys(comp, cpath, {"weight", "lo", "hi"}, {"weight", "lo", "hi"})
-                parsed.append((_number(comp["weight"], f"{cpath}.weight", positive=True),
-                               _number(comp["lo"], f"{cpath}.lo", minimum=0.0),
-                               _number(comp["hi"], f"{cpath}.hi", positive=True)))
-            return UniformMixture(tuple(parsed))
+            return UniformMixture(_components(spec, path, ("weight", "lo", "hi")))
         if family == "hyperexponential":
-            _check_keys(spec, path, {"family", "components"}, {"components"})
-            comps = spec["components"]
-            if not isinstance(comps, list) or not comps:
-                raise _config_error(f"{path}.components", "expected a nonempty array")
-            parsed = []
-            for i, comp in enumerate(comps):
-                cpath = f"{path}.components[{i}]"
-                comp = _require_mapping(comp, cpath)
-                _check_keys(comp, cpath, {"weight", "rate"}, {"weight", "rate"})
-                parsed.append((_number(comp["weight"], f"{cpath}.weight", positive=True),
-                               _number(comp["rate"], f"{cpath}.rate", positive=True)))
-            return HyperExponential(tuple(parsed))
+            return HyperExponential(_components(spec, path, ("weight", "rate")))
         if family == "replay":
             if not allow_replay:
                 raise _config_error(f"{path}.family",
@@ -392,18 +387,16 @@ def cmd_simulate(cfg: dict, args) -> list[str]:
     except (SimulationError, DistributionError, FluidModelError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    job_rows = []
-    for job in trace.jobs():
-        job_rows.append((job.cls, job.index, _fmt(job.arrival), _fmt(job.service),
-                         _fmt(job.deadline), _fmt(job.workload_before),
-                         _fmt(job.virtual_sojourn), _fmt(job.patience),
-                         int(job.served), _fmt(job.exit_time), job.exit_cause))
+    jobs = trace.jobs()
+    job_rows = [(job.cls, job.index, _fmt(job.arrival), _fmt(job.service),
+                 _fmt(job.deadline), _fmt(job.workload_before),
+                 _fmt(job.virtual_sojourn), _fmt(job.patience),
+                 int(job.served), _fmt(job.exit_time), job.exit_cause) for job in jobs]
 
+    # a job's virtual sojourn is the workload just after its arrival
     workload_rows = [(_fmt(0.0), _fmt(trace.workload_at(0.0)))]
-    for t_raw, w in zip(trace.t_arr, trace.w_after):
-        t = float(t_raw) - trace.origin
-        if 0.0 < t <= trace.horizon:
-            workload_rows.append((_fmt(t), _fmt(float(w))))
+    workload_rows += [(_fmt(job.arrival), _fmt(job.virtual_sojourn)) for job in jobs
+                      if 0.0 < job.arrival <= trace.horizon]
     if trace.horizon > 0:
         workload_rows.append((_fmt(trace.horizon), _fmt(trace.workload_at(trace.horizon))))
 

@@ -206,7 +206,7 @@ def run(config: SimConfig) -> "SimTrace":
             if isinstance(law, Replay):
                 law.reset()
 
-    all_t, all_k, all_j, all_v, all_d = [], [], [], [], []
+    all_t, all_k, all_v, all_d = [], [], [], []
     for k, spec in enumerate(config.classes):
         rng_a = stream(config.seed, k, 0)
         rng_v = stream(config.seed, k, 1)
@@ -216,8 +216,7 @@ def run(config: SimConfig) -> "SimTrace":
         epochs = _arrival_epochs(interarrival, rng_a, t_end)
         m = len(epochs)
         all_t.append(epochs)
-        all_k.append(np.full(m, k, dtype=np.int64))
-        all_j.append(np.arange(1, m + 1, dtype=np.int64))
+        all_k.append(np.full(m, k, dtype=np.min_scalar_type(len(config.classes) - 1)))
         all_v.append(np.atleast_1d(service.sample(rng_v, m)) if m else np.empty(0))
         all_d.append(np.atleast_1d(spec.deadline.sample(rng_d, m)) if m else np.empty(0))
 
@@ -225,13 +224,11 @@ def run(config: SimConfig) -> "SimTrace":
     order = np.argsort(t_arr, kind="stable")
     t_arr = t_arr[order]
     cls = np.concatenate(all_k)[order]
-    idx = np.concatenate(all_j)[order]
     v = np.concatenate(all_v)[order]
     d = np.concatenate(all_d)[order]
 
     m = len(t_arr)
     w_before = np.empty(m)
-    w_after = np.empty(m)
     served = np.empty(m, dtype=bool)
     cum_idle = np.empty(m)
 
@@ -248,49 +245,54 @@ def run(config: SimConfig) -> "SimTrace":
         w_before[i] = found
         served[i] = ok
         W = found + v[i] if ok else found
-        w_after[i] = W
         cum_idle[i] = idle
         t_prev = t_arr[i]
 
-    virtual = np.where(served, w_before + v, w_before)
-    patience = np.where(served, d + v, d)
-    t_exit = t_arr + np.where(served, virtual, d)
-
-    return SimTrace(config, t_warm, t_arr, cls, idx, v, d, w_before, virtual,
-                    patience, served, t_exit, w_after, cum_idle)
+    return SimTrace(config, t_warm, t_arr, cls, v, d, w_before, served, cum_idle)
 
 
 class SimTrace:
     """Complete, immutable record of one run; all queries take model time.
 
-    The workload path is piecewise deterministic (slope -1 while positive,
-    upward jumps exactly at served arrivals), so storing its value at each
-    arrival epoch reconstructs it everywhere.
+    Per job, in arrival order, it stores what the simulation pass decides:
+    ``t_arr``, ``cls`` (narrowest integer dtype holding K - 1), ``v``, ``d``,
+    the workload found ``w_before``, ``served``, and the idleness so far
+    ``cum_idle``. ``_fate`` derives the virtual sojourn, patience and exit
+    epoch on the jobs a query reads. A job's virtual sojourn is the workload
+    just after its arrival, and the path between arrivals has slope -1 while
+    positive, so these reconstruct it everywhere.
     """
 
-    def __init__(self, config, origin, t_arr, cls, idx, v, d, w_before,
-                 virtual, patience, served, t_exit, w_after, cum_idle):
+    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, cum_idle):
         self.config = config
         self.origin = float(origin)
         self.horizon = float(config.horizon)
         self.t_arr = t_arr
         self.cls = cls
-        self.idx = idx
         self.v = v
         self.d = d
         self.w_before = w_before
-        self.virtual = virtual
-        self.patience = patience
         self.served = served
-        self.t_exit = t_exit
-        self.w_after = w_after
         self.cum_idle = cum_idle
         # exit_bound[j]: the latest exit among the jobs of blocks 0..j
+        t_exit = self.t_exit
         self.exit_bound = (np.maximum.accumulate(np.maximum.reduceat(
             t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
-        for arr in (t_arr, cls, idx, v, d, w_before, virtual, patience,
-                    served, t_exit, w_after, cum_idle, self.exit_bound):
+        for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):
             arr.flags.writeable = False
+
+    def _fate(self, win) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Virtual sojourn, patience and raw exit epoch of the jobs in win, by
+        the float operations of the simulation pass (W = w_before + v if served)."""
+        served, w, d, v = self.served[win], self.w_before[win], self.d[win], self.v[win]
+        virtual = np.where(served, w + v, w)
+        patience = np.where(served, d + v, d)
+        return virtual, patience, self.t_arr[win] + np.where(served, virtual, d)
+
+    @property
+    def t_exit(self) -> np.ndarray:
+        """Raw exit epoch of every job (derived, not stored)."""
+        return self._fate(slice(None))[2]
 
     @property
     def K(self) -> int:
@@ -303,19 +305,22 @@ class SimTrace:
 
     def jobs(self) -> list[JobRecord]:
         """All jobs in arrival order; warm-up jobs carry negative arrivals."""
+        virtual, patience, t_exit = self._fate(slice(None))
+        count = [0] * self.K
         out = []
-        for i in range(len(self.t_arr)):
+        for i, k in enumerate(self.cls.tolist()):
+            count[k] += 1
             out.append(JobRecord(
-                cls=int(self.cls[i]),
-                index=int(self.idx[i]),
+                cls=k,
+                index=count[k],
                 arrival=float(self.t_arr[i] - self.origin),
                 service=float(self.v[i]),
                 deadline=float(self.d[i]),
                 workload_before=float(self.w_before[i]),
-                virtual_sojourn=float(self.virtual[i]),
-                patience=float(self.patience[i]),
+                virtual_sojourn=float(virtual[i]),
+                patience=float(patience[i]),
                 served=bool(self.served[i]),
-                exit_time=float(self.t_exit[i] - self.origin),
+                exit_time=float(t_exit[i] - self.origin),
                 exit_cause=SERVICE if self.served[i] else ABANDONMENT,
             ))
         return out
@@ -326,7 +331,8 @@ class SimTrace:
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return 0.0
-        return max(float(self.w_after[i] - (raw - self.t_arr[i])), 0.0)
+        w_after = self._fate(slice(i, i + 1))[0][0]
+        return max(float(w_after - (raw - self.t_arr[i])), 0.0)
 
     def idle_at(self, t: float) -> float:
         """I(t): cumulative idleness of the server over model (0, t]."""
@@ -340,7 +346,8 @@ class SimTrace:
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return raw
-        return float(self.cum_idle[i]) + max(raw - self.t_arr[i] - self.w_after[i], 0.0)
+        w_after = self._fate(slice(i, i + 1))[0][0]
+        return float(self.cum_idle[i]) + max(raw - self.t_arr[i] - w_after, 0.0)
 
     def _window(self, raw: float) -> slice:
         """Index range of every job that can be in the system at raw: later
@@ -354,15 +361,14 @@ class SimTrace:
     def _live(self, raw: float) -> tuple[slice, np.ndarray]:
         """The query window and which of its jobs are in the system at raw."""
         win = self._window(raw)
-        return win, self.t_exit[win] > raw
+        return win, self._fate(win)[2] > raw
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class unit-atom measures at (residual sojourn, residual patience)."""
         raw = self._raw(t)
         win = self._window(raw)
         elapsed = raw - self.t_arr[win]
-        rw = self.virtual[win] - elapsed
-        rp = self.patience[win] - elapsed
+        rw, rp = (x - elapsed for x in self._fate(win)[:2])
         cls = self.cls[win]
         out = []
         for k in range(self.K):

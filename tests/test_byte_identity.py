@@ -1,8 +1,8 @@
-"""report.csv and summary.json of `fluidq converge` pinned by hash.
+"""The artifacts of `fluidq converge` and `fluidq simulate` pinned by hash.
 
-A change meant to keep the harness's outputs (a refactor, a speed-up) must
-leave these hashes alone; a change meant to alter them updates the goldens
-and says why.
+A change meant to keep these outputs (a refactor, a speed-up) must leave
+the hashes alone; a change meant to alter them updates the goldens and
+says why.
 """
 from __future__ import annotations
 
@@ -65,4 +65,42 @@ def test_converge_outputs_match_golden_hashes(tmp_path, capsys, monkeypatch, nam
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     for artifact, digest in GOLDEN[name].items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
+
+
+def _hyperexp(*components):
+    return {"family": "hyperexponential",
+            "components": [{"weight": w, "rate": r} for w, r in components]}
+
+
+# Two warm-started classes with hyperexponential arrivals at scale 50: the
+# job log's per-class index, virtual sojourn, patience and exit time, the
+# workload after each arrival and the final snapshot are all on record.
+SIMULATE_CONFIG = {
+    "model": {"classes": [
+        {"arrival": _hyperexp((0.5, 2.0), (0.5, 2.0 / 3.0)), "service": _exp(1.0),
+         "deadline": {"family": "uniform_mixture", "components": [
+             {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+             {"weight": 0.5, "lo": 0.0, "hi": 3.0}]}},
+        {"arrival": _hyperexp((0.25, 0.5), (0.75, 3.0)), "service": _exp(2.0),
+         "deadline": {"family": "uniform", "lo": 0.0, "hi": 2.0}},
+    ]},
+    "sim": {"horizon": 1.0, "n": 50, "seed": 8, "initial": {"kind": "warm"}},
+}
+
+SIMULATE_GOLDEN = {
+    "jobs.csv": "57100539aa01a96bb66b513ee40718672c096309a8aa7d70efee06e4c6775b29",
+    "workload.csv": "7dbf4a3223a6c32ed9059a00fb0caf6f687faa607a29253edbda5047276157c4",
+    "snapshot.csv": "2cf69ef62422d1ac4b1f79071386b15a7ee2fa9ed4a737d22fb988697ea1f92d",
+}
+
+
+def test_simulate_outputs_match_golden_hashes(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FLUIDQ_SEED", raising=False)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SIMULATE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for artifact, digest in SIMULATE_GOLDEN.items():
         assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact

@@ -380,6 +380,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert code == 2
         assert "output.formats" in err and "unknown key" in err
 
+    # each mixture family accepts only its own component fields
+    for field, law in (
+            ("deadline", {"family": "uniform_mixture", "components": [
+                {"weight": 1.0, "lo": 0.0, "hi": 1.0}, {"weight": 1.0, "rate": 1.0}]}),
+            ("arrival", {"family": "hyperexponential", "components": [
+                {"weight": 1.0, "rate": 1.0}, {"weight": 1.0, "hi": 1.0}]})):
+        cfg = write_config(tmp_path, {
+            "model": {"classes": [dict(MARKOV_CLASS, **{field: law})]},
+            "sim": {"horizon": 1.0},
+        })
+        code, _, err = run_cli(capsys, "simulate", "--config", cfg,
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        bad = "rate" if field == "deadline" else "hi"
+        assert f"model.classes[0].{field}.components[1].{bad}: unknown key" in err
+
 
 def test_output_block_checked_before_the_work(tmp_path, capsys, monkeypatch):
     import fluidq.cli

@@ -171,11 +171,35 @@ def test_workload_stieltjes_identity(markov_config):
             total - trace.busy_at(job.arrival), abs=1e-9)
 
 
+def stored_fate(tr):
+    """Virtual sojourn, patience and raw exit epoch of every job, from the
+    seven stored arrays, by the float operations of the Lindley pass."""
+    virtual = np.where(tr.served, tr.w_before + tr.v, tr.w_before)
+    patience = np.where(tr.served, tr.d + tr.v, tr.d)
+    return virtual, patience, tr.t_arr + np.where(tr.served, virtual, tr.d)
+
+
 def test_workload_jumps_exactly_by_service(markov_config):
     trace = run(markov_config)
-    expect = np.where(trace.served, trace.w_before + trace.v, trace.w_before)
-    assert np.array_equal(trace.w_after, expect)
-    assert np.array_equal(trace.virtual, expect)
+    jobs = trace.jobs()
+    assert len(jobs) == len(trace.t_arr) > 30
+    W = 0.0
+    t_prev = 0.0
+    count = [0] * trace.K
+    for i, job in enumerate(jobs):
+        t, v, d = trace.t_arr[i], trace.v[i], trace.d[i]
+        found = max(W - (t - t_prev), 0.0)
+        ok = d > found
+        W = found + v if ok else found
+        count[job.cls] += 1
+        assert job.index == count[job.cls]
+        assert job.workload_before == found and job.served == ok
+        assert job.virtual_sojourn == W
+        assert job.patience == (d + v if ok else d)
+        assert job.exit_time == float(t + (W if ok else d) - trace.origin)
+        assert job.exit_cause == (SERVICE if ok else ABANDONMENT)
+        t_prev = t
+    assert np.array_equal(trace.t_exit, stored_fate(trace)[2])
 
 
 def test_fifo_exit_order_among_served():
@@ -220,8 +244,8 @@ def test_dynamics_match_measure_evolution(markov_config):
 def test_rerun_is_bitwise_identical(markov_config):
     a = run(markov_config)
     b = run(markov_config)
-    for name in ("t_arr", "cls", "idx", "v", "d", "w_before", "virtual",
-                 "patience", "served", "t_exit", "w_after", "cum_idle"):
+    for name in ("t_arr", "cls", "v", "d", "w_before", "served", "cum_idle",
+                 "exit_bound"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.jobs() == b.jobs()
 
@@ -265,9 +289,10 @@ def test_warm_start_structure():
     assert any(j.arrival < 0 for j in jobs)
     assert trace.workload_at(0.0) > 0.0
     # residual virtual sojourns of live jobs are nondecreasing in arrival order
-    live = (trace.t_arr <= trace.origin) & (trace.t_exit > trace.origin)
+    virtual, _, t_exit = stored_fate(trace)
+    live = (trace.t_arr <= trace.origin) & (t_exit > trace.origin)
     order = np.argsort(trace.t_arr[live], kind="stable")
-    rw = (trace.virtual[live] - (trace.origin - trace.t_arr[live]))[order]
+    rw = (virtual[live] - (trace.origin - trace.t_arr[live]))[order]
     assert np.all(np.diff(rw) >= -1e-9)
     # queries before model time zero are out of range
     with pytest.raises(SimulationError):
@@ -355,10 +380,11 @@ def query_traces():
 
 def full_scan_queries(tr, raw, u):
     """Every windowed SimTrace query at raw time, by masks over the whole trace."""
+    virtual, patience, t_exit = stored_fate(tr)
     arrived = tr.t_arr <= raw
-    live = arrived & (tr.t_exit > raw)
-    rw = tr.virtual - (raw - tr.t_arr)
-    rp = tr.patience - (raw - tr.t_arr)
+    live = arrived & (t_exit > raw)
+    rw = virtual - (raw - tr.t_arr)
+    rp = patience - (raw - tr.t_arr)
     window = (tr.t_arr > tr.origin) & arrived
     elapsed = raw - tr.t_arr
     snap, counts, resid, ages = [], [], [], []
@@ -394,7 +420,8 @@ def test_trace_queries_equal_full_scan(query_traces, data):
     if kind == "uniform":
         t = data.draw(st.floats(0.0, tr.horizon))
     else:
-        epochs = {"arrival": tr.t_arr, "exit": tr.t_exit, "block_exit": tr.exit_bound}[kind]
+        epochs = {"arrival": tr.t_arr, "exit": stored_fate(tr)[2],
+                  "block_exit": tr.exit_bound}[kind]
         raw = float(epochs[data.draw(st.integers(0, len(epochs) - 1))])
         for _ in range(data.draw(st.integers(0, 8))):
             raw = math.nextafter(raw, data.draw(st.sampled_from((-math.inf, math.inf))))
