@@ -6,8 +6,18 @@ arrives. If its deadline exceeds the workload it finds, it will be served,
 the workload jumps by its service requirement, and its exit epoch is
 arrival + (workload found + service). Otherwise it never reaches the
 server and exits when its patience runs out. The simulation is therefore
-a single pass over the merged arrival stream, and every produced quantity
-is exact (no discretization anywhere).
+one Lindley recursion over the merged arrival stream, and every produced
+quantity is exact (no discretization anywhere).
+
+The recursion runs in windows of jobs (``_lindley``). While the server
+stays busy, the workload each job finds is a running sum of interarrival
+decrements and the services of the served jobs, so one np.add.accumulate
+performs the recursion's float operations in its order once the fates are
+known. A pass guesses the fates, accumulates, and keeps only the prefix of
+jobs whose workload was nonnegative and whose fate matches the guess; that
+check makes the prefix equal the scalar recursion bit for bit. Idle
+restarts and flipped fates take the scalar step, and inputs where they
+come every few jobs run as the scalar loop.
 
 Warm starts are realized by simulating from empty for a warm-up period
 and shifting the time origin; the state this produces automatically
@@ -17,6 +27,7 @@ for jobs that did not move the workload).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +45,13 @@ EXIT_BLOCK = 1024
 # this long before raw has residual sojourn or patience <= 0 there, whatever
 # the rounding of raw - t_arr.
 EXIT_MARGIN_ULPS = 4
+# Bounds of _lindley's adaptive sizes: the window of jobs one vector pass
+# takes (CHUNK_MAX caps the temporaries of a pass at a few hundred KiB), and
+# the scalar stretch run after a pass that verified few jobs.
+CHUNK_MIN, CHUNK_MAX = 64, 1 << 13
+STRETCH_MIN, STRETCH_MAX = 16, 1 << 14
+
+log = logging.getLogger(__name__)
 
 
 class SimulationError(ValueError):
@@ -190,6 +208,124 @@ def _arrival_epochs(law: Distribution, rng: np.random.Generator, horizon: float)
     return epochs[epochs <= horizon]
 
 
+class LindleyWork(NamedTuple):
+    """What one call of the simulation pass did."""
+
+    passes: int         # vector passes over a window of jobs
+    elements: int       # jobs in those windows, summed over the passes
+    scalar_steps: int   # jobs taken by the scalar step
+
+
+def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
+    """The scalar Lindley step over jobs lo..hi-1, from state (W, t_prev, idle)
+    after job lo-1; writes the jobs' outputs and returns the state after hi-1."""
+    W, t_prev, idle = state
+    ws, oks, idles = [], [], []
+    for t, vi, di in zip(t_arr[lo:hi].tolist(), v[lo:hi].tolist(), d[lo:hi].tolist()):
+        gap = t - t_prev
+        found = W - gap
+        if found < 0.0:
+            idle += gap - W
+            found = 0.0
+        ok = di > found
+        ws.append(found)
+        oks.append(ok)
+        idles.append(idle)
+        W = found + vi if ok else found
+        t_prev = t
+    w_before[lo:hi] = ws
+    served[lo:hi] = oks
+    cum_idle[lo:hi] = idles
+    return W, t_prev, idle
+
+
+def _lindley(t_arr, v, d):
+    """The Lindley pass over the merged arrivals, in windows of jobs.
+
+    For jobs in arrival order with services v and deadlines d, returns the
+    workload each job found, whether it was served, the idleness up to its
+    arrival, and the LindleyWork done. The outputs are those of the scalar
+    recursion
+
+        found = W - (t - t_prev); if found < 0: idle += -found, found = 0
+        served = d > found; W = found + v if served else found
+
+    bit for bit. While no job finds the system empty, found is a running sum
+    of W, t_prev - t_0, v_0 * s_0, t_0 - t_1, ... with s the served flags,
+    and W - (t - t_prev) equals W + (t_prev - t) exactly, so one
+    np.add.accumulate over that interleaved sequence repeats the recursion's
+    float operations once the flags are known. A pass takes guessed flags for
+    a window, accumulates, and accepts the longest prefix whose every job
+    found a nonnegative workload and has d > found equal to its guessed flag:
+    by induction each of those jobs saw exactly the recursion's state, so the
+    check, not the guess, makes the prefix exact. The guesses for the rest of
+    the window become d > found of that pass, and fresh jobs are guessed
+    against the current workload, so on an overloaded queue a pass usually
+    verifies the whole window.
+
+    The job after the prefix (an idle restart or a flipped fate) takes the
+    scalar step. The window doubles after a pass that verifies all of it and
+    halves after one that verifies less than half (never below CHUNK_MIN); a
+    pass that verifies fewer than CHUNK_MIN / 2 jobs is followed by a scalar
+    stretch of STRETCH_MIN jobs that doubles on each such pass until a whole
+    window verifies. So there is at most about one pass per 32 jobs, the
+    windows sum to a small multiple of the jobs, and an input where restarts
+    or flips come every few jobs runs as the scalar loop.
+    """
+    m = len(t_arr)
+    w_before = np.empty(m)
+    served = np.zeros(m, dtype=bool)
+    cum_idle = np.empty(m)
+    state = (0.0, 0.0, 0.0)   # W, t_prev, idle after the last accepted job
+    i = guessed = 0
+    chunk, stretch = CHUNK_MIN, STRETCH_MIN
+    passes = elements = scalar = 0
+    while i < m:
+        j = min(i + chunk, m)
+        b = j - i
+        W, t_prev, idle = state
+        if j > guessed:
+            lo = max(guessed, i)
+            np.greater(d[lo:j], W, out=served[lo:j])
+            guessed = j
+        seq = np.empty(2 * b + 1)
+        seq[0] = W
+        seq[1] = t_prev - t_arr[i]
+        np.subtract(t_arr[i:j - 1], t_arr[i + 1:j], out=seq[3::2])
+        np.multiply(v[i:j], served[i:j], out=seq[2::2])
+        found = np.add.accumulate(seq)[1::2]
+        fate = d[i:j] > found
+        bad = (fate != served[i:j]) | ~(found >= 0.0)   # flipped, or negative (or NaN)
+        p = int(np.argmax(bad))
+        if not bad[p]:
+            p = b
+        served[i:j] = fate
+        w_before[i:i + p] = found[:p]
+        cum_idle[i:i + p] = idle
+        if p:
+            w = float(found[p - 1])
+            state = (w + float(v[i + p - 1]) if fate[p - 1] else w,
+                     float(t_arr[i + p - 1]), idle)
+        passes += 1
+        elements += b
+        i += p
+        if p == b:
+            chunk = min(2 * chunk, CHUNK_MAX)
+            stretch = STRETCH_MIN
+            continue
+        if 2 * p < b:
+            chunk = max(chunk // 2, CHUNK_MIN)
+        n = 1
+        if 2 * (p + 1) < CHUNK_MIN:
+            n += stretch
+            stretch = min(2 * stretch, STRETCH_MAX)
+        n = min(n, m - i)
+        state = _steps(t_arr, v, d, i, i + n, state, w_before, served, cum_idle)
+        scalar += n
+        i += n
+    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar)
+
+
 def run(config: SimConfig) -> "SimTrace":
     """Simulate the queue; deterministic for a fixed config.
 
@@ -220,34 +356,22 @@ def run(config: SimConfig) -> "SimTrace":
         all_v.append(np.atleast_1d(service.sample(rng_v, m)) if m else np.empty(0))
         all_d.append(np.atleast_1d(spec.deadline.sample(rng_d, m)) if m else np.empty(0))
 
+    # each sorted array replaces its unsorted parts before the next is built,
+    # so the peak holds one column twice, not all four
     t_arr = np.concatenate(all_t)
+    del all_t
     order = np.argsort(t_arr, kind="stable")
     t_arr = t_arr[order]
     cls = np.concatenate(all_k)[order]
+    del all_k
     v = np.concatenate(all_v)[order]
+    del all_v
     d = np.concatenate(all_d)[order]
+    del all_d, order
 
-    m = len(t_arr)
-    w_before = np.empty(m)
-    served = np.empty(m, dtype=bool)
-    cum_idle = np.empty(m)
-
-    W = 0.0
-    t_prev = 0.0
-    idle = 0.0
-    for i in range(m):
-        gap = t_arr[i] - t_prev
-        found = W - gap
-        if found < 0.0:
-            idle += gap - W
-            found = 0.0
-        ok = d[i] > found
-        w_before[i] = found
-        served[i] = ok
-        W = found + v[i] if ok else found
-        cum_idle[i] = idle
-        t_prev = t_arr[i]
-
+    w_before, served, cum_idle, work = _lindley(t_arr, v, d)
+    log.debug("simulate.run: %d jobs, %d vector passes, %d scalar steps",
+              len(t_arr), work.passes, work.scalar_steps)
     return SimTrace(config, t_warm, t_arr, cls, v, d, w_before, served, cum_idle)
 
 
@@ -257,7 +381,10 @@ class SimTrace:
     Per job, in arrival order, it stores what the simulation pass decides:
     ``t_arr``, ``cls`` (narrowest integer dtype holding K - 1), ``v``, ``d``,
     the workload found ``w_before``, ``served``, and the idleness so far
-    ``cum_idle``. ``_fate`` derives the virtual sojourn, patience and exit
+    ``cum_idle``. The pass is ``_lindley``: vector passes over windows of
+    jobs, each accepting only the prefix it verified against the scalar
+    recursion, so these arrays are the recursion's bit for bit. ``_virtual``,
+    ``_patience`` and ``_exit`` derive the virtual sojourn, patience and exit
     epoch on the jobs a query reads. A job's virtual sojourn is the workload
     just after its arrival, and the path between arrivals has slope -1 while
     positive, so these reconstruct it everywhere.
@@ -275,24 +402,32 @@ class SimTrace:
         self.served = served
         self.cum_idle = cum_idle
         # exit_bound[j]: the latest exit among the jobs of blocks 0..j
-        t_exit = self.t_exit
+        t_exit = self._exit(slice(None))
         self.exit_bound = (np.maximum.accumulate(np.maximum.reduceat(
             t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
         for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):
             arr.flags.writeable = False
 
-    def _fate(self, win) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Virtual sojourn, patience and raw exit epoch of the jobs in win, by
-        the float operations of the simulation pass (W = w_before + v if served)."""
-        served, w, d, v = self.served[win], self.w_before[win], self.d[win], self.v[win]
-        virtual = np.where(served, w + v, w)
-        patience = np.where(served, d + v, d)
-        return virtual, patience, self.t_arr[win] + np.where(served, virtual, d)
+    # Each derived column repeats the pass's float operations (W = w_before + v
+    # if served), on the jobs of a query window win, and only what is asked.
+    def _virtual(self, win) -> np.ndarray:
+        """Virtual sojourn: the workload just after each arrival."""
+        w = self.w_before[win]
+        return np.where(self.served[win], w + self.v[win], w)
+
+    def _patience(self, win) -> np.ndarray:
+        d = self.d[win]
+        return np.where(self.served[win], d + self.v[win], d)
+
+    def _exit(self, win) -> np.ndarray:
+        """Raw exit epoch: arrival plus virtual sojourn if served, plus deadline if not."""
+        return self.t_arr[win] + np.where(
+            self.served[win], self.w_before[win] + self.v[win], self.d[win])
 
     @property
     def t_exit(self) -> np.ndarray:
         """Raw exit epoch of every job (derived, not stored)."""
-        return self._fate(slice(None))[2]
+        return self._exit(slice(None))
 
     @property
     def K(self) -> int:
@@ -305,7 +440,8 @@ class SimTrace:
 
     def jobs(self) -> list[JobRecord]:
         """All jobs in arrival order; warm-up jobs carry negative arrivals."""
-        virtual, patience, t_exit = self._fate(slice(None))
+        virtual, patience = self._virtual(slice(None)), self._patience(slice(None))
+        t_exit = self.t_exit
         count = [0] * self.K
         out = []
         for i, k in enumerate(self.cls.tolist()):
@@ -331,7 +467,7 @@ class SimTrace:
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return 0.0
-        w_after = self._fate(slice(i, i + 1))[0][0]
+        w_after = self._virtual(slice(i, i + 1))[0]
         return max(float(w_after - (raw - self.t_arr[i])), 0.0)
 
     def idle_at(self, t: float) -> float:
@@ -346,7 +482,7 @@ class SimTrace:
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return raw
-        w_after = self._fate(slice(i, i + 1))[0][0]
+        w_after = self._virtual(slice(i, i + 1))[0]
         return float(self.cum_idle[i]) + max(raw - self.t_arr[i] - w_after, 0.0)
 
     def _window(self, raw: float) -> slice:
@@ -361,14 +497,14 @@ class SimTrace:
     def _live(self, raw: float) -> tuple[slice, np.ndarray]:
         """The query window and which of its jobs are in the system at raw."""
         win = self._window(raw)
-        return win, self._fate(win)[2] > raw
+        return win, self._exit(win) > raw
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class unit-atom measures at (residual sojourn, residual patience)."""
         raw = self._raw(t)
         win = self._window(raw)
         elapsed = raw - self.t_arr[win]
-        rw, rp = (x - elapsed for x in self._fate(win)[:2])
+        rw, rp = self._virtual(win) - elapsed, self._patience(win) - elapsed
         cls = self.cls[win]
         out = []
         for k in range(self.K):

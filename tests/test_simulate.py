@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import logging
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluidq.distributions import (Deterministic, DistributionError,
-                                  Exponential, Replay, UniformInterval)
+from fluidq.distributions import (Deterministic, DistributionError, Exponential,
+                                  HyperExponential, Replay, UniformInterval,
+                                  UniformMixture)
 from fluidq.measures import AtomicMeasure1D, AtomicMeasure2D
-from fluidq.simulate import (ABANDONMENT, SERVICE, EXIT_BLOCK, ClassSpec, Empty,
-                             SimConfig, SimulationError, WarmStart,
+from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK, ClassSpec,
+                             Empty, SimConfig, SimulationError, WarmStart, _lindley,
                              fluid_model_of, run)
 
 LN2 = math.log(2.0)
@@ -444,3 +448,167 @@ def test_trace_window_skips_departed_blocks(query_traces):
     tr = query_traces[0]
     win = tr._window(tr.horizon + tr.origin)
     assert win.start >= EXIT_BLOCK and win.start % EXIT_BLOCK == 0
+
+
+def lindley_reference(t_arr, v, d):
+    """The scalar Lindley recursion, one job at a time: the reference that
+    the chunked pass must equal bit for bit."""
+    m = len(t_arr)
+    w_before = np.empty(m)
+    served = np.empty(m, dtype=bool)
+    cum_idle = np.empty(m)
+    W = 0.0
+    t_prev = 0.0
+    idle = 0.0
+    for i in range(m):
+        gap = t_arr[i] - t_prev
+        found = W - gap
+        if found < 0.0:
+            idle += gap - W
+            found = 0.0
+        ok = d[i] > found
+        w_before[i] = found
+        served[i] = ok
+        W = found + v[i] if ok else found
+        cum_idle[i] = idle
+        t_prev = t_arr[i]
+    return w_before, served, cum_idle
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, floats compared as int64 views (so -0.0 != 0.0)."""
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        if g.dtype == np.float64:
+            g, w = g.view(np.int64), w.view(np.int64)
+        assert np.array_equal(g, w)
+
+
+def assert_bounded_work(work, m):
+    assert work.passes <= m / 32 + 64
+    assert work.elements <= 32 * m
+    assert work.scalar_steps <= m
+
+
+def assert_trace_is_reference(tr):
+    assert_same_bits((tr.w_before, tr.served, tr.cum_idle),
+                     lindley_reference(tr.t_arr, tr.v, tr.d))
+
+
+@given(m=st.sampled_from((0, 1, 2, CHUNK_MIN - 1, CHUNK_MIN, CHUNK_MIN + 1,
+                          2 * CHUNK_MIN + 1)) | st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from((1.0, 10.0, 1000.0)),
+       rho=st.sampled_from((0.3, 0.9, 1.0, 2.0, 5.0)),
+       service=st.sampled_from(("exponential", "deterministic")),
+       deadline=st.sampled_from(("exponential", "band", "zero")),
+       ties=st.sampled_from((0.0, 0.5, 1.0)))
+@settings(max_examples=150, deadline=None)
+def test_lindley_equals_scalar_recursion(m, seed, n, rho, service, deadline, ties):
+    """Services of mean 1/n at offered load rho; deadlines exponential,
+    within 1e-3 of 1 (the band level of the deterministic queue at rho = 2),
+    or all zero; a share of the interarrival gaps is zero (tied epochs)."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(1.0 / (rho * n), m)
+    gaps[rng.random(m) < ties] = 0.0
+    t_arr = np.cumsum(gaps)
+    v = rng.exponential(1.0 / n, m) if service == "exponential" else np.full(m, 1.0 / n)
+    d = {"exponential": lambda: rng.exponential(1.0, m),
+         "band": lambda: rng.uniform(0.999, 1.001, m),
+         "zero": lambda: np.zeros(m)}[deadline]()
+    *got, work = _lindley(t_arr, v, d)
+    assert_same_bits(got, lindley_reference(t_arr, v, d))
+    assert_bounded_work(work, m)
+
+
+def law(kind, rate):
+    return {"exponential": Exponential(rate), "deterministic": Deterministic(1.0 / rate),
+            "uniform": UniformInterval(0.5 / rate, 1.5 / rate)}[kind]
+
+
+class_specs = st.builds(
+    lambda a, ka, s, ks, dl: ClassSpec(law(ka, a), law(ks, s), dl),
+    st.floats(0.2, 3.0), st.sampled_from(("exponential", "deterministic", "uniform")),
+    st.floats(0.5, 3.0), st.sampled_from(("exponential", "deterministic", "uniform")),
+    st.sampled_from((Exponential(1.0), UniformInterval(0.999, 1.001),
+                     UniformInterval(0.0, 2.0),
+                     UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0))))))
+
+
+@given(classes=st.lists(class_specs, min_size=1, max_size=3),
+       scale=st.sampled_from((1, 10, 100, 1000)),
+       horizon=st.floats(0.0, 3.0), seed=st.integers(0, 1000),
+       initial=st.sampled_from((Empty(), WarmStart(0.5), WarmStart(2.0))))
+@settings(max_examples=60, deadline=None)
+def test_run_equals_scalar_recursion(classes, scale, horizon, seed, initial):
+    assert_trace_is_reference(run(SimConfig(tuple(classes), horizon=horizon, scale=scale,
+                                            seed=seed, initial=initial)))
+
+
+positive = st.floats(0.01, 3.0)
+
+
+@given(inter=st.lists(positive, max_size=40), services=st.lists(positive, min_size=40,
+                                                                   max_size=40),
+       deadlines=st.lists(positive, min_size=40, max_size=40), twin=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_scripted_run_equals_scalar_recursion(inter, services, deadlines, twin):
+    """Replay scripts; twin adds a second class with the same epochs, so
+    every arrival is tied."""
+    spec = ClassSpec(Replay(inter), Replay(services), Replay(deadlines))
+    classes = (spec, ClassSpec(Replay(inter), Replay(services[::-1]),
+                               Replay(deadlines[::-1]))) if twin else (spec,)
+    assert_trace_is_reference(run(SimConfig(classes, horizon=sum(inter) + 1.0)))
+
+
+ADVERSARIAL = {
+    # deterministic service, deadlines within 1e-3 of the band level 1, rho = 2
+    "band_level": (ClassSpec(Exponential(2.0), Deterministic(1.0),
+                             UniformInterval(0.999, 1.001)),),
+    # the same with two classes of deterministic arrivals: every epoch is tied
+    "band_level_tied": 2 * (ClassSpec(Deterministic(1.0), Deterministic(1.0),
+                                      UniformInterval(0.999, 1.001)),),
+    # rho = 0.5: the server idles every few jobs
+    "underloaded": (ClassSpec(Exponential(0.5), Exponential(1.0), Exponential(1.0)),),
+    "overloaded_markov": (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_lindley_work_is_bounded_on_adversarial_inputs(name):
+    tr = run(SimConfig(ADVERSARIAL[name], horizon=4.0, scale=5000, seed=9,
+                       initial=WarmStart(1.0)))
+    m = len(tr.t_arr)
+    assert m > 10_000
+    *got, work = _lindley(tr.t_arr, tr.v, tr.d)
+    assert_same_bits(got, lindley_reference(tr.t_arr, tr.v, tr.d))
+    assert_bounded_work(work, m)
+
+
+def test_run_logs_its_work(caplog):
+    with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
+        tr = run(SimConfig(ADVERSARIAL["overloaded_markov"], horizon=2.0, scale=1000))
+    assert f"{len(tr.t_arr)} jobs" in caplog.text
+    assert "vector passes" in caplog.text and "scalar steps" in caplog.text
+
+
+def test_run_memory_peak_per_job():
+    """run's peak allocation, per job, on simulate_large's model: the
+    trace keeps 42 B/job, and the sort used to hold every unsorted column
+    and the order beside the sorted ones (99 B/job)."""
+    classes = (
+        ClassSpec(HyperExponential(((0.5, 1.0), (0.5, 4.0))), Exponential(1.0),
+                  UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
+        ClassSpec(Exponential(1.0), HyperExponential(((0.5, 1.5), (0.5, 6.0))),
+                  UniformInterval(0.5, 2.5)),
+    )
+    config = SimConfig(classes, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
+    run(replace(config, scale=10))   # warm numpy and the band solve outside the count
+    tracemalloc.start()
+    try:
+        tr = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr.t_arr) > 50_000
+    assert peak / len(tr.t_arr) <= 64
