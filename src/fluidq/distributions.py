@@ -4,7 +4,7 @@ Every family exposes the same four primitives:
 
 * ``survival(x)``      -- G(x) = P(X > x), closed form, vectorized;
 * ``integrate_survival(a, b)`` -- the exact integral of G over [a, b];
-* ``sample(rng, size)``        -- inverse-CDF sampling from a seeded stream;
+* ``sample(rng, size)``        -- one uniform per variate from a seeded stream;
 * ``sup_support()``            -- the exact supremum of the support.
 
 Deadline laws also give ``breakpoints()``, the points where G is not
@@ -17,8 +17,11 @@ quadrature): the fluid performance formulas downstream are built from
 tolerances.
 
 Sampling draws one uniform per variate and maps it through the
-(generalized) inverse CDF, so two laws related by a change of scale
-produce pathwise-coupled samples under the same stream.
+(generalized) inverse CDF, except ``HyperExponential``, which uses
+composition: the uniform picks a component and, rescaled within that
+component's share, goes through its exponential quantile. Either way two
+laws related by a change of scale produce pathwise-coupled samples under
+the same stream.
 """
 from __future__ import annotations
 
@@ -26,6 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class DistributionError(ValueError):
@@ -61,7 +67,7 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Inverse-CDF sample(s) from the given stream."""
+        """Sample(s) from the given stream, one uniform each."""
         u = rng.random(size)
         return self._inverse_cdf(u)
 
@@ -243,7 +249,14 @@ class UniformMixture(Distribution):
         cdf_at = [math.fsum(self._component_cdf(x)) for x in knots]
         cdf_at[-1] = 1.0
         object.__setattr__(self, "_knots", tuple(knots))
-        object.__setattr__(self, "_cdf_knots", tuple(cdf_at))
+        object.__setattr__(self, "_cdf_knots", np.array(cdf_at))
+        # Per CDF piece i, between knots i and i + 1: its start, rise, left
+        # knot and length. A uniform in [0, 1) never lands on a piece that
+        # does not rise: the piece is the last one starting at or below it.
+        object.__setattr__(self, "_f0", np.array(cdf_at[:-1]))
+        object.__setattr__(self, "_df", np.diff(cdf_at))
+        object.__setattr__(self, "_x0", np.array(knots[:-1]))
+        object.__setattr__(self, "_dx", np.diff(knots))
 
     def _component_cdf(self, x: float):
         return [w * min(max((x - lo) / (hi - lo), 0.0), 1.0) for w, lo, hi in self.components]
@@ -261,18 +274,16 @@ class UniformMixture(Distribution):
 
     def _inverse_cdf(self, u):
         # Generalized inverse of the piecewise-linear CDF: one uniform per
-        # sample, exact in closed form, monotone in u.
+        # sample, exact in closed form, monotone in u. In place on the output
+        # so that only the piece index and one gathered column are transient.
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        knots = np.asarray(self._knots)
-        cdfs = np.asarray(self._cdf_knots)
-        idx = np.searchsorted(cdfs, u, side="right")
-        idx = np.clip(idx, 1, len(knots) - 1)
-        f0, f1 = cdfs[idx - 1], cdfs[idx]
-        x0, x1 = knots[idx - 1], knots[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(f1 > f0, (u - f0) / (f1 - f0), 0.0)
-        out = x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
+        i = np.searchsorted(self._cdf_knots[1:-1], u, side="right")
+        out = u - self._f0[i]
+        out /= self._df[i]
+        np.clip(out, 0.0, 1.0, out=out)
+        out *= self._dx[i]
+        out += self._x0[i]
         return float(out[0]) if scalar else out
 
     def mean(self) -> float:
@@ -292,7 +303,16 @@ class UniformMixture(Distribution):
 
 @dataclass(frozen=True)
 class HyperExponential(Distribution):
-    """Mixture of exponentials: components are (weight, rate) pairs."""
+    """Mixture of exponentials: components are (weight, rate) pairs.
+
+    Sampling is by composition (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. II): the uniform u picks component j from the
+    cumulative weights C, and the conditional uniform
+    u' = (u - C_{j-1}) / (C_j - C_{j-1}) goes through that component's
+    exponential quantile. This is still one uniform per variate, and j and
+    u' do not depend on the rates, so ``scaled(n)`` samples are the base
+    samples divided by n, up to rounding.
+    """
 
     components: tuple[tuple[float, float], ...]
 
@@ -309,6 +329,13 @@ class HyperExponential(Distribution):
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-12:
             raise DistributionError(f"weights must sum to 1, got {total}")
+        # Cumulative weights from 0 with the last forced to exactly 1, so
+        # the components' shares [C_{j-1}, C_j) cover [0, 1).
+        cum = np.concatenate(([0.0], np.cumsum([w for w, _ in comps])))
+        cum[-1] = 1.0
+        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_width", np.diff(cum))
+        object.__setattr__(self, "_neg_rates", -np.array([r for _, r in comps]))
 
     def survival(self, x):
         _check_nonneg_x(x)
@@ -322,20 +349,19 @@ class HyperExponential(Distribution):
                          for w, r in self.components)
 
     def _inverse_cdf(self, u):
-        # The mixture CDF has no closed-form inverse; invert numerically by
-        # vectorized bisection. The slowest component's quantile brackets the
-        # answer from above, so 80 halvings pin the root to full precision.
+        # Composition: u picks component j, the conditional uniform u' goes
+        # through its quantile -log1p(-u') / r_j. Rounding can take u' to 1,
+        # so it is capped one ulp below; dividing log1p(-u') by -r_j gives
+        # the bits of Exponential(r_j)'s -log1p(-u') / r_j.
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        r_min = min(r for _, r in self.components)
-        lo = np.zeros_like(u)
-        hi = -np.log1p(-u) / r_min
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        j = np.searchsorted(self._cum[1:-1], u, side="right")
+        out = u - self._cum[j]
+        out /= self._width[j]
+        np.minimum(out, _BELOW_ONE, out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        out /= self._neg_rates[j]
         return float(out[0]) if scalar else out
 
     def mean(self) -> float:

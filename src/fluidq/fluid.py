@@ -222,7 +222,8 @@ def _knot_crossings(model: FluidModelInput, w0: float,
     the integral of du / |load(u) - 1| over the smooth level piece, is
     finite. A knot within tol of the previous restart level gets no piece
     of its own: its piece could be too short for the Hermite interpolant's
-    coefficients to stay finite.
+    coefficients to stay finite. For the same reason a knot reached within
+    tol of the horizon T counts as past it.
     """
     load = model.load_survival
     knots = sorted({x for c in model.classes for x in c.deadline.breakpoints()})
@@ -239,7 +240,7 @@ def _knot_crossings(model: FluidModelInput, w0: float,
         if abs(knot - level) <= tol:    # restarting would move w by at most tol
             continue
         t += numerics.integrate(pace, min(level, knot), max(level, knot), tol=tol)
-        if t >= T:
+        if t >= T - tol:
             break
         crossings.append((t, knot))
         level = knot

@@ -401,8 +401,11 @@ class SimTrace:
         self.w_before = w_before
         self.served = served
         self.cum_idle = cum_idle
-        # exit_bound[j]: the latest exit among the jobs of blocks 0..j
-        t_exit = self._exit(slice(None))
+        # exit_bound[j]: the latest exit among the jobs of blocks 0..j. The
+        # exits are _exit's sums built in one buffer (addition commutes).
+        t_exit = w_before + v
+        np.copyto(t_exit, d, where=~served)
+        t_exit += t_arr
         self.exit_bound = (np.maximum.accumulate(np.maximum.reduceat(
             t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
         for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):

@@ -88,10 +88,13 @@ SIMULATE_CONFIG = {
     "sim": {"horizon": 1.0, "n": 50, "seed": 8, "initial": {"kind": "warm"}},
 }
 
+# Re-pinned when HyperExponential moved from numerical inversion of the
+# mixture CDF to composition: the same uniforms map to different (equally
+# distributed) interarrival times, so every artifact moved.
 SIMULATE_GOLDEN = {
-    "jobs.csv": "57100539aa01a96bb66b513ee40718672c096309a8aa7d70efee06e4c6775b29",
-    "workload.csv": "7dbf4a3223a6c32ed9059a00fb0caf6f687faa607a29253edbda5047276157c4",
-    "snapshot.csv": "2cf69ef62422d1ac4b1f79071386b15a7ee2fa9ed4a737d22fb988697ea1f92d",
+    "jobs.csv": "d8f5dcbd182e76bcbb09a8c1035a6e78c29d6d0e480920a85bd5f9b2d0ebf3dc",
+    "workload.csv": "85512eb3e24eae864dfcd5966c2e7abc122bfc67fe3e5c13ad1d84cf6b9f03ec",
+    "snapshot.csv": "0890157f1cf4ddac51444402ffdc7cb176cc0fa0f49c8bde35e9142c512296ae",
 }
 
 

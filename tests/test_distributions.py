@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from fluidq.distributions import (Deterministic, DistributionError, Exponential,
                                   HyperExponential, Replay, UniformInterval,
@@ -100,6 +103,47 @@ def test_mixture_breakpoints_bound_affine_pieces(components):
     for a, b in zip(points, points[1:]):
         mid = law.survival(0.5 * (a + b))
         assert mid == pytest.approx(0.5 * (law.survival(a) + law.survival(b)), abs=1e-12)
+
+
+def mixture_inverse_cdf_reference(law, u):
+    """The original piecewise-linear inversion, one full array per step."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    knots = np.asarray(law._knots)
+    cdfs = np.asarray(law._cdf_knots)
+    idx = np.searchsorted(cdfs, u, side="right")
+    idx = np.clip(idx, 1, len(knots) - 1)
+    f0, f1 = cdfs[idx - 1], cdfs[idx]
+    x0, x1 = knots[idx - 1], knots[idx]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(f1 > f0, (u - f0) / (f1 - f0), 0.0)
+    return x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
+
+
+@given(components=mixture_components, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_mixture_inverse_cdf_matches_reference_bit_for_bit(components, seed):
+    law = uniform_mixture(components)
+    cdfs = np.asarray(law._cdf_knots)
+    u = np.concatenate([stream(seed).random(500), cdfs, np.nextafter(cdfs, 0.0),
+                        np.nextafter(cdfs, 1.0), [0.0, math.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    np.testing.assert_array_equal(law._inverse_cdf(u).view(np.int64),
+                                  mixture_inverse_cdf_reference(law, u).view(np.int64))
+
+
+def test_mixture_inverse_cdf_transient_memory():
+    """Beyond its output, inversion holds the piece index and one gathered
+    column (16 B/variate); the reference held about ten arrays (56)."""
+    law = UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))
+    u = stream(3, 1).random(200_000)
+    law._inverse_cdf(u[:10])
+    tracemalloc.start()
+    try:
+        out = law._inverse_cdf(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) / len(u) <= 24
 
 
 def test_mixture_survival_has_flat_stretch():
@@ -240,3 +284,63 @@ def test_invalid_parameters_rejected():
         Replay((1.0, -2.0))
     with pytest.raises(DistributionError):
         HyperExponential(((1.0, -1.0),))
+
+
+HYPER_LAWS = [
+    HyperExponential(((0.3, 1.0), (0.7, 2.0))),
+    HyperExponential(((0.5, 1.0), (0.5, 4.0))),
+    HyperExponential(((0.5, 1.5), (0.5, 6.0))),
+    HyperExponential(((0.2, 0.1), (0.5, 1.0), (0.3, 30.0))),
+]
+
+
+@pytest.mark.parametrize("law", HYPER_LAWS, ids=repr)
+def test_hyperexponential_draws_fit_the_mixture_cdf(law):
+    draws = law.sample(stream(2024, 7), 200_000)
+    assert stats.kstest(draws, law.cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("law", HYPER_LAWS, ids=repr)
+def test_hyperexponential_draws_one_uniform_per_variate(law):
+    rng, ref = stream(5, 2), stream(5, 2)
+    law.sample(rng, 1000)
+    ref.random(1000)
+    assert rng.random() == ref.random()
+
+
+@given(rate=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_one_component_hyperexponential_is_exponential(rate, seed):
+    a = HyperExponential(((1.0, rate),)).sample(stream(seed), 1000)
+    b = Exponential(rate).sample(stream(seed), 1000)
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [3, 10, 1e3, 1e5])
+@pytest.mark.parametrize("law", HYPER_LAWS, ids=repr)
+def test_scaled_hyperexponential_within_one_ulp_of_divided_draws(law, n):
+    """The component and the conditional uniform do not depend on n, so the
+    two differ only in where the last division rounds: within 1 ulp when
+    every r * n is exact, and 2 when the scaled rate is rounded too."""
+    exact = all(Fraction(r * n) == Fraction(r) * Fraction(n) for _, r in law.components)
+    a = law.scaled(n).sample(stream(9, 3), 100_000)
+    b = law.sample(stream(9, 3), 100_000) / n
+    assert np.abs(a.view(np.int64) - b.view(np.int64)).max() <= (1 if exact else 2)
+
+
+@pytest.mark.parametrize("components", [
+    ((0.3, 1.0), (0.7, 2.0)),
+    ((1e-12, 1.0), (1.0 - 1e-12, 3.0)),
+    ((1.0 - 1e-12, 2.0), (1e-12, 1e6)),
+    ((0.5 - 1e-12, 1e-3), (1e-12, 5.0), (0.5, 7.0)),
+])
+def test_hyperexponential_draws_are_finite_at_component_edges(components):
+    law = HyperExponential(components)
+    cum = np.cumsum([w for w, _ in components])
+    u = np.concatenate([[0.0, math.nextafter(1.0, 0.0)], cum,
+                        np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    x = law._inverse_cdf(u)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    # Each component's share [C_{j-1}, C_j) starts at quantile 0.
+    np.testing.assert_array_equal(law._inverse_cdf(law._cum[:-1]), 0.0)

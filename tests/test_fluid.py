@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -463,6 +463,8 @@ mixture_components = st.lists(
 
 @given(components=mixture_components, rho=st.floats(1.1, 4.0),
        start=st.floats(0.0, 0.95), T=st.floats(0.5, 4.0))
+# The knot 0.05 is reached at 0.05 / 0.1, which rounds to just below T.
+@example(components=[(1.0, 0.05, 0.95)], rho=1.1, start=0.0, T=0.5)
 @settings(max_examples=30, deadline=None)
 def test_mixture_paths_are_monotone_and_stop_at_the_band(components, rho, start, T):
     total = math.fsum(w for w, _, _ in components)
@@ -485,3 +487,12 @@ def test_mixture_paths_are_monotone_and_stop_at_the_band(components, rho, start,
     # phi = w + s has slope load(w) > 0 below d_max, so tau is well defined
     # although a Hermite interpolant is not monotone by construction.
     assert np.all(np.diff(ws + ts) > 0)
+
+
+def test_knot_reached_within_tol_of_the_horizon_is_past_it():
+    """0.05 / (1.1 - 1) rounds to just below T = 0.5: that crossing would
+    leave a last piece shorter than one float spacing."""
+    law = UniformMixture(((1.0, 0.05, 1.0),))
+    path = solve_workload(FluidModelInput((FluidClass(1.1, 1.0, law),)), 0.0, 0.5)
+    assert path.knot_times == ()
+    assert path(0.5) == pytest.approx(0.05, abs=1e-9)

@@ -594,8 +594,9 @@ def test_run_logs_its_work(caplog):
 
 def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
-    trace keeps 42 B/job, and the sort used to hold every unsorted column
-    and the order beside the sorted ones (99 B/job)."""
+    trace keeps 42 B/job. The sort used to hold every unsorted column and
+    the order beside the sorted ones (99 B/job), and the exit bound two
+    full temporaries (61 B/job); 54 B/job now."""
     classes = (
         ClassSpec(HyperExponential(((0.5, 1.0), (0.5, 4.0))), Exponential(1.0),
                   UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
@@ -611,4 +612,4 @@ def test_run_memory_peak_per_job():
     finally:
         tracemalloc.stop()
     assert len(tr.t_arr) > 50_000
-    assert peak / len(tr.t_arr) <= 64
+    assert peak / len(tr.t_arr) <= 56
