@@ -10,15 +10,13 @@ from .distributions import (Deterministic, Distribution, DistributionError,
                             UniformInterval, UniformMixture, mix_seed, stream)
 from .fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                     FluidModelInput, FluidSolution, InvariantInitial,
-                    InvariantState, ZeroInitial, corner_mass_fluid,
-                    equilibrium_band, eval_fluid, fluid_abandoning,
-                    fluid_age_count, fluid_nonabandoning, fluid_queue_length,
-                    invariant_state, residual_deadline_limit, solve_fluid,
-                    solve_workload)
-from .measures import (AtomicMeasure1D, AtomicMeasure2D, Box, EvolveResult,
-                       Exit, box_masses, corner_distance, corner_mass, eval_box,
-                       eval_tail, evolve, project, rect_distance, superpose,
-                       upper_right)
+                    InvariantState, ZeroInitial, equilibrium_band, eval_fluid,
+                    fluid_abandoning, fluid_age_count, fluid_nonabandoning,
+                    fluid_queue_length, invariant_state,
+                    residual_deadline_limit, solve_fluid, solve_workload)
+from .measures import (AtomicMeasure2D, Box, EvolveResult, Exit, box_masses,
+                       corner_distance, corner_mass, eval_box, evolve,
+                       rect_distance, upper_right)
 from .scaling import (ReportRow, ScalingError, ScalingPlan, ScalingReport,
                       corner_regularity_probe, default_rect_grid, run_plan)
 from .simulate import (ClassSpec, Empty, JobRecord, SimConfig, SimTrace,
@@ -27,19 +25,18 @@ from .simulate import (ClassSpec, Empty, JobRecord, SimConfig, SimTrace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure1D", "AtomicMeasure2D", "Box", "BoxMixtureInitial",
-    "ClassSpec", "Deterministic", "Distribution", "DistributionError",
+    "AtomicMeasure2D", "Box", "BoxMixtureInitial", "ClassSpec",
+    "Deterministic", "Distribution", "DistributionError",
     "Empty", "EvolveResult", "Exit", "Exponential", "FluidClass",
     "FluidModelError", "FluidModelInput", "FluidSolution", "HyperExponential",
     "InvariantInitial", "InvariantState", "JobRecord", "Replay", "ReportRow",
     "ScalingError", "ScalingPlan", "ScalingReport", "SimConfig", "SimTrace",
     "SimulationError", "UniformInterval", "UniformMixture", "WarmStart",
     "ZeroInitial", "box_masses", "corner_distance", "corner_mass",
-    "corner_mass_fluid", "corner_regularity_probe", "default_rect_grid",
-    "equilibrium_band", "eval_box", "eval_fluid", "eval_tail", "evolve",
-    "fluid_abandoning", "fluid_age_count", "fluid_model_of",
-    "fluid_nonabandoning", "fluid_queue_length", "invariant_state",
-    "mix_seed", "project", "rect_distance",
-    "residual_deadline_limit", "run", "run_plan", "solve_fluid",
-    "solve_workload", "stream", "superpose", "upper_right",
+    "corner_regularity_probe", "default_rect_grid", "equilibrium_band",
+    "eval_box", "eval_fluid", "evolve", "fluid_abandoning", "fluid_age_count",
+    "fluid_model_of", "fluid_nonabandoning", "fluid_queue_length",
+    "invariant_state", "mix_seed", "rect_distance", "residual_deadline_limit",
+    "run", "run_plan", "solve_fluid", "solve_workload", "stream",
+    "upper_right",
 ]

@@ -645,21 +645,3 @@ def residual_deadline_limit(model: FluidModelInput, k: int, t: float, c: float) 
         raise FluidModelError(f"t must be nonnegative, got {t}")
     cls = model.classes[k]
     return cls.arrival_rate * cls.deadline.integrate_survival(c, c + t)
-
-
-def corner_mass_fluid(solution: FluidSolution, t: float, x: float, y: float,
-                      kappa: float) -> float:
-    """Upper bound on total fluid mass near the corner set at (x, y).
-
-    The kappa-enlarged corner is covered by a horizontal and a vertical
-    strip (boxes), and both are evaluated exactly; overlap is counted
-    twice, which only strengthens the bound. Used as a regularity
-    diagnostic: the fluid state charges no lines, so this must shrink
-    linearly with kappa.
-    """
-    if not kappa > 0:
-        raise FluidModelError(f"kappa must be positive, got {kappa}")
-    horiz = Box(max(x - kappa, 0.0), math.inf, max(y - kappa, 0.0), y + kappa)
-    vert = Box(max(x - kappa, 0.0), x + kappa, max(y - kappa, 0.0), math.inf)
-    return sum(eval_fluid(solution, k, t, horiz) + eval_fluid(solution, k, t, vert)
-               for k in range(solution.model.K))

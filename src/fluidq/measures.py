@@ -1,4 +1,4 @@
-"""Finite atomic measures on the quadrant and the half-line.
+"""Finite atomic measures on the quadrant.
 
 A 2-D atom sits at (w, p): residual work the server must clear before and
 during this job, and residual patience. Atoms drift diagonally at rate
@@ -114,63 +114,11 @@ class AtomicMeasure2D:
         return f"AtomicMeasure2D({len(self)} atoms, mass={self.total_mass:g}{tag})"
 
 
-class AtomicMeasure1D:
-    """Point-mass measure on the open half-line (0, inf)."""
-
-    __slots__ = ("x", "mass", "class_id")
-
-    def __init__(self, atoms: Iterable[tuple[float, float]] = (),
-                 class_id: int | None = None):
-        rows = np.asarray(list(atoms), dtype=float).reshape(-1, 2)
-        rows = rows[rows[:, 0] > 0]
-        if np.any(rows[:, 1] <= 0):
-            raise ValueError("atom masses must be positive")
-        self.x = rows[:, 0].copy()
-        self.mass = rows[:, 1].copy()
-        for arr in (self.x, self.mass):
-            arr.flags.writeable = False
-        self.class_id = class_id
-
-    @classmethod
-    def from_arrays(cls, x: np.ndarray, mass: np.ndarray,
-                    class_id: int | None = None) -> "AtomicMeasure1D":
-        m = cls.__new__(cls)
-        keep = x > 0
-        m.x = np.ascontiguousarray(x[keep], dtype=float)
-        m.mass = np.ascontiguousarray(mass[keep], dtype=float)
-        for arr in (m.x, m.mass):
-            arr.flags.writeable = False
-        m.class_id = class_id
-        return m
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __call__(self, c: float) -> float:
-        return eval_tail(self, c)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
-    def __repr__(self) -> str:
-        return f"AtomicMeasure1D({len(self)} atoms, mass={self.total_mass:g})"
-
-
 def eval_box(measure: AtomicMeasure2D, box: Box) -> float:
     """Mass inside the half-open box."""
     inside = ((measure.w >= box.a) & (measure.w < box.b)
               & (measure.p >= box.c) & (measure.p < box.d))
     return float(measure.mass[inside].sum())
-
-
-def eval_tail(measure: AtomicMeasure1D, c: float) -> float:
-    """Mass in [c, inf)."""
-    return float(measure.mass[measure.x >= c].sum())
-
-
-def total_mass(measure: AtomicMeasure2D | AtomicMeasure1D) -> float:
-    return measure.total_mass
 
 
 class EvolveResult(NamedTuple):
@@ -197,24 +145,6 @@ def evolve(measure: AtomicMeasure2D, h: float) -> EvolveResult:
     ]
     kept = AtomicMeasure2D.from_arrays(w, p, measure.mass, class_id=measure.class_id)
     return EvolveResult(kept, exits)
-
-
-def superpose(measures: Sequence[AtomicMeasure2D]) -> AtomicMeasure2D:
-    """Sum of the given measures (class tags are not preserved)."""
-    if not measures:
-        return AtomicMeasure2D()
-    w = np.concatenate([m.w for m in measures])
-    p = np.concatenate([m.p for m in measures])
-    mass = np.concatenate([m.mass for m in measures])
-    return AtomicMeasure2D.from_arrays(w, p, mass)
-
-
-def project(measure: AtomicMeasure2D, axis: int) -> AtomicMeasure1D:
-    """Marginal on one coordinate: axis 1 keeps w, axis 2 keeps p."""
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    coord = measure.w if axis == 1 else measure.p
-    return AtomicMeasure1D.from_arrays(coord, measure.mass, class_id=measure.class_id)
 
 
 def corner_distance(w, p, x: float, y: float):

@@ -25,14 +25,14 @@ from .fluid import (FluidSolution, ZeroInitial, equilibrium_band, eval_fluid,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
 from .numerics import sig17
-from .simulate import SimConfig, _warmup_duration, fluid_model_of, run
+from .simulate import (DEFAULT_C_GRID, SimConfig, _warmup_duration,
+                       fluid_model_of, run)
 
 
 class ScalingError(ValueError):
     """Invalid plan or mismatched comparison request."""
 
 
-DEFAULT_C_GRID = (0.0, 0.5, 1.0)
 DEFAULT_KAPPAS = (0.05, 0.1, 0.2, 0.4)
 
 
@@ -271,16 +271,16 @@ def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, rect_edges,
 
 
 def _residual_rows(n, rep, trace, targets, t, c_grid) -> list[ReportRow]:
+    """A_tail@c and V_tail@c per class and c: the trace's residual-deadline
+    tail counts, fluid-scaled, against lambda_k * int_c^{c+t} G_k."""
     rows = []
-    per_class = trace.residual_deadline_measures(t)
+    per_class = trace.residual_deadline_measures(t, c_grid)
     for k in range(targets.K):
-        meas = per_class[k]
-        for c in c_grid:
+        tails = per_class[k]
+        for c, a, v in zip(c_grid, tails.residual, tails.residual_with_service):
             target = targets.residual_tail(k, t, c)
-            rows.append(_row(n, rep, t, f"A_tail@{c:g}", k,
-                             meas.residual(c) / n, target))
-            rows.append(_row(n, rep, t, f"V_tail@{c:g}", k,
-                             meas.residual_with_service(c) / n, target))
+            rows.append(_row(n, rep, t, f"A_tail@{c:g}", k, a / n, target))
+            rows.append(_row(n, rep, t, f"V_tail@{c:g}", k, v / n, target))
     return rows
 
 
@@ -320,9 +320,8 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
                 workload += [_row(n, rep, t, "workload", None, trace.workload_at(t),
                                   targets.workload(t)),
                              _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
-                # One snapshot per time, and none alive while the residual
-                # measures build their full-length temporaries.
                 residual += _residual_rows(n, rep, trace, targets, t, c_grid)
+                # One snapshot per time, shared by the state and corner rows.
                 snaps = trace.snapshot(t)
                 state += _state_rows(n, rep, trace, snaps, targets, t, rect_grid,
                                      rect_edges, plan.ages)

@@ -4,11 +4,14 @@ bench/tracer.py replaces fluidq functions and methods by name; a rename in
 fluidq would silently zero its counters. Tracing a tiny run_plan here
 makes such a rename fail the test suite instead of the traced benchmark,
 tracing a kink-crossing fluid solve bounds its RK4 and RHS work, and
-tracing one simulation bounds the memory its trace retains per job.
+tracing one simulation bounds the memory its trace retains per job. A
+tiny simulate_large run through bench/workloads.py, traced and checked,
+keeps the calls that workload makes working.
 """
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +22,20 @@ from fluidq.fluid import FluidClass, FluidModelInput, ZeroInitial
 from fluidq.scaling import ScalingPlan
 from fluidq.simulate import ClassSpec, SimConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_counts_harness_layers():
     original = scaling.corner_mass
-    tracer = load_tracer().Tracer()
+    tracer = load_bench("tracer").Tracer()
     tracer.install()
     try:
         spec = ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0))
@@ -53,7 +57,7 @@ def test_tracer_bounds_kink_solve_work():
         FluidClass(1.5, 1.0, UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
         FluidClass(1.0, 2.0, UniformInterval(0.5, 2.5)),
     ))
-    tracer = load_tracer().Tracer()
+    tracer = load_bench("tracer").Tracer()
     tracer.install()
     try:
         fluid.solve_fluid(model, ZeroInitial(), 3.0)
@@ -71,7 +75,7 @@ def test_tracer_bounds_trace_bytes_per_job():
     classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
                ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
                          UniformInterval(0.0, 2.0)))
-    tracer = load_tracer().Tracer()
+    tracer = load_bench("tracer").Tracer()
     tracer.install()
     try:
         trace = simulate.run(SimConfig(classes, horizon=2.0, scale=1000, seed=4))
@@ -83,3 +87,26 @@ def test_tracer_bounds_trace_bytes_per_job():
     metrics = tracer.metrics(wall_s=1.0, bytes_written=0)
     assert metrics["simulate.jobs"] > 1000
     assert metrics["simulate.trace_bytes_per_job"] <= 42.1
+
+
+def test_simulate_large_workload_runs_traced_and_passes_its_checks(tmp_path):
+    large = load_bench("workloads").SimulateLarge
+    inputs = large.setup(1, True, str(tmp_path))
+    tracer = load_bench("tracer").Tracer()
+    tracer.install()
+    try:
+        result = large.operate(inputs)
+    finally:
+        tracer.uninstall()
+    checks, _ = large.check(inputs, result, False)
+    assert set(checks) == set(large.check_names(inputs))
+    # At the tiny scale (n = 1e3) seed 1's workload reads 1.328 at t = 0 and
+    # 1.260 at t = 1.5, a fall of replication noise beyond that check's 0.05
+    # slack; the benchmark's self-test (seed 1, tiny) fails it the same way.
+    # Every other check must pass.
+    failed = {name for name, (ok, _) in checks.items() if not ok}
+    assert failed <= {"workload_not_falling"}
+    # four traced queries per query time: snapshot, queue_lengths,
+    # residual_deadline_measures and workload_at
+    metrics = tracer.metrics(wall_s=1.0, bytes_written=0)
+    assert metrics["simulate.query_calls"] == 4 * len(inputs.query_times) == 20

@@ -14,8 +14,8 @@ from fluidq.distributions import (Deterministic, DistributionError,
                                   UniformMixture)
 from fluidq.fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                           FluidModelInput, FluidSolution, InvariantInitial,
-                          ZeroInitial, corner_mass_fluid, equilibrium_band,
-                          eval_fluid, fluid_abandoning, fluid_age_count,
+                          ZeroInitial, equilibrium_band, eval_fluid,
+                          fluid_abandoning, fluid_age_count,
                           fluid_nonabandoning, fluid_queue_length,
                           invariant_state, residual_deadline_limit,
                           solve_fluid, solve_workload)
@@ -384,16 +384,6 @@ def test_residual_deadline_limit_oracles(markovian):
 def test_residual_limit_vanishes_beyond_support(uniform_model):
     assert residual_deadline_limit(uniform_model, 0, 1.0, 2.0) == 0.0
     assert residual_deadline_limit(uniform_model, 0, 1.0, 5.0) == 0.0
-
-
-def test_corner_mass_shrinks_linearly(equilibrium_solution):
-    masses = [corner_mass_fluid(equilibrium_solution, 1.0, 0.3, 0.4, kappa)
-              for kappa in (0.4, 0.2, 0.1)]
-    assert masses[0] > 0
-    assert masses[1] <= 0.7 * masses[0] + 1e-9
-    assert masses[2] <= 0.7 * masses[1] + 1e-9
-    with pytest.raises(FluidModelError):
-        corner_mass_fluid(equilibrium_solution, 1.0, 0.3, 0.4, 0.0)
 
 
 def test_box_mixture_initial_oracles(markovian):

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidq.measures import (ABANDONMENT, SERVICE, AtomicMeasure1D,
-                             AtomicMeasure2D, Box, box_masses, corner_distance,
-                             corner_mass, eval_box,
-                             eval_tail, evolve, measure_rows, project,
-                             rect_distance, superpose, total_mass, upper_right)
+from fluidq.measures import (ABANDONMENT, SERVICE, AtomicMeasure2D, Box,
+                             box_masses, corner_distance, corner_mass, eval_box,
+                             evolve, measure_rows, rect_distance, upper_right)
 
 dyadic = st.integers(0, 64).map(lambda n: n / 8.0)
 
@@ -100,36 +98,6 @@ def test_evolve_conserves_mass(coords, h):
     kept = result.measure.total_mass
     exited = sum(e.mass for e in result.exits)
     assert kept + exited == pytest.approx(m.total_mass, abs=1e-12)
-
-
-def test_superpose_and_project():
-    a = AtomicMeasure2D([(1.0, 2.0, 1.0)], class_id=0)
-    b = AtomicMeasure2D([(3.0, 4.0, 0.5)], class_id=1)
-    combined = superpose([a, b])
-    assert combined.total_mass == 1.5
-    assert combined.class_id is None
-    w_marginal = project(a, 1)
-    p_marginal = project(a, 2)
-    assert eval_tail(w_marginal, 1.0) == 1.0
-    assert eval_tail(w_marginal, 1.5) == 0.0
-    assert eval_tail(p_marginal, 2.0) == 1.0
-    with pytest.raises(ValueError):
-        project(a, 3)
-    assert superpose([]).total_mass == 0.0
-
-
-def test_tail_evaluation_is_inclusive():
-    m = AtomicMeasure1D([(1.0, 1.0), (2.0, 0.5)])
-    assert m(1.0) == 1.5
-    assert m(1.5) == 0.5
-    assert m(2.5) == 0.0
-    assert total_mass(m) == 1.5
-
-
-def test_one_dimensional_atoms_at_zero_dropped():
-    m = AtomicMeasure1D.from_arrays(np.array([0.0, -1.0, 2.0]),
-                                    np.array([1.0, 1.0, 1.0]))
-    assert len(m) == 1
 
 
 def test_corner_mass_examples():

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from fluidq.distributions import (Deterministic, DistributionError, Exponential,
                                   HyperExponential, Replay, UniformInterval,
                                   UniformMixture)
-from fluidq.measures import AtomicMeasure1D, AtomicMeasure2D
-from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK, ClassSpec,
-                             Empty, SimConfig, SimulationError, WarmStart, _lindley,
-                             fluid_model_of, run)
+from fluidq.measures import AtomicMeasure2D
+from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK,
+                             RESIDUAL_BLOCK, ClassSpec, Empty, SimConfig,
+                             SimulationError, WarmStart, _lindley, fluid_model_of,
+                             run)
 
 LN2 = math.log(2.0)
 
@@ -94,14 +95,17 @@ def test_hand_trace_idle_and_busy(hand_trace):
 
 
 def test_hand_trace_residual_measures(hand_trace):
-    m = hand_trace.residual_deadline_measures(3.5)[0]
-    assert sorted(m.deadlines.x.tolist()) == [2.0, 3.0, 10.0]
-    assert sorted(m.residual.x.tolist()) == [0.5, 2.5, 7.5]
-    assert sorted(m.residual_with_service.x.tolist()) == [5.5, 7.5, 12.5]
-    # at t=4 job 2's residual deadline atom is dropped, raw deadline kept
-    later = hand_trace.residual_deadline_measures(4.0)[0]
-    assert len(later.deadlines) == 3
-    assert len(later.residual) == 2
+    # at t=3.5 the residual deadlines are 7.5, 0.5, 2.5 and, plus service,
+    # 12.5, 5.5, 7.5; a tail counts the values >= c
+    cs = (0.0, 0.5, 2.5, 2.6, 7.5)
+    m = hand_trace.residual_deadline_measures(3.5, cs)[0]
+    assert m.residual == (3, 3, 2, 1, 1)
+    assert m.residual_with_service == (3, 3, 3, 3, 2)
+    # at t=4 job 2's residual deadline is exactly 0, so no tail counts it
+    later = hand_trace.residual_deadline_measures(4.0, (0.0,))[0]
+    assert later.residual == (2,)
+    assert later.residual_with_service == (3,)
+    assert hand_trace.residual_deadline_measures(4.0, ()) == [((), ())]
 
 
 def test_hand_trace_age_count(hand_trace):
@@ -322,12 +326,15 @@ def test_warm_start_idle_clock_restarts(markov_config):
 
 def test_residual_tails_ordered(markov_config):
     trace = run(markov_config)
-    m = trace.residual_deadline_measures(12.0)[0]
-    for c in (0.0, 0.3, 0.8, 1.5, 3.0):
-        assert m.residual_with_service(c) >= m.residual(c)
-    assert m.deadlines.total_mass == float(
-        np.count_nonzero((trace.t_arr > trace.origin)
-                         & (trace.t_arr <= trace.origin + 12.0)))
+    cs = (0.0, 0.3, 0.8, 1.5, 3.0)
+    m = trace.residual_deadline_measures(12.0, cs)[0]
+    for a, v in zip(m.residual, m.residual_with_service):
+        assert v >= a
+    arrivals = int(np.count_nonzero((trace.t_arr > trace.origin)
+                                    & (trace.t_arr <= trace.origin + 12.0)))
+    # exponential deadlines: some arrivals in (0, 12] are past theirs at 12
+    assert 0 < m.residual[0] <= m.residual_with_service[0] < arrivals
+    assert list(m.residual) == sorted(m.residual, reverse=True)
 
 
 def test_fluid_model_of_uses_rates():
@@ -382,8 +389,9 @@ def query_traces():
     return traces
 
 
-def full_scan_queries(tr, raw, u):
-    """Every windowed SimTrace query at raw time, by masks over the whole trace."""
+def full_scan_queries(tr, raw, u, cs):
+    """Every windowed SimTrace query at raw time, by masks over the whole trace.
+    A residual tail counts the residuals x with x > 0 and x >= c."""
     virtual, patience, t_exit = stored_fate(tr)
     arrived = tr.t_arr <= raw
     live = arrived & (t_exit > raw)
@@ -400,9 +408,9 @@ def full_scan_queries(tr, raw, u):
         served = int(np.count_nonzero(live & cls & tr.served))
         counts.append((total, served, total - served))
         sel = window & cls
-        ones = np.ones(int(sel.sum()))
-        resid.append([AtomicMeasure1D.from_arrays(x, ones) for x in (
-            tr.d[sel], tr.d[sel] - elapsed[sel], tr.d[sel] + tr.v[sel] - elapsed[sel])])
+        resid.append(tuple(
+            tuple(int(np.count_nonzero((x > 0) & (x >= c))) for c in cs)
+            for x in (tr.d[sel] - elapsed[sel], tr.d[sel] + tr.v[sel] - elapsed[sel])))
         ages.append(int(np.count_nonzero(live & cls & (tr.t_arr <= raw - u))))
     return snap, counts, resid, ages
 
@@ -414,6 +422,24 @@ def model_time(tr, raw):
         if cand + tr.origin == raw:
             return cand
     return t
+
+
+def c_values(tr, raw):
+    """Tail cut points at raw: 0.0, uniform floats, and the exact residual
+    deadline (plus service or not) of a job arrived in (origin, raw], moved
+    by 0-2 ulps either way."""
+    jobs = np.flatnonzero((tr.t_arr > tr.origin) & (tr.t_arr <= raw))
+    exact = st.nothing()
+    if len(jobs):
+        def residual(i, with_service, ulps, direction):
+            elapsed = raw - tr.t_arr[i]
+            x = float((tr.d[i] + tr.v[i] if with_service else tr.d[i]) - elapsed)
+            for _ in range(ulps):
+                x = math.nextafter(x, direction)
+            return x
+        exact = st.builds(residual, st.sampled_from(jobs.tolist()), st.booleans(),
+                          st.integers(0, 2), st.sampled_from((-math.inf, math.inf)))
+    return st.just(0.0) | st.floats(0.0, 3.0) | exact
 
 
 @given(st.data())
@@ -433,15 +459,35 @@ def test_trace_queries_equal_full_scan(query_traces, data):
         assume(0.0 <= t <= tr.horizon)
     u = data.draw(st.sampled_from((0.0, 0.25)) | st.floats(0.0, t))
     raw = t + tr.origin
-    snap, counts, resid, ages = full_scan_queries(tr, raw, u)
+    cs = data.draw(st.lists(c_values(tr, raw), min_size=1, max_size=4))
+    snap, counts, resid, ages = full_scan_queries(tr, raw, u, cs)
     for got, want in zip(tr.snapshot(t), snap):
         assert np.array_equal(got.w, want.w) and np.array_equal(got.p, want.p)
         assert np.array_equal(got.mass, want.mass)
     assert [tuple(c) for c in tr.queue_lengths(t)] == counts
-    for got, want in zip(tr.residual_deadline_measures(t), resid):
-        for g, w in zip(got, want):
-            assert np.array_equal(g.x, w.x) and np.array_equal(g.mass, w.mass)
+    assert tr.residual_deadline_measures(t, cs) == resid
     assert tr.age_count(t, u) == ages
+
+
+def test_residual_tails_across_block_edges():
+    """Windows of RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1 and
+    2 RESIDUAL_BLOCK + 1 jobs, each ending with a job that arrives at the
+    query time, equal the whole-trace count."""
+    classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
+               ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
+                         UniformInterval(0.0, 2.0)))
+    tr = run(SimConfig(classes, horizon=12.0, scale=1000, seed=8))
+    assert tr.origin == 0.0 and len(tr.t_arr) > 2 * RESIDUAL_BLOCK + 1
+    for size in (RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
+                 2 * RESIDUAL_BLOCK + 1):
+        raw = float(tr.t_arr[size - 1])
+        assert tr.t_arr[size] > raw
+        # 0.0, and the residuals of the jobs on either side of each block edge
+        edges = [i for i in (RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, size - 1) if i < size]
+        cs = [0.0, 0.5] + [float(tr.d[i] - (raw - tr.t_arr[i])) for i in edges] + [
+            float(tr.d[i] + tr.v[i] - (raw - tr.t_arr[i])) for i in edges]
+        want = full_scan_queries(tr, raw, 0.0, cs)[2]
+        assert tr.residual_deadline_measures(raw, cs) == want
 
 
 def test_trace_window_skips_departed_blocks(query_traces):
@@ -592,18 +638,21 @@ def test_run_logs_its_work(caplog):
     assert "vector passes" in caplog.text and "scalar steps" in caplog.text
 
 
+# simulate_large's model from bench/workloads.py
+LARGE_CLASSES = (
+    ClassSpec(HyperExponential(((0.5, 1.0), (0.5, 4.0))), Exponential(1.0),
+              UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
+    ClassSpec(Exponential(1.0), HyperExponential(((0.5, 1.5), (0.5, 6.0))),
+              UniformInterval(0.5, 2.5)),
+)
+
+
 def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
     trace keeps 42 B/job. The sort used to hold every unsorted column and
     the order beside the sorted ones (99 B/job), and the exit bound two
     full temporaries (61 B/job); 54 B/job now."""
-    classes = (
-        ClassSpec(HyperExponential(((0.5, 1.0), (0.5, 4.0))), Exponential(1.0),
-                  UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
-        ClassSpec(Exponential(1.0), HyperExponential(((0.5, 1.5), (0.5, 6.0))),
-                  UniformInterval(0.5, 2.5)),
-    )
-    config = SimConfig(classes, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
+    config = SimConfig(LARGE_CLASSES, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
     run(replace(config, scale=10))   # warm numpy and the band solve outside the count
     tracemalloc.start()
     try:
@@ -613,3 +662,31 @@ def test_run_memory_peak_per_job():
         tracemalloc.stop()
     assert len(tr.t_arr) > 50_000
     assert peak / len(tr.t_arr) <= 56
+
+
+def test_residual_query_memory_does_not_grow_with_the_window():
+    """One residual_deadline_measures call at t = 6 on simulate_large's
+    model: its peak allocation is the same at scale 2e4 as at 2e3 (the
+    three 1-D measures per class it used to build peaked at 12.7 MB at
+    2e4), and what it returns holds a few counts."""
+    def query(scale):
+        tr = run(SimConfig(LARGE_CLASSES, horizon=6.0, scale=scale, seed=1,
+                           initial=WarmStart()))
+        tr.residual_deadline_measures(6.0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tails = tr.residual_deadline_measures(6.0)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = np.count_nonzero((tr.t_arr > tr.origin) & (tr.t_arr <= tr.origin + 6.0))
+        return window, peak - before, after - before, tails
+
+    small_window, small_peak, _, _ = query(2000)
+    window, peak, retained, tails = query(20_000)
+    assert window > 5 * small_window and small_window > RESIDUAL_BLOCK
+    assert peak <= small_peak + 64 * 1024
+    assert peak < 4 * 1024 * 1024
+    assert retained < 4 * 1024
+    assert len(tails) == 2
