@@ -279,14 +279,15 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
 
     grid = _time_grid(horizon, step)
     path = solution.workload
-    workload_rows = [(_fmt(t), _fmt(path(t)), _fmt(path.tau(t))) for t in grid]
-    func_rows = []
-    for t in grid:
-        for k in range(len(model.classes)):
-            func_rows.append((_fmt(t), k,
-                              _fmt(fluid_queue_length(solution, k, t)),
-                              _fmt(fluid_nonabandoning(solution, k, t)),
-                              _fmt(fluid_abandoning(solution, k, t))))
+    ts = np.array(grid)
+    workload_rows = [(_fmt(t), _fmt(w), _fmt(s))
+                     for t, w, s in zip(grid, path.at(ts), path.tau(ts))]
+    # One call per class and column, on the whole grid.
+    columns = [[f(solution, k, ts) for f in (fluid_queue_length, fluid_nonabandoning,
+                                              fluid_abandoning)]
+               for k in range(len(model.classes))]
+    func_rows = [(_fmt(t), k, *(_fmt(col[i]) for col in columns[k]))
+                 for i, t in enumerate(grid) for k in range(len(model.classes))]
 
     band = {"w_l": w_l, "w_u": w_u, "d_max": model.d_max}
     for name, level in (("at_w_l", w_l), ("at_w_u", w_u)):

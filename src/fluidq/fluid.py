@@ -34,7 +34,6 @@ from .distributions import Distribution, require_deadline_law
 from .measures import Box, upper_right
 
 QUAD_TOL = 1e-10
-TAU_TOL = 1e-10
 BAND_TOL = 1e-12
 
 
@@ -167,6 +166,7 @@ class WorkloadPath:
         self.knot_times = knot_times
         self._interp = (CubicHermiteSpline(ts, ws, _drift(model, ws))
                         if len(ts) > 1 else None)
+        self._waiting: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, t: float) -> float:
         self._check_time(t)
@@ -176,34 +176,110 @@ class WorkloadPath:
 
     def at(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < -1e-9) or np.any(ts > self.T + 1e-9):
-            raise FluidModelError(f"time out of range [0, {self.T}]")
+        self._check_time(ts)
         if self._interp is None:
             return np.full_like(ts, self.w0)
         return np.asarray(self._interp(np.clip(ts, 0.0, self.T)), dtype=float)
 
-    def phi(self, s: float) -> float:
-        """The strictly increasing frontier map s -> w(s) + s."""
-        return self(s) + s
+    @cached_property
+    def _frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi's cubic pieces and its values at the nodes.
 
-    def tau(self, t: float) -> float:
-        """inf{ s in [0, t] : w(s) + s >= t }, by bisection."""
-        self._check_time(t)
-        if t <= self.w0:
-            return 0.0
-        return numerics.bisect_leftmost(self.phi, 0.0, t, t, tol=TAU_TOL)
+        On node interval i, phi(s) = sum_j c[j, i] (s - x_i)^(3 - j) with
+        the Hermite coefficients of w plus 1 on the linear term and x_i on
+        the constant one, so phi(x_i) is exactly c[-1, i].
+        """
+        if self._interp is None:
+            return np.zeros((4, 0)), np.array([self.w0])
+        c = self._interp.c.copy()
+        c[-2] += 1.0
+        c[-1] += self.grid_t[:-1]
+        last = _cubic(c[:, -1], self.T - self.grid_t[-2])
+        return c, np.append(c[-1], last)
 
-    def tau_clamped(self, x: float, t: float) -> float:
-        """min(tau(x), t), valid for any x >= 0 including infinity."""
-        if x >= self.phi(t):
-            return t
-        if x <= self.w0:
-            return 0.0
-        return numerics.bisect_leftmost(self.phi, 0.0, t, x, tol=TAU_TOL)
+    def phi(self, s):
+        """The frontier map s -> w(s) + s, for a scalar or an array.
 
-    def _check_time(self, t: float) -> None:
-        if t < -1e-9 or t > self.T + 1e-9:
+        Nondecreasing, not strictly: phi' = sum_k rho_k G_k(w) >= 0, and it
+        vanishes where w sits at or above every deadline. Evaluated on the
+        cubic pieces that tau inverts.
+        """
+        s = np.asarray(s, dtype=float)
+        self._check_time(s)
+        c, _ = self._frontier
+        if not c.shape[1]:
+            value = self.w0 + s
+        else:
+            i = np.clip(np.searchsorted(self.grid_t, s, side="right") - 1,
+                        0, c.shape[1] - 1)
+            value = _cubic(c[:, i], s - self.grid_t[i])
+        return value if value.ndim else float(value)
+
+    def tau(self, x):
+        """inf{ s in [0, T] : phi(s) >= x }, inf when x > phi(T), for a
+        scalar or an array of levels x.
+
+        For t in [0, T], tau(t) <= t is the arrival epoch whose work reaches
+        the server at time t, and min(tau(x), t) the first arrival of [0, t]
+        whose frontier has reached x by then. One searchsorted of x among
+        phi's node values brackets each root in one cubic piece; a lockstep
+        bisection over the floats of that piece (at most 63 passes) then
+        gives the leftmost float s with phi(s) >= x.
+        """
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        c, nodes = self._frontier
+        out = np.where(flat > nodes[-1], math.inf, 0.0)
+        inner = np.flatnonzero((flat > nodes[0]) & (flat <= nodes[-1]))
+        if len(inner):
+            target = flat[inner]
+            i = np.searchsorted(nodes, target, side="left") - 1
+            coef, left = c[:, i], self.grid_t[i]
+            # Nonnegative floats order like their bit patterns.
+            lo, hi = left.view(np.int64), self.grid_t[i + 1].view(np.int64)
+            # A pass leaves each gap at most its half rounded up, so this
+            # many passes bring every bracket down to adjacent floats.
+            for _ in range(int((hi - lo).max() - 1).bit_length()):
+                mid = lo + ((hi - lo) >> 1)
+                reached = _cubic(coef, mid.view(np.float64) - left) >= target
+                lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
+            out[inner] = hi.view(np.float64)
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+
+    def waiting_integral(self, k: int, lo, hi):
+        """Integral over [lo, hi] of G_k(w(v)) dv: the class k arrivals of
+        [lo, hi] still waiting. lo and hi are scalars or arrays in [0, T].
+
+        Differences of class k's antiderivative, which is built once on the
+        RK4 nodes with numerics.cumulative_integral (QUAD_TOL per unit of
+        time, so a relative tolerance since G_k <= 1); each end adds one
+        Gauss-Legendre panel from the node before it. Every knot crossing
+        is a node, so every panel is smooth.
+        """
+        return self._antiderivative(k, hi) - self._antiderivative(k, lo)
+
+    def _antiderivative(self, k: int, x):
+        """Integral over [0, x] of G_k(w(v)) dv."""
+        surv = self.model.classes[k].deadline.survival
+
+        def waiting(v):
+            return surv(self.at(v))
+
+        if k not in self._waiting:
+            self._waiting[k] = numerics.cumulative_integral(waiting, self.grid_t, QUAD_TOL)
+        starts, cum = self._waiting[k]
+        x = np.asarray(x, dtype=float)
+        j = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
+        return cum[j] + numerics.gl_panels(waiting, starts[j], x)
+
+    def _check_time(self, t) -> None:
+        if np.any(t < -1e-9) or np.any(t > self.T + 1e-9):
             raise FluidModelError(f"time {t} outside the solved horizon [0, {self.T}]")
+
+
+def _cubic(c: np.ndarray, d):
+    """The cubic with coefficients c[0] d^3 + ... + c[3], by Horner."""
+    return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
 
 
 def _drift(model: FluidModelInput, w):
@@ -504,8 +580,38 @@ def solve_fluid(model: FluidModelInput, initial: InitialFluidMeasure,
     return FluidSolution(model, initial, path)
 
 
-def eval_fluid(solution: FluidSolution, k: int, t: float, box: Box) -> float:
-    """Class k fluid mass on the box at time t.
+def _times(path: WorkloadPath, t) -> np.ndarray:
+    """The time argument of a functional, checked, as a flat array."""
+    t = np.asarray(t, dtype=float)
+    path._check_time(t)
+    return t.reshape(-1)
+
+
+def _like(t, values: np.ndarray):
+    """Functional values shaped like its time argument t: a float for a scalar."""
+    return values.reshape(np.shape(t)) if np.ndim(t) else float(values[0])
+
+
+def _survival_integrals(law: Distribution, a, b) -> np.ndarray:
+    """law.integrate_survival elementwise over the broadcast a and b."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.array([law.integrate_survival(x, y) for x, y in zip(a.tolist(), b.tolist())])
+
+
+def _by_time(solution: FluidSolution, t, head, tail):
+    """A functional at the time(s) t: head(x) one time at a time where x < w0
+    and the initial state still holds mass, tail on the array of the rest."""
+    ts = _times(solution.workload, t)
+    out = np.empty(len(ts))
+    early = ts < solution.w0
+    out[early] = [head(x) for x in ts[early].tolist()]
+    if not early.all():
+        out[~early] = tail(ts[~early])
+    return _like(t, out)
+
+
+def eval_fluid(solution: FluidSolution, k: int, t, box: Box):
+    """Class k fluid mass on the box at the time(s) t, a scalar or an array.
 
     Two contributions: initial mass whose diagonal drift lands it in the
     box, and fluid arrivals. An arrival at time s enters at workload
@@ -515,92 +621,94 @@ def eval_fluid(solution: FluidSolution, k: int, t: float, box: Box) -> float:
     contributes a survival-difference weight with closed-form integral.
     """
     path = solution.workload
-    path._check_time(t)
-    cls = solution.model.classes[k]
-    init_term = solution.initial.eval0(solution.model, k, box.shifted(t))
-    lo = path.tau_clamped(box.a + t, t)
-    hi = path.tau_clamped(box.b + t, t)
-    if hi <= lo:
-        return init_term
-    val = cls.deadline.integrate_survival(box.c + t - hi, box.c + t - lo)
-    if math.isfinite(box.d):
-        val -= cls.deadline.integrate_survival(box.d + t - hi, box.d + t - lo)
-    return init_term + cls.arrival_rate * val
+    ts = _times(path, t)
+    law = solution.model.classes[k].deadline
+    rate = solution.model.classes[k].arrival_rate
+    out = np.array([solution.initial.eval0(solution.model, k, box.shifted(x))
+                    for x in ts.tolist()])
+    lo = np.minimum(path.tau(box.a + ts), ts)
+    hi = np.minimum(path.tau(box.b + ts), ts)
+    some = hi > lo
+    if some.any():
+        ts, lo, hi = ts[some], lo[some], hi[some]
+        val = _survival_integrals(law, box.c + ts - hi, box.c + ts - lo)
+        if math.isfinite(box.d):
+            val -= _survival_integrals(law, box.d + ts - hi, box.d + ts - lo)
+        out[some] += rate * val
+    return _like(t, out)
 
 
-def _arrivals_in_system_integral(solution: FluidSolution, k: int,
-                                 lo: float, hi: float) -> float:
-    """Integral over [lo, hi] of G_k(w(v)) dv: arrivals still waiting.
-
-    The integrand has a kink wherever w crosses a deadline knot, so the
-    interval is split at those times and each smooth piece is integrated
-    on its own.
-    """
-    if hi <= lo:
-        return 0.0
+def fluid_queue_length(solution: FluidSolution, k: int, t):
+    """z_k(t): class k fluid mass in system at the time(s) t."""
     path = solution.workload
-    surv = solution.model.classes[k].deadline.survival
-    cuts = [lo, *(t for t in path.knot_times if lo < t < hi), hi]
-    return sum(numerics.integrate(lambda v: surv(path.at(v)), a, b, tol=QUAD_TOL)
-               for a, b in zip(cuts, cuts[1:]))
-
-
-def fluid_queue_length(solution: FluidSolution, k: int, t: float) -> float:
-    """z_k(t): class k fluid mass in system at time t."""
-    path = solution.workload
-    path._check_time(t)
     cls = solution.model.classes[k]
-    if t < path.w0:
-        head = solution.initial.eval0(solution.model, k, upper_right(t, t))
-        return head + cls.arrival_rate * cls.deadline.integrate_survival(0.0, t)
-    w_tau = path(path.tau(t))
-    return cls.arrival_rate * cls.deadline.integrate_survival(0.0, w_tau)
+
+    def head(x):
+        return (solution.initial.eval0(solution.model, k, upper_right(x, x))
+                + cls.arrival_rate * cls.deadline.integrate_survival(0.0, x))
+
+    def tail(ts):
+        w_tau = path.at(path.tau(ts))
+        return cls.arrival_rate * _survival_integrals(cls.deadline, 0.0, w_tau)
+
+    return _by_time(solution, t, head, tail)
 
 
-def fluid_nonabandoning(solution: FluidSolution, k: int, t: float) -> float:
+def fluid_nonabandoning(solution: FluidSolution, k: int, t):
     """n_k(t): fluid mass of jobs that will eventually be served."""
     path = solution.workload
-    path._check_time(t)
     cls = solution.model.classes[k]
-    if t < path.w0:
-        head = solution.initial.mass_nonabandoning(solution.model, k, t)
-        return head + cls.arrival_rate * _arrivals_in_system_integral(solution, k, 0.0, t)
-    s = path.tau(t)
-    return cls.arrival_rate * _arrivals_in_system_integral(solution, k, s, t)
+
+    def head(x):
+        return (solution.initial.mass_nonabandoning(solution.model, k, x)
+                + cls.arrival_rate * path.waiting_integral(k, 0.0, x))
+
+    def tail(ts):
+        return cls.arrival_rate * path.waiting_integral(k, path.tau(ts), ts)
+
+    return _by_time(solution, t, head, tail)
 
 
-def fluid_abandoning(solution: FluidSolution, k: int, t: float) -> float:
+def fluid_abandoning(solution: FluidSolution, k: int, t):
     """a_k(t): fluid mass of jobs that will renege before reaching service."""
     path = solution.workload
-    path._check_time(t)
     cls = solution.model.classes[k]
-    if t < path.w0:
-        head = solution.initial.mass_abandoning(solution.model, k, t)
-        window = cls.deadline.integrate_survival(0.0, t)
-        waiting = _arrivals_in_system_integral(solution, k, 0.0, t)
-        return head + cls.arrival_rate * (window - waiting)
-    s = path.tau(t)
-    window = cls.deadline.integrate_survival(0.0, t - s)
-    waiting = _arrivals_in_system_integral(solution, k, s, t)
-    return cls.arrival_rate * (window - waiting)
+
+    def head(x):
+        window = cls.deadline.integrate_survival(0.0, x)
+        waiting = path.waiting_integral(k, 0.0, x)
+        return (solution.initial.mass_abandoning(solution.model, k, x)
+                + cls.arrival_rate * (window - waiting))
+
+    def tail(ts):
+        s = path.tau(ts)
+        window = _survival_integrals(cls.deadline, 0.0, ts - s)
+        return cls.arrival_rate * (window - path.waiting_integral(k, s, ts))
+
+    return _by_time(solution, t, head, tail)
 
 
-def fluid_age_count(solution: FluidSolution, k: int, t: float, u: float) -> float:
-    """z_k(t, u): class k fluid mass of jobs in system at t with age >= u."""
-    if not 0 <= u <= t:
-        raise FluidModelError(f"need 0 <= u <= t, got u={u}, t={t}")
+def fluid_age_count(solution: FluidSolution, k: int, t, u: float):
+    """z_k(t, u): class k fluid mass of jobs in system at the time(s) t
+    with age >= u."""
     path = solution.workload
-    path._check_time(t)
     cls = solution.model.classes[k]
-    if t < path.w0:
-        edge = max(path(t - u) - u, 0.0)
-        head = solution.initial.eval0(solution.model, k,
-                                      Box(t, edge + t, t, math.inf))
-        return head + cls.arrival_rate * cls.deadline.integrate_survival(u, t)
-    w_tau = path(path.tau(t))
-    if u >= w_tau:
-        return 0.0
-    return cls.arrival_rate * cls.deadline.integrate_survival(u, w_tau)
+    if not (0 <= u and np.all(u <= np.asarray(t))):
+        raise FluidModelError(f"need 0 <= u <= t, got u={u}, t={t}")
+
+    def head(x):
+        edge = max(path(x - u) - u, 0.0)
+        return (solution.initial.eval0(solution.model, k, Box(x, edge + x, x, math.inf))
+                + cls.arrival_rate * cls.deadline.integrate_survival(u, x))
+
+    def tail(ts):
+        w_tau = path.at(path.tau(ts))
+        out = np.zeros(len(ts))
+        some = u < w_tau
+        out[some] = cls.arrival_rate * _survival_integrals(cls.deadline, u, w_tau[some])
+        return out
+
+    return _by_time(solution, t, head, tail)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Kept deliberately small: a classical fixed-step RK4 with step-halving
 validation, an adaptive Gauss-Legendre panel integrator for continuous
-integrands, and a bisection for nondecreasing functions. The right-hand
+integrands with a vector form that builds an antiderivative on given
+panels, and a bisection for nondecreasing functions. The right-hand
 sides here are bounded, Lipschitz and smooth between the deadline knots,
 and the fluid solver calls the RK4 once per smooth piece, so an embedded
 adaptive pair would buy nothing.
@@ -60,9 +61,16 @@ def rk4_validated(f, y0: float, T: float, tol: float,
     raise RuntimeError(f"step halving did not reach tol={tol} within {max_steps} steps")
 
 
-def _gl_panel(f, a: float, b: float) -> float:
+def gl_panels(f, a, b) -> np.ndarray:
+    """15-point Gauss-Legendre estimates of the integral of a vectorized f
+    over each [a_i, b_i], in one call of f on all the nodes.
+
+    Each estimate depends on its own panel only, whatever the array length.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    values = f(mid[..., None] + half[..., None] * _GL_NODES)
+    return half * (values * _GL_WEIGHTS).sum(axis=-1)
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
@@ -80,14 +88,58 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) ->
 
     def recurse(lo: float, hi: float, whole: float, budget: float, depth: int) -> float:
         mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
+        left = float(gl_panels(f, lo, mid))
+        right = float(gl_panels(f, mid, hi))
         if abs(left + right - whole) <= budget or depth >= max_depth:
             return left + right
         return (recurse(lo, mid, left, 0.5 * budget, depth + 1)
                 + recurse(mid, hi, right, 0.5 * budget, depth + 1))
 
-    return recurse(a, b, _gl_panel(f, a, b), tol, 0)
+    return recurse(a, b, float(gl_panels(f, a, b)), tol, 0)
+
+
+def _gl_blocks(f, a: np.ndarray, b: np.ndarray, block: int = 128) -> np.ndarray:
+    """gl_panels on 1-D a and b, block panels per call of f, which keeps
+    f's temporaries at about 15 KB each."""
+    return np.concatenate([gl_panels(f, a[i:i + block], b[i:i + block])
+                           for i in range(0, len(a), block)] or [np.empty(0)])
+
+
+def cumulative_integral(f, edges: np.ndarray, tol: float, max_depth: int = 12
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Antiderivative of a vectorized f, smooth on each panel between edges.
+
+    Returns (starts, cum): the left ends of the accepted panels followed by
+    edges[-1], and the integral of f from edges[0] to each. Every panel is
+    checked once against the sum of its halves, as in integrate, and halved
+    where they differ by more than tol times its length, until depth
+    max_depth; an accepted panel counts as the sum of its halves. Between
+    starts[j] and x < starts[j + 1], one more gl_panels call completes the
+    integral up to x.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    whole = _gl_blocks(f, a, b)
+    starts, values = [], []
+    for depth in range(max_depth + 1):
+        mid = 0.5 * (a + b)
+        halves = np.concatenate([_gl_blocks(f, a, mid), _gl_blocks(f, mid, b)])
+        split = halves[:len(a)] + halves[len(a):]
+        ok = np.abs(split - whole) <= tol * (b - a)
+        if depth == max_depth:
+            ok[:] = True
+        starts.append(a[ok])
+        values.append(split[ok])
+        bad = ~ok
+        a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
+        whole = halves[np.concatenate([bad, bad])]
+        if not len(a):
+            break
+    starts, values = np.concatenate(starts), np.concatenate(values)
+    if depth:   # halves of split panels come after all the others
+        order = np.argsort(starts, kind="stable")
+        starts, values = starts[order], values[order]
+    return np.append(starts, edges[-1]), np.concatenate([[0.0], np.cumsum(values)])
 
 
 def bisect_leftmost(f: Callable[[float], float], lo: float, hi: float,

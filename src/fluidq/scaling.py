@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,7 +188,9 @@ class ScalingReport:
 
 
 class _FluidTargets:
-    """Fluid-side values on the comparison grids, computed once per plan.
+    """Fluid-side values on the comparison grids, computed once per plan:
+    each metric on the whole time grid in one call per class (and per box
+    or age), indexed [class][time index].
 
     Warm-started simulations are compared against the time-shifted
     empty-start fluid solution: the fluid dynamics are autonomous, so the
@@ -195,47 +198,34 @@ class _FluidTargets:
     T0 + t.
     """
 
-    def __init__(self, plan: ScalingPlan):
-        self.model = fluid_model_of(plan.base)
-        self.t0 = _warmup_duration(plan.base)
-        self.solution: FluidSolution = solve_fluid(
-            self.model, ZeroInitial(), self.t0 + plan.base.horizon, tol=plan.tol)
-        self.K = len(plan.base.classes)
-        self._memo: dict = {}
-
-    def _cached(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def workload(self, t: float) -> float:
-        return self._cached(("w", t), lambda: self.solution.workload(self.t0 + t))
-
-    def queue_length(self, k: int, t: float) -> float:
-        return self._cached(("z", k, t),
-                            lambda: fluid_queue_length(self.solution, k, self.t0 + t))
-
-    def nonabandoning(self, k: int, t: float) -> float:
-        return self._cached(("n", k, t),
-                            lambda: fluid_nonabandoning(self.solution, k, self.t0 + t))
-
-    def abandoning(self, k: int, t: float) -> float:
-        return self._cached(("a", k, t),
-                            lambda: fluid_abandoning(self.solution, k, self.t0 + t))
-
-    def age_count(self, k: int, t: float, u: float) -> float:
-        return self._cached(("age", k, t, u),
-                            lambda: fluid_age_count(self.solution, k, self.t0 + t, u))
-
-    def box_values(self, k: int, t: float, grid: tuple[Box, ...]) -> dict[Box, float]:
-        def compute():
-            shifted = self.t0 + t
-            return {box: eval_fluid(self.solution, k, shifted, box) for box in grid}
-        return self._cached(("boxes", k, t), compute)
-
-    def residual_tail(self, k: int, t: float, c: float) -> float:
-        return self._cached(("rd", k, t, c),
-                            lambda: residual_deadline_limit(self.model, k, t, c))
+    def __init__(self, plan: ScalingPlan, grid: tuple[float, ...],
+                 rect_grid: tuple[Box, ...], c_grid: tuple[float, ...]):
+        model = fluid_model_of(plan.base)
+        t0 = _warmup_duration(plan.base)
+        solution: FluidSolution = solve_fluid(
+            model, ZeroInitial(), t0 + plan.base.horizon, tol=plan.tol)
+        grid = np.array(grid)
+        ts = t0 + grid
+        classes = range(len(plan.base.classes))
+        self.K = len(classes)
+        self.workload = solution.workload.at(ts).tolist()
+        self.queue_length = [fluid_queue_length(solution, k, ts).tolist() for k in classes]
+        self.nonabandoning = [fluid_nonabandoning(solution, k, ts).tolist() for k in classes]
+        self.abandoning = [fluid_abandoning(solution, k, ts).tolist() for k in classes]
+        # Ages u > t get no rows, so they are not evaluated.
+        self.age_count = {}
+        for u in plan.ages:
+            later = grid >= u
+            for k in classes:
+                values = np.full(len(grid), math.nan)
+                values[later] = fluid_age_count(solution, k, ts[later], u)
+                self.age_count[k, u] = values.tolist()
+        self.boxes = []     # per class and time, {box: mass}
+        for k in classes:
+            masses = np.array([eval_fluid(solution, k, ts, box) for box in rect_grid])
+            self.boxes.append([dict(zip(rect_grid, row)) for row in masses.T.tolist()])
+        self.residual_tail = [[[residual_deadline_limit(model, k, t, c) for c in c_grid]
+                               for t in grid.tolist()] for k in classes]
 
 
 def _row(n, rep, t, metric, cls, sim_value, fluid_value) -> ReportRow:
@@ -243,19 +233,19 @@ def _row(n, rep, t, metric, cls, sim_value, fluid_value) -> ReportRow:
                      float(fluid_value), abs(float(sim_value) - float(fluid_value)))
 
 
-def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, rect_edges,
+def _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid, rect_edges,
                 ages) -> list[ReportRow]:
     rows = []
     counts = trace.queue_lengths(t)
     for k in range(targets.K):
         z, nn, aa = counts[k]
         rows.append(_row(n, rep, t, "queue_length", k, z / n,
-                         targets.queue_length(k, t)))
+                         targets.queue_length[k][i]))
         rows.append(_row(n, rep, t, "nonabandoning", k, nn / n,
-                         targets.nonabandoning(k, t)))
+                         targets.nonabandoning[k][i]))
         rows.append(_row(n, rep, t, "abandoning", k, aa / n,
-                         targets.abandoning(k, t)))
-        fluid_boxes = targets.box_values(k, t, rect_grid)
+                         targets.abandoning[k][i]))
+        fluid_boxes = targets.boxes[k][i]
         sim_boxes = dict(zip(rect_grid, box_masses(snaps[k], *rect_edges).tolist()))
         dist = rect_distance(lambda box: sim_boxes[box] / n,
                              fluid_boxes.__getitem__, rect_grid)
@@ -266,19 +256,19 @@ def _state_rows(n, rep, trace, snaps, targets, t, rect_grid, rect_edges,
         old = trace.age_count(t, u)
         for k in range(targets.K):
             rows.append(_row(n, rep, t, f"age_count@{u:g}", k, old[k] / n,
-                             targets.age_count(k, t, u)))
+                             targets.age_count[k, u][i]))
     return rows
 
 
-def _residual_rows(n, rep, trace, targets, t, c_grid) -> list[ReportRow]:
+def _residual_rows(n, rep, trace, targets, i, t, c_grid) -> list[ReportRow]:
     """A_tail@c and V_tail@c per class and c: the trace's residual-deadline
     tail counts, fluid-scaled, against lambda_k * int_c^{c+t} G_k."""
     rows = []
     per_class = trace.residual_deadline_measures(t, c_grid)
     for k in range(targets.K):
         tails = per_class[k]
-        for c, a, v in zip(c_grid, tails.residual, tails.residual_with_service):
-            target = targets.residual_tail(k, t, c)
+        for c, a, v, target in zip(c_grid, tails.residual, tails.residual_with_service,
+                                   targets.residual_tail[k][i]):
             rows.append(_row(n, rep, t, f"A_tail@{c:g}", k, a / n, target))
             rows.append(_row(n, rep, t, f"V_tail@{c:g}", k, v / n, target))
     return rows
@@ -302,13 +292,13 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     target lambda_k * int_c^{c+t} G_k; and the worst fluid-scaled mass near
     any grid corner set, per kappa.
     """
-    targets = _FluidTargets(plan)
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
     rect_edges = np.array([(box.a, box.b, box.c, box.d) for box in rect_grid]).T
     corners = corner_points(rect_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(float(c) for c in c_grid)
     kappas = DEFAULT_KAPPAS if kappas is None else tuple(float(k) for k in kappas)
+    targets = _FluidTargets(plan, grid, rect_grid, c_grid)
 
     rows: list[ReportRow] = []
     for n in plan.scales:
@@ -316,14 +306,14 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
             trace = None    # freed before run builds the next trace
             trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
             workload, state, residual, corner = [], [], [], []
-            for t in grid:
+            for i, t in enumerate(grid):
                 workload += [_row(n, rep, t, "workload", None, trace.workload_at(t),
-                                  targets.workload(t)),
+                                  targets.workload[i]),
                              _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
-                residual += _residual_rows(n, rep, trace, targets, t, c_grid)
+                residual += _residual_rows(n, rep, trace, targets, i, t, c_grid)
                 # One snapshot per time, shared by the state and corner rows.
                 snaps = trace.snapshot(t)
-                state += _state_rows(n, rep, trace, snaps, targets, t, rect_grid,
+                state += _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid,
                                      rect_edges, plan.ages)
                 corner += _corner_rows(n, rep, snaps, t, corners, kappas)
                 del snaps

@@ -3,14 +3,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
 
 import pytest
 
+import fluidq
 from fluidq.cli import main
-from fluidq.distributions import Exponential
+from fluidq.distributions import Exponential, UniformInterval, UniformMixture
 from fluidq.fluid import (FluidClass, FluidModelInput, equilibrium_band,
                           invariant_state)
 from fluidq.measures import Box
@@ -275,20 +277,23 @@ def test_converge_command(tmp_path, capsys):
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+KINK_CLASSES = [
+    {"arrival": {"family": "exponential", "rate": 1.5},
+     "service": {"family": "exponential", "rate": 1.0},
+     "deadline": {"family": "uniform_mixture", "components": [
+         {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+         {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+    {"arrival": {"family": "exponential", "rate": 1.0},
+     "service": {"family": "exponential", "rate": 2.0},
+     "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+]
+
+
 def test_warm_converge_across_deadline_knots_is_quick(tmp_path, capsys):
     """The warm-start fluid solve runs from empty across the knots at 0.5
     and 1; splitting the ODE there keeps it well under a second."""
     cfg = write_config(tmp_path, {
-        "model": {"classes": [
-            {"arrival": {"family": "exponential", "rate": 1.5},
-             "service": {"family": "exponential", "rate": 1.0},
-             "deadline": {"family": "uniform_mixture", "components": [
-                 {"weight": 0.5, "lo": 0.0, "hi": 1.0},
-                 {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
-            {"arrival": {"family": "exponential", "rate": 1.0},
-             "service": {"family": "exponential", "rate": 2.0},
-             "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
-        ]},
+        "model": {"classes": KINK_CLASSES},
         "sim": {"horizon": 1.0, "seed": 3, "initial": {"kind": "warm"}},
         "converge": {"scales": [5, 25], "reps": 2},
     })
@@ -305,6 +310,38 @@ def test_warm_converge_across_deadline_knots_is_quick(tmp_path, capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 0
+
+
+def test_fluid_command_work_is_bounded(tmp_path, capsys, monkeypatch):
+    """`fluidq fluid` across two kinks: no frontier bisection, and no
+    quadrature beyond the knot-crossing times of the workload solve."""
+    from fluidq import fluid, numerics
+
+    calls = {"integrate": 0, "bisect_leftmost": 0}
+
+    def counting(name):
+        original = getattr(numerics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(numerics, name, counting(name))
+    cfg = write_config(tmp_path, {"model": {"classes": KINK_CLASSES},
+                                  "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.02}})
+    code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    used = dict(calls)
+
+    model = FluidModelInput((
+        FluidClass(1.5, 1.0, UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
+        FluidClass(1.0, 2.0, UniformInterval(0.5, 2.5))))
+    calls["integrate"] = 0
+    assert len(fluid._knot_crossings(model, 0.0, 3.0, 1e-10)) == 2
+    assert used["bisect_leftmost"] == 0
+    assert used["integrate"] <= calls["integrate"]
 
 
 def test_converge_rejects_scaled_base(tmp_path, capsys):
@@ -490,9 +527,13 @@ def test_module_entry_point(tmp_path):
         "model": {"classes": [MARKOV_CLASS]},
         "fluid": {"horizon": 1.0},
     })
+    # The child imports the fluidq under test, installed or not.
+    src = os.path.dirname(os.path.dirname(fluidq.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "fluidq.cli", "fluid", "--config", cfg,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "band.json" in proc.stdout

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import signal
 
@@ -486,3 +487,129 @@ def test_knot_reached_within_tol_of_the_horizon_is_past_it():
     path = solve_workload(FluidModelInput((FluidClass(1.1, 1.0, law),)), 0.0, 0.5)
     assert path.knot_times == ()
     assert path(0.5) == pytest.approx(0.05, abs=1e-9)
+
+
+def scaled_models(c):
+    """M/M/1+M (arrival 2, service 1, Exp(1) deadlines) and the two-class
+    kink model, with time measured in units of c: every rate divided by c,
+    every deadline multiplied by it."""
+    markov = FluidModelInput((FluidClass(2.0 / c, 1.0 / c, Exponential(1.0 / c)),))
+    kink = FluidModelInput((
+        FluidClass(1.5 / c, 1.0 / c,
+                   UniformMixture(((0.5, 0.0, c), (0.5, 2.0 * c, 3.0 * c)))),
+        FluidClass(1.0 / c, 2.0 / c, UniformInterval(0.5 * c, 2.5 * c)),
+    ))
+    return {"markov": markov, "kink": kink}
+
+
+# (model, w0, T) in units of c: paths rising from empty, and one falling
+# from above the band.
+FRONTIER_CASES = (("markov", 0.0, 6.0), ("markov", 2.0, 6.0), ("kink", 0.0, 3.0))
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_path(case, c):
+    name, w0, T = FRONTIER_CASES[case]
+    return solve_workload(scaled_models(c)[name], w0 * c, T * c)
+
+
+@given(case=st.integers(0, len(FRONTIER_CASES) - 1),
+       c=st.sampled_from((1e-6, 1e-3, 1.0)), frac=st.floats(0.0, 1.1))
+@example(case=1, c=1e-6, frac=0.0)
+@settings(max_examples=150, deadline=None)
+def test_tau_is_the_leftmost_root_at_relative_precision(case, c, frac):
+    path = scaled_path(case, c)
+    top = path.phi(path.T)
+    for t in (frac * top, path.w0, top, math.nextafter(top, math.inf)):
+        s = path.tau(t)
+        if t <= path.w0:
+            assert s == 0.0
+        elif t > top:
+            assert s == math.inf
+        else:
+            eps = np.finfo(float).eps
+            assert 0.0 < s <= path.T
+            assert path.phi(s) >= t * (1.0 - 4.0 * eps)
+            delta = 1e-12 * max(t, 1e-300)
+            assert s - delta < 0.0 or path.phi(s - delta) < t
+
+
+def test_tau_does_not_depend_on_the_time_unit():
+    """tau(3) on M/M/1+M from empty, read in units of 1e-3 and 1e-6."""
+    reference = scaled_path(0, 1.0).tau(3.0)
+    assert reference == pytest.approx(2.3554401710, abs=1e-9)
+    for c in (1e-3, 1e-6):
+        assert scaled_path(0, c).tau(3.0 * c) / c == pytest.approx(reference, rel=1e-8)
+
+
+def test_tau_takes_arrays(empty_solution):
+    path = empty_solution.workload
+    xs = np.array([0.0, 0.5, 3.0, 6.5, math.inf])
+    got = path.tau(xs)
+    assert got.shape == xs.shape
+    assert got.tolist() == [path.tau(x) for x in xs.tolist()]
+    assert got[0] == 0.0 and got[-1] == math.inf
+
+
+@pytest.fixture(scope="module")
+def kink_solution(kink_model):
+    return solve_fluid(kink_model, ZeroInitial(), T=3.0)
+
+
+def test_waiting_integral_matches_adaptive_quadrature(kink_solution):
+    """Against numerics.integrate at tol 1e-13 on each smooth piece, with
+    limits on both sides of the knot times and at exact node times."""
+    from fluidq import numerics
+
+    path = kink_solution.workload
+    assert len(path.knot_times) == 2
+    near = [x + d for x in path.knot_times for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
+    nodes = path.grid_t[[1, 77, 200, 311, len(path.grid_t) - 2]].tolist()
+    limits = sorted([0.0, 0.3, 1.7, 2.9999, 3.0, *near, *nodes])
+    for k, cls in enumerate(kink_solution.model.classes):
+        def waiting(v):
+            return cls.deadline.survival(path.at(v))
+
+        for lo in limits[::3]:
+            for hi in limits:
+                if hi < lo:
+                    continue
+                cuts = [lo, *(x for x in path.knot_times if lo < x < hi), hi]
+                want = sum(numerics.integrate(waiting, a, b, tol=1e-13)
+                           for a, b in zip(cuts, cuts[1:]))
+                assert abs(path.waiting_integral(k, lo, hi) - want) <= 1e-12, (k, lo, hi)
+
+
+INITIAL_STATES = {
+    "zero": (ZeroInitial(), 4.0),
+    "invariant": (InvariantInitial(1.5), 4.0),
+    "boxes": (BoxMixtureInitial(((0, Box(0.0, 1.2, 0.3, 2.0), 0.7),
+                                 (1, Box(0.4, 0.9, 0.0, 1.0), 0.2))), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_STATES))
+def test_functionals_on_arrays_equal_scalar_calls(kink_model, name):
+    initial, T = INITIAL_STATES[name]
+    solution = solve_fluid(kink_model, initial, T=T)
+    ts = np.unique(np.concatenate([np.linspace(0.0, T, 41), [solution.w0],
+                                   solution.workload.knot_times]))
+    assert ts.min() < solution.w0 or name == "zero"
+    u = 0.25
+    aged = ts[ts >= u]
+    boxes = (Box(0.1, 0.9, 0.2, 1.4), Box(0.0, 0.5, 0.0, math.inf),
+             upper_right(0.6, 0.3))
+    for k in range(kink_model.K):
+        values = {}
+        for f in (fluid_queue_length, fluid_nonabandoning, fluid_abandoning):
+            got = f(solution, k, ts)
+            assert got.tolist() == [f(solution, k, t) for t in ts.tolist()], f.__name__
+            values[f.__name__] = got
+        got = fluid_age_count(solution, k, aged, u)
+        assert got.tolist() == [fluid_age_count(solution, k, t, u) for t in aged.tolist()]
+        for box in boxes:
+            got = eval_fluid(solution, k, ts, box)
+            assert got.tolist() == [eval_fluid(solution, k, t, box) for t in ts.tolist()]
+        gap = (values["fluid_queue_length"] - values["fluid_nonabandoning"]
+               - values["fluid_abandoning"])
+        assert np.max(np.abs(gap)) <= 1e-12

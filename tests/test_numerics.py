@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidq.numerics import (bisect_leftmost, integrate, rk4_path,
-                             rk4_validated, sig17)
+from fluidq.numerics import (bisect_leftmost, cumulative_integral, integrate,
+                             rk4_path, rk4_validated, sig17)
 
 
 def test_rk4_matches_exponential_growth():
@@ -44,6 +44,28 @@ def test_integrate_handles_kinks():
     # continuous but not smooth at 1: adaptive bisection has to localize it
     f = lambda x: np.maximum(1.0 - x, 0.0)
     assert integrate(f, 0.0, 2.0) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_cumulative_integral_splits_only_failing_panels():
+    """|x - 0.3| has a kink inside the first of two panels: that panel is
+    halved until its halves agree, the smooth one is taken whole, and the
+    antiderivative at every accepted start is the closed form."""
+    def f(x):
+        return np.abs(x - 0.3)
+
+    def exact(x):
+        return np.where(x < 0.3, 0.3 * x - 0.5 * x * x,
+                        0.045 + 0.5 * (x - 0.3) ** 2)
+
+    starts, cum = cumulative_integral(f, np.array([0.0, 0.5, 1.0]), tol=1e-10)
+    assert starts[0] == 0.0 and starts[-1] == 1.0
+    assert np.all(np.diff(starts) > 0)
+    assert 0.5 in starts.tolist() and len(starts) > 3
+    assert np.max(np.abs(cum - exact(starts))) <= 1e-10
+    # a smooth integrand is taken one panel at a time
+    starts, cum = cumulative_integral(np.exp, np.linspace(0.0, 2.0, 9), tol=1e-10)
+    assert starts.tolist() == np.linspace(0.0, 2.0, 9).tolist()
+    np.testing.assert_allclose(cum, np.expm1(starts), rtol=0, atol=1e-14)
 
 
 def test_bisect_leftmost_simple_root():
