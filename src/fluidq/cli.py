@@ -282,7 +282,6 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     ts = np.array(grid)
     workload_rows = [(_fmt(t), _fmt(w), _fmt(s))
                      for t, w, s in zip(grid, path.at(ts), path.tau(ts))]
-    # One call per class and column, on the whole grid.
     columns = [[f(solution, k, ts) for f in (fluid_queue_length, fluid_nonabandoning,
                                               fluid_abandoning)]
                for k in range(len(model.classes))]

@@ -277,23 +277,20 @@ def test_converge_command(tmp_path, capsys):
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
-KINK_CLASSES = [
-    {"arrival": {"family": "exponential", "rate": 1.5},
-     "service": {"family": "exponential", "rate": 1.0},
-     "deadline": {"family": "uniform_mixture", "components": [
-         {"weight": 0.5, "lo": 0.0, "hi": 1.0},
-         {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
-    {"arrival": {"family": "exponential", "rate": 1.0},
-     "service": {"family": "exponential", "rate": 2.0},
-     "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
-]
-
-
 def test_warm_converge_across_deadline_knots_is_quick(tmp_path, capsys):
     """The warm-start fluid solve runs from empty across the knots at 0.5
     and 1; splitting the ODE there keeps it well under a second."""
     cfg = write_config(tmp_path, {
-        "model": {"classes": KINK_CLASSES},
+        "model": {"classes": [
+            {"arrival": {"family": "exponential", "rate": 1.5},
+             "service": {"family": "exponential", "rate": 1.0},
+             "deadline": {"family": "uniform_mixture", "components": [
+                 {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+                 {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+            {"arrival": {"family": "exponential", "rate": 1.0},
+             "service": {"family": "exponential", "rate": 2.0},
+             "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+        ]},
         "sim": {"horizon": 1.0, "seed": 3, "initial": {"kind": "warm"}},
         "converge": {"scales": [5, 25], "reps": 2},
     })
@@ -329,8 +326,19 @@ def test_fluid_command_work_is_bounded(tmp_path, capsys, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(numerics, name, counting(name))
-    cfg = write_config(tmp_path, {"model": {"classes": KINK_CLASSES},
-                                  "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.02}})
+    cfg = write_config(tmp_path, {
+        "model": {"classes": [
+            {"arrival": {"family": "exponential", "rate": 1.5},
+             "service": {"family": "exponential", "rate": 1.0},
+             "deadline": {"family": "uniform_mixture", "components": [
+                 {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+                 {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+            {"arrival": {"family": "exponential", "rate": 1.0},
+             "service": {"family": "exponential", "rate": 2.0},
+             "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+        ]},
+        "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.02},
+    })
     code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     used = dict(calls)

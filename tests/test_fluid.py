@@ -532,6 +532,11 @@ def test_tau_is_the_leftmost_root_at_relative_precision(case, c, frac):
             assert path.phi(s) >= t * (1.0 - 4.0 * eps)
             delta = 1e-12 * max(t, 1e-300)
             assert s - delta < 0.0 or path.phi(s - delta) < t
+            # phi's cubic pieces are the Hermite spline of w plus s
+            for u in (s, s - delta):
+                if u >= 0.0:
+                    direct = path(u) + u
+                    assert abs(path.phi(u) - direct) <= 4.0 * math.ulp(direct)
 
 
 def test_tau_does_not_depend_on_the_time_unit():
