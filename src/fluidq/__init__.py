@@ -14,9 +14,9 @@ from .fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, invariant_state,
                     residual_deadline_limit, solve_fluid, solve_workload)
-from .measures import (AtomicMeasure2D, Box, EvolveResult, Exit, box_masses,
-                       corner_distance, corner_mass, eval_box, evolve,
-                       rect_distance, upper_right)
+from .measures import (AtomicMeasure2D, Box, box_masses, corner_distance,
+                       corner_mass, eval_box, evolve, rect_distance,
+                       upper_right)
 from .scaling import (ReportRow, ScalingError, ScalingPlan, ScalingReport,
                       corner_regularity_probe, default_rect_grid, run_plan)
 from .simulate import (ClassSpec, Empty, JobRecord, SimConfig, SimTrace,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure2D", "Box", "BoxMixtureInitial", "ClassSpec",
     "Deterministic", "Distribution", "DistributionError",
-    "Empty", "EvolveResult", "Exit", "Exponential", "FluidClass",
+    "Empty", "Exponential", "FluidClass",
     "FluidModelError", "FluidModelInput", "FluidSolution", "HyperExponential",
     "InvariantInitial", "InvariantState", "JobRecord", "Replay", "ReportRow",
     "ScalingError", "ScalingPlan", "ScalingReport", "SimConfig", "SimTrace",

@@ -34,7 +34,6 @@ from .distributions import Distribution, require_deadline_law
 from .measures import Box, upper_right
 
 QUAD_TOL = 1e-10
-BAND_TOL = 1e-12
 
 
 class FluidModelError(ValueError):
@@ -99,49 +98,24 @@ class FluidModelInput:
 
 
 def equilibrium_band(model: FluidModelInput) -> tuple[float, float]:
-    """Endpoints of the fixed-point interval {u : sum_k rho_k G_k(u) = 1}.
+    """Endpoints of the fixed-point interval {u : sum_k rho_k G_k(u) = 1},
+    exact to the float.
 
     The load u -> sum rho_k G_k(u) is nonincreasing from rho > 1 to 0, so
     its level-1 set is a nonempty closed interval; a flat stretch of some
-    G_k at the right height makes it nondegenerate. Both endpoints land
-    strictly inside (0, d_max).
+    G_k at the right height makes it nondegenerate. By Markov's inequality
+    G_k(u) <= E[D_k] / u, so the load is at most 1/2 at twice
+    sum_k rho_k E[D_k], which brackets both endpoints. One bisection finds
+    w_l, the leftmost float with load <= 1, and the leftmost float with
+    load < 1; the float before the latter is w_u. Where no float has load
+    exactly 1, the band is the single float w_l.
     """
-    load = model.load_survival
-    hi = model.d_max
-    if not math.isfinite(hi):
-        hi = 1.0
-        while load(hi) >= 1.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise FluidModelError("no finite equilibrium; deadline tails too heavy")
-
-    # w_l: leftmost u with load(u) <= 1 (bracket keeps load(a) > 1 >= load(b)).
-    a, b = 0.0, hi
-    while b - a > BAND_TOL:
-        m = 0.5 * (a + b)
-        if m in (a, b):     # adjacent floats: spacing exceeds BAND_TOL here
-            break
-        if load(m) <= 1.0:
-            b = m
-        else:
-            a = m
-    w_l = b
-
-    # w_u: rightmost u with load(u) >= 1 (bracket keeps load(a) >= 1 > load(b)).
-    a, b = 0.0, hi
-    while b - a > BAND_TOL:
-        m = 0.5 * (a + b)
-        if m in (a, b):
-            break
-        if load(m) >= 1.0:
-            a = m
-        else:
-            b = m
-    w_u = a
-
-    if w_l > w_u:  # degenerate band: both bisections pinned the same root
-        w_l = w_u = 0.5 * (w_l + w_u)
-    return w_l, w_u
+    hi = 2.0 * math.fsum(c.rho * c.deadline.mean() for c in model.classes)
+    levels = np.array([1.0, 0.9999999999999999])   # load <= 1 and load < 1
+    w_l, past = numerics.bisect_leftmost(
+        lambda u: model.load_survival(u) <= levels, np.zeros(2), hi)
+    w_u = numerics._key_float(numerics._float_key(past) - 1)
+    return float(w_l), float(max(w_l, w_u))
 
 
 class WorkloadPath:
@@ -222,9 +196,9 @@ class WorkloadPath:
         For t in [0, T], tau(t) <= t is the arrival epoch whose work reaches
         the server at time t, and min(tau(x), t) the first arrival of [0, t]
         whose frontier has reached x by then. One searchsorted of x among
-        phi's node values brackets each root in one cubic piece; a lockstep
-        bisection over the floats of that piece (at most 63 passes) then
-        gives the leftmost float s with phi(s) >= x.
+        phi's node values brackets each root in one cubic piece, and
+        numerics.bisect_leftmost over the floats of that piece gives the
+        leftmost float s with phi(s) >= x.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
@@ -235,15 +209,8 @@ class WorkloadPath:
             target = flat[inner]
             i = np.searchsorted(nodes, target, side="left") - 1
             coef, left = c[:, i], self.grid_t[i]
-            # Nonnegative floats order like their bit patterns.
-            lo, hi = left.view(np.int64), self.grid_t[i + 1].view(np.int64)
-            # A pass leaves each gap at most its half rounded up, so this
-            # many passes bring every bracket down to adjacent floats.
-            for _ in range(int((hi - lo).max() - 1).bit_length()):
-                mid = lo + ((hi - lo) >> 1)
-                reached = _cubic(coef, mid.view(np.float64) - left) >= target
-                lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
-            out[inner] = hi.view(np.float64)
+            out[inner] = numerics.bisect_leftmost(
+                lambda s: _cubic(coef, s - left) >= target, left, self.grid_t[i + 1])
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def waiting_integral(self, k: int, lo, hi):

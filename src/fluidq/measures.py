@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import numerics
 
 SERVICE = "service"
 ABANDONMENT = "abandonment"
@@ -49,15 +51,6 @@ class Box:
 def upper_right(x: float, y: float) -> Box:
     """The rectangle [x, inf) x [y, inf)."""
     return Box(x, math.inf, y, math.inf)
-
-
-class Exit(NamedTuple):
-    """An atom removed by evolve, with the boundary it hit."""
-
-    w: float
-    p: float
-    mass: float
-    cause: str
 
 
 class AtomicMeasure2D:
@@ -121,30 +114,12 @@ def eval_box(measure: AtomicMeasure2D, box: Box) -> float:
     return float(measure.mass[inside].sum())
 
 
-class EvolveResult(NamedTuple):
-    measure: AtomicMeasure2D
-    exits: list[Exit]
-
-
-def evolve(measure: AtomicMeasure2D, h: float) -> EvolveResult:
-    """Shift every atom by (-h, -h) and remove the atoms a boundary caught.
-
-    A removed atom left through service if its w coordinate would reach zero
-    strictly first, through abandonment otherwise; the tie (both coordinates
-    zero together) counts as abandonment, matching the convention that a job
-    whose patience equals the workload ahead of it gives up.
-    """
+def evolve(measure: AtomicMeasure2D, h: float) -> AtomicMeasure2D:
+    """Shift every atom by (-h, -h), dropping the atoms a boundary caught."""
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    w, p = measure.w - h, measure.p - h
-    gone = (w <= 0) | (p <= 0)
-    exits = [
-        Exit(float(wi), float(pi), float(mi),
-             SERVICE if wi < pi else ABANDONMENT)
-        for wi, pi, mi in zip(measure.w[gone], measure.p[gone], measure.mass[gone])
-    ]
-    kept = AtomicMeasure2D.from_arrays(w, p, measure.mass, class_id=measure.class_id)
-    return EvolveResult(kept, exits)
+    return AtomicMeasure2D.from_arrays(measure.w - h, measure.p - h, measure.mass,
+                                       class_id=measure.class_id)
 
 
 def corner_distance(w, p, x: float, y: float):
@@ -186,31 +161,6 @@ def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
     return tail[ka, kc] - tail[kb, kc] - tail[ka, kd] + tail[kb, kd]
 
 
-_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _float_key(c: np.ndarray) -> np.ndarray:
-    """Order-preserving int64 image of a float array (both zeros map to 0)."""
-    bits = c.view(np.int64)
-    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
-
-
-def _key_float(key: np.ndarray) -> np.ndarray:
-    return np.where(key < 0, (-key) | ~_MAGNITUDE, key).view(np.float64)
-
-
-def _lowest(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-            width: np.ndarray) -> np.ndarray:
-    """Smallest float c with inside(c), for an up-set whose edge lies
-    strictly within width of start, by bisection over the floats."""
-    lo, hi = _float_key(start - width), _float_key(start + width)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        ok = inside(_key_float(mid))
-        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-    return _key_float(hi)
-
-
 def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]],
                 kappas: Sequence[float]) -> np.ndarray:
     """Mass strictly within distance kappa of each corner set, as an array
@@ -237,10 +187,14 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
     # Each cut lies within one ulp of max(|x|, |y|, kappa) of x +- kappa or
     # y +- kappa, so four such ulps bracket it.
     width = 4 * np.spacing(np.maximum(np.maximum(abs(x), abs(y)), kap))
-    w_hi = _lowest(lambda e: e - x >= kap, x + kap, width)   # w - x < kappa below it
-    w_lo = _lowest(lambda e: x - e < kap, x - kap, width)    # x - w < kappa from it on
-    p_hi = _lowest(lambda e: e - y >= kap, y + kap, width)
-    p_lo = _lowest(lambda e: y - e < kap, y - kap, width)
+
+    def cut(inside, start):
+        return numerics.bisect_leftmost(inside, start - width, start + width)
+
+    w_hi = cut(lambda e: e - x >= kap, x + kap)   # w - x < kappa below it
+    w_lo = cut(lambda e: x - e < kap, x - kap)    # x - w < kappa from it on
+    p_hi = cut(lambda e: e - y >= kap, y + kap)
+    p_lo = cut(lambda e: y - e < kap, y - kap)
     inf = np.full_like(w_hi, np.inf)
     xs, ys = np.broadcast_to(x, inf.shape), np.broadcast_to(y, inf.shape)
     # [w_lo, w_hi) x [y, inf), [w_hi, inf) x [y, p_hi) and [x, inf) x [p_lo, y)

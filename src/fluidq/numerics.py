@@ -3,10 +3,11 @@
 Kept deliberately small: a classical fixed-step RK4 with step-halving
 validation, an adaptive Gauss-Legendre panel integrator for continuous
 integrands with a vector form that builds an antiderivative on given
-panels, and a bisection for nondecreasing functions. The right-hand
-sides here are bounded, Lipschitz and smooth between the deadline knots,
-and the fluid solver calls the RK4 once per smooth piece, so an embedded
-adaptive pair would buy nothing.
+panels, and one bisection over the floats for the leftmost float at which
+a monotone predicate holds. The right-hand sides here are bounded,
+Lipschitz and smooth between the deadline knots, and the fluid solver
+calls the RK4 once per smooth piece, so an embedded adaptive pair would
+buy nothing.
 """
 from __future__ import annotations
 
@@ -147,26 +148,39 @@ def cumulative_integral(f, edges: np.ndarray, tol: float) -> tuple[np.ndarray, n
     return np.append(starts, edges[-1]), np.concatenate([[0.0], np.cumsum(values)])
 
 
-def bisect_leftmost(f: Callable[[float], float], lo: float, hi: float,
-                    target: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Leftmost point where the nondecreasing f reaches target.
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
-    Assumes f(hi) >= target; returns hi if the assumption fails by rounding.
-    The bracket [lo, hi] is halved keeping f(hi) >= target > f(lo-side),
-    so the result is within tol of inf{s : f(s) >= target}.
+
+def _float_key(c) -> np.ndarray:
+    """Order-preserving int64 image of a float array (both zeros map to 0)."""
+    bits = np.asarray(c, dtype=float).view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+
+
+def _key_float(key: np.ndarray) -> np.ndarray:
+    return np.where(key < 0, (-key) | ~_MAGNITUDE, key).view(np.float64)
+
+
+def bisect_leftmost(holds: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """Smallest float s in (lo, hi] with holds(s), elementwise.
+
+    holds is a vectorized predicate, false at lo and monotone up to
+    rounding; lo and hi broadcast against each other and against holds'
+    result. The bracket is halved over the order-preserving int64 keys of
+    the floats, in lockstep over all lanes, so a call makes at most 64
+    passes of holds and none when every lane's bracket is one float wide.
+    A lane where holds never comes true returns its hi.
     """
-    if f(lo) >= target:
-        return lo
-    a, b = lo, hi
-    it = 0
-    while b - a > tol and it < max_iter:
-        m = 0.5 * (a + b)
-        if f(m) >= target:
-            b = m
-        else:
-            a = m
-        it += 1
-    return b
+    lo, hi = _float_key(lo), _float_key(hi)
+    gap = (hi - lo).view(np.uint64)     # exact where hi - lo overflows int64
+    # A pass leaves each gap at most its half rounded up, so this many
+    # passes bring every bracket down to adjacent floats.
+    for _ in range((int(gap.max()) - 1).bit_length()):
+        mid = lo + (gap >> 1).view(np.int64)
+        ok = holds(_key_float(mid))
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+        gap = (hi - lo).view(np.uint64)
+    return _key_float(hi)
 
 
 def sig17(x: float) -> str:

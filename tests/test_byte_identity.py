@@ -26,7 +26,7 @@ CONFIGS = {
         "sim": {"horizon": 2.0, "seed": 42},
         "converge": {"scales": [5, 25], "reps": 2, "time_grid": [0.0, 1.0, 2.0]},
     },
-    # two classes from a warm start; the workload band (0.5454...) sits
+    # two classes from a warm start; the workload band (6/11) sits
     # below every deadline knot, so the fluid solve crosses no kink
     "two_class_warm": {
         "model": {"classes": [
@@ -46,14 +46,18 @@ CONFIGS = {
 # output in place of PCHIP: fluid values moved by at most 1.6e-10. Re-pinned
 # when tau became the exact leftmost root and the waiting integrals a
 # cumulative antiderivative: fluid values moved by at most 5.1e-11.
+# two_class_warm re-pinned when the equilibrium band became exact to the
+# float: w_u moved from 0.5454545454543904 to 0.5454545454545455 (6/11 is
+# between it and w_l), so the 4 * w_u warm-up and every time after it moved
+# by at most 6.2e-13 and fluid values by at most 4.5e-14.
 GOLDEN = {
     "markov_empty": {
         "report.csv": "f59a091b83443bd47d016c8ed9c7ec82196a76621b559b9de047404a9ef66228",
         "summary.json": "d3cff32dae1c8fe8c1ecb421c776dd560c8b6032b88364e1152925a9843dafcf",
     },
     "two_class_warm": {
-        "report.csv": "bbe991de1802b80c5adfd41e3fb9c132321e4b94c60d7d5c5b8d4ca22bd10ccd",
-        "summary.json": "248a243c8b67240bde90c2121178ea9be6b74dbe5ccd2ce0751012ad981bfd24",
+        "report.csv": "457e4f82f2ff62534e4aa20d56c76eeb89dad70cb04167027dd2e5dfb4b1538a",
+        "summary.json": "bb4b93b3a5bd1719b02d051509a76986e09253a7fefac7457ddacb76976abe16",
     },
 }
 
@@ -92,11 +96,14 @@ SIMULATE_CONFIG = {
 
 # Re-pinned when HyperExponential moved from numerical inversion of the
 # mixture CDF to composition: the same uniforms map to different (equally
-# distributed) interarrival times, so every artifact moved.
+# distributed) interarrival times, so every artifact moved. Re-pinned when
+# the equilibrium band became exact to the float: w_u moved from
+# 0.6666666666668561 to 0.6666666666666666, so the 4 * w_u warm-up and
+# every time moved by at most 7.6e-13, and no count or exit cause moved.
 SIMULATE_GOLDEN = {
-    "jobs.csv": "d8f5dcbd182e76bcbb09a8c1035a6e78c29d6d0e480920a85bd5f9b2d0ebf3dc",
-    "workload.csv": "85512eb3e24eae864dfcd5966c2e7abc122bfc67fe3e5c13ad1d84cf6b9f03ec",
-    "snapshot.csv": "0890157f1cf4ddac51444402ffdc7cb176cc0fa0f49c8bde35e9142c512296ae",
+    "jobs.csv": "3311fc71ccf6eddd40daee1e972de7b562ed40d7bc692eb661ddd8fd97f77f5b",
+    "workload.csv": "c950ecd327cd9996d9260aab1fab73d22bb6f1d95db89ddba20ea6b4a64bb898",
+    "snapshot.csv": "47089295595a631c5f23383b72ec4861dc2881a9875ac15cb78187b299febd11",
 }
 
 

@@ -310,46 +310,61 @@ def test_warm_converge_across_deadline_knots_is_quick(tmp_path, capsys):
 
 
 def test_fluid_command_work_is_bounded(tmp_path, capsys, monkeypatch):
-    """`fluidq fluid` across two kinks: no frontier bisection, and no
-    quadrature beyond the knot-crossing times of the workload solve."""
+    """`fluidq fluid` across two kinks: as many bisections on a ten times
+    finer time grid, each of at most 64 passes, and no quadrature beyond
+    the knot-crossing times of the workload solve."""
     from fluidq import fluid, numerics
 
+    bisect, integrate = numerics.bisect_leftmost, numerics.integrate
     calls = {"integrate": 0, "bisect_leftmost": 0}
+    passes = []
 
-    def counting(name):
-        original = getattr(numerics, name)
+    def counting_bisect(holds, lo, hi):
+        calls["bisect_leftmost"] += 1
+        passes.append(0)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+        def counted(s):
+            passes[-1] += 1
+            return holds(s)
+        return bisect(counted, lo, hi)
 
-    for name in calls:
-        monkeypatch.setattr(numerics, name, counting(name))
-    cfg = write_config(tmp_path, {
-        "model": {"classes": [
-            {"arrival": {"family": "exponential", "rate": 1.5},
-             "service": {"family": "exponential", "rate": 1.0},
-             "deadline": {"family": "uniform_mixture", "components": [
-                 {"weight": 0.5, "lo": 0.0, "hi": 1.0},
-                 {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
-            {"arrival": {"family": "exponential", "rate": 1.0},
-             "service": {"family": "exponential", "rate": 2.0},
-             "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
-        ]},
-        "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.02},
-    })
-    code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
-    assert code == 0
-    used = dict(calls)
+    def counting_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "bisect_leftmost", counting_bisect)
+    monkeypatch.setattr(numerics, "integrate", counting_integrate)
+
+    def work(grid_step):
+        cfg = write_config(tmp_path, {
+            "model": {"classes": [
+                {"arrival": {"family": "exponential", "rate": 1.5},
+                 "service": {"family": "exponential", "rate": 1.0},
+                 "deadline": {"family": "uniform_mixture", "components": [
+                     {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+                     {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+                {"arrival": {"family": "exponential", "rate": 1.0},
+                 "service": {"family": "exponential", "rate": 2.0},
+                 "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+            ]},
+            "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": grid_step},
+        })
+        code, _, _ = run_cli(capsys, "fluid", "--config", cfg,
+                             "--out", str(tmp_path / str(grid_step)))
+        assert code == 0
+        used = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        return used
+
+    coarse, fine = work(0.02), work(0.002)
+    assert 0 < coarse["bisect_leftmost"] == fine["bisect_leftmost"]
+    assert max(passes) <= 64
 
     model = FluidModelInput((
         FluidClass(1.5, 1.0, UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),
         FluidClass(1.0, 2.0, UniformInterval(0.5, 2.5))))
-    calls["integrate"] = 0
     assert len(fluid._knot_crossings(model, 0.0, 3.0, 1e-10)) == 2
-    assert used["bisect_leftmost"] == 0
-    assert used["integrate"] <= calls["integrate"]
+    assert coarse["integrate"] <= calls["integrate"]
 
 
 def test_converge_rejects_scaled_base(tmp_path, capsys):

@@ -187,8 +187,7 @@ def test_equilibrium_band_examples(markovian, uniform_model, gapped_model):
 
 def test_equilibrium_band_returns_where_float_spacing_exceeds_tol(markovian):
     """An Exponential(1e-5) deadline puts the band near 6.9e4, where adjacent
-    floats are farther apart than BAND_TOL; bands that bisection already
-    resolved keep their bits."""
+    floats are 1.5e-11 apart; both bands are exact to the float."""
     far = FluidModelInput((FluidClass(2.0, 1.0, Exponential(1e-5)),))
 
     def stop(signum, frame):
@@ -197,13 +196,44 @@ def test_equilibrium_band_returns_where_float_spacing_exceeds_tol(markovian):
     previous = signal.signal(signal.SIGALRM, stop)
     signal.alarm(10)
     try:
-        w_l, w_u = equilibrium_band(far)
+        assert equilibrium_band(far) == (69314.71805599453,) * 2
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert w_l == pytest.approx(LN2 / 1e-5, rel=1e-9)
-    assert w_u == pytest.approx(LN2 / 1e-5, rel=1e-9)
-    assert equilibrium_band(markovian) == (0.693147180559663, 0.693147180559663)
+    assert equilibrium_band(markovian) == (0.6931471805599453,) * 2
+    assert 0.6931471805599453 == float(np.log(2))
+
+
+@given(c=st.sampled_from([1e-6, 1.0, 1e6]), rho=st.floats(1.2, 4.0),
+       classes=st.lists(st.tuples(st.floats(0.1, 1.0), st.booleans(),
+                                  st.floats(0.1, 10.0), st.floats(0.0, 0.9)),
+                        min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_equilibrium_band_scales_with_the_time_unit(c, rho, classes):
+    """Scaling every deadline by c (Exponential rate / c, Uniform bounds
+    * c) scales the band by c, to 16 ulps, and the band returns promptly
+    at every scale."""
+    total = math.fsum(share for share, *_ in classes)
+
+    def model(scale):
+        return FluidModelInput(tuple(
+            FluidClass(rho * share / total, 1.0,
+                       Exponential(size / scale) if exponential
+                       else UniformInterval(lo * size * scale, size * scale))
+            for share, exponential, size, lo in classes))
+
+    def stop(signum, frame):
+        raise TimeoutError("equilibrium_band did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        base, scaled = equilibrium_band(model(1.0)), equilibrium_band(model(c))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for edge, edge_c in zip(base, scaled):
+        assert abs(edge_c - c * edge) <= 16 * np.spacing(edge_c)
 
 
 def test_band_levels_are_fixed_points(markovian, uniform_model, gapped_model):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidq.measures import (ABANDONMENT, SERVICE, AtomicMeasure2D, Box,
-                             box_masses, corner_distance, corner_mass, eval_box,
-                             evolve, measure_rows, rect_distance, upper_right)
+from fluidq.measures import (AtomicMeasure2D, Box, box_masses, corner_distance,
+                             corner_mass, eval_box, evolve, measure_rows,
+                             rect_distance, upper_right)
 
 dyadic = st.integers(0, 64).map(lambda n: n / 8.0)
 
@@ -52,29 +52,12 @@ def test_measure_is_immutable():
 
 def test_evolve_example():
     m = AtomicMeasure2D([(2.0, 1.0, 1.0), (3.0, 4.0, 1.0)])
-    result = evolve(m, 1.5)
-    assert result.measure.atoms() == [(1.5, 2.5, 1.0)]
-    assert len(result.exits) == 1
-    exit_ = result.exits[0]
-    assert (exit_.w, exit_.p, exit_.mass) == (2.0, 1.0, 1.0)
-    assert exit_.cause == ABANDONMENT
-
-
-def test_evolve_exit_causes():
-    m = AtomicMeasure2D([(0.5, 3.0, 1.0), (3.0, 0.5, 1.0), (0.5, 0.5, 1.0)])
-    result = evolve(m, 1.0)
-    causes = {(e.w, e.p): e.cause for e in result.exits}
-    assert causes[(0.5, 3.0)] == SERVICE
-    assert causes[(3.0, 0.5)] == ABANDONMENT
-    assert causes[(0.5, 0.5)] == ABANDONMENT  # tie goes to abandonment
-    assert len(result.measure) == 0
+    assert evolve(m, 1.5).atoms() == [(1.5, 2.5, 1.0)]
 
 
 def test_evolve_zero_step_is_identity():
     m = AtomicMeasure2D([(1.0, 2.0, 1.0), (3.0, 0.5, 2.0)])
-    result = evolve(m, 0.0)
-    assert result.measure.atoms() == m.atoms()
-    assert result.exits == []
+    assert evolve(m, 0.0).atoms() == m.atoms()
     with pytest.raises(ValueError):
         evolve(m, -0.1)
 
@@ -84,20 +67,19 @@ def test_evolve_zero_step_is_identity():
 def test_evolve_is_a_semigroup_on_dyadic_atoms(coords, h1, h2):
     atoms = [(w + 0.125, p + 0.125, 1.0) for w, p in coords]
     m = AtomicMeasure2D(atoms)
-    once = evolve(m, h1 + h2).measure
-    twice = evolve(evolve(m, h1).measure, h2).measure
+    once = evolve(m, h1 + h2)
+    twice = evolve(evolve(m, h1), h2)
     assert sorted(once.atoms()) == sorted(twice.atoms())
 
 
 @given(st.lists(st.tuples(dyadic, dyadic), max_size=12), dyadic)
 @settings(max_examples=100, deadline=None)
 def test_evolve_conserves_mass(coords, h):
+    """An atom stays exactly when both its coordinates exceed the step."""
     atoms = [(w + 0.125, p + 0.125, 1.0) for w, p in coords]
     m = AtomicMeasure2D(atoms)
-    result = evolve(m, h)
-    kept = result.measure.total_mass
-    exited = sum(e.mass for e in result.exits)
-    assert kept + exited == pytest.approx(m.total_mass, abs=1e-12)
+    staying = sum(mass for w, p, mass in atoms if w > h and p > h)
+    assert evolve(m, h).total_mass == staying
 
 
 def test_corner_mass_examples():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidq.numerics import (bisect_leftmost, cumulative_integral, integrate,
-                             rk4_path, rk4_validated, sig17)
+from fluidq.numerics import (_float_key, _key_float, bisect_leftmost,
+                             cumulative_integral, integrate, rk4_path,
+                             rk4_validated, sig17)
 
 
 def test_rk4_matches_exponential_growth():
@@ -68,20 +69,58 @@ def test_cumulative_integral_splits_only_failing_panels():
     np.testing.assert_allclose(cum, np.expm1(starts), rtol=0, atol=1e-14)
 
 
+def counted(holds):
+    """holds, counting its calls in .passes."""
+    def wrapper(s):
+        wrapper.passes += 1
+        return holds(s)
+    wrapper.passes = 0
+    return wrapper
+
+
 def test_bisect_leftmost_simple_root():
-    root = bisect_leftmost(lambda s: s * s, 0.0, 2.0, target=2.0, tol=1e-12)
-    assert root == pytest.approx(math.sqrt(2), abs=1e-11)
+    # the leftmost float whose square rounds to at least 2 is sqrt(2) itself
+    assert bisect_leftmost(lambda s: s * s >= 2.0, 0.0, 2.0) == math.sqrt(2)
 
 
 def test_bisect_leftmost_finds_left_edge_of_plateau():
-    # f reaches the target at 1 and stays there until 2
-    f = lambda s: min(s, 1.0) + max(s - 2.0, 0.0)
-    root = bisect_leftmost(f, 0.0, 4.0, target=1.0, tol=1e-12)
-    assert root == pytest.approx(1.0, abs=1e-11)
+    # f reaches 1 at s = 1 and stays there until 2
+    def holds(s):
+        return np.minimum(s, 1.0) + np.maximum(s - 2.0, 0.0) >= 1.0
+    assert bisect_leftmost(holds, 0.0, 4.0) == 1.0
 
 
 def test_bisect_leftmost_immediate_hit():
-    assert bisect_leftmost(lambda s: s, 0.5, 2.0, target=0.25) == 0.5
+    # holding everywhere in (lo, hi], the answer is the float after lo
+    assert bisect_leftmost(lambda s: s >= 0.25, 0.5, 2.0) == 0.5000000000000001
+    # a one-float bracket is its own answer, with no pass at all
+    holds = counted(lambda s: s >= 0.25)
+    assert bisect_leftmost(holds, 0.5, 0.5000000000000001) == 0.5000000000000001
+    assert holds.passes == 0
+
+
+@given(st.lists(st.floats(allow_nan=False).filter(lambda t: t > -math.inf),
+                min_size=1, max_size=8)
+       | st.sampled_from([[0.0], [-0.0], [5e-324], [-5e-324], [2.2250738585072014e-308],
+                          [-1.7976931348623157e308], [1.7976931348623157e308]]))
+@settings(max_examples=200, deadline=None)
+def test_bisect_leftmost_returns_the_leftmost_float_at_any_scale(thresholds):
+    """Over the whole line (-inf, inf], every lane lands exactly on the
+    leftmost float >= its threshold, in at most 64 lockstep passes."""
+    t = np.array(thresholds)
+    holds = counted(lambda s: s >= t)
+    got = bisect_leftmost(holds, np.full(len(t), -math.inf), math.inf)
+    assert np.array_equal(got, t)
+    assert holds.passes <= 64
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=2))
+@settings(max_examples=200, deadline=None)
+def test_float_keys_round_trip_and_keep_order(values):
+    x = np.array(values)
+    key = _float_key(x)
+    assert np.array_equal(_key_float(key), x)
+    assert np.array_equal(key[:, None] < key[None, :], x[:, None] < x[None, :])
 
 
 @given(st.floats(-1e300, 1e300, allow_nan=False))

@@ -240,7 +240,7 @@ def test_dynamics_match_measure_evolution(markov_config):
         if np.any((arrivals > t) & (arrivals <= t + h)):
             continue
         for before, after in zip(trace.snapshot(t), trace.snapshot(t + h)):
-            moved = evolve(before, h).measure
+            moved = evolve(before, h)
             got = sorted(after.atoms())
             want = sorted(moved.atoms())
             assert len(got) == len(want)
