@@ -248,7 +248,7 @@ def _fmt(x: float) -> str:
 
 def _time_grid(horizon: float, step: float) -> list[float]:
     count = int(math.floor(horizon / step + 1e-9)) if step > 0 else 0
-    ts = [i * step for i in range(count + 1)]
+    ts = [min(i * step, horizon) for i in range(count + 1)]
     if not ts or ts[-1] < horizon - 1e-12 * max(1.0, horizon):
         ts.append(horizon)
     return ts

@@ -240,7 +240,7 @@ class WorkloadPath:
         return cum[j] + numerics.gl_panels(waiting, starts[j], x)
 
     def _check_time(self, t) -> None:
-        if np.any(t < -1e-9) or np.any(t > self.T + 1e-9):
+        if numerics.outside_horizon(t, self.T):
             raise FluidModelError(f"time {t} outside the solved horizon [0, {self.T}]")
 
 
@@ -587,22 +587,33 @@ def eval_fluid(solution: FluidSolution, k: int, t, box: Box):
     edges into integration limits, and the patience coordinate
     contributes a survival-difference weight with closed-form integral.
     """
+    return _like(t, _eval_boxes(solution, k, _times(solution.workload, t), (box,))[0])
+
+
+def _eval_boxes(solution: FluidSolution, k: int, ts: np.ndarray, boxes) -> np.ndarray:
+    """eval_fluid on each box at the flat, checked times ts, indexed [box,
+    time], from one tau call for the left and right edges of every box.
+    tau and the survival integrals work elementwise, so each entry has the
+    floats of eval_fluid on its box alone."""
     path = solution.workload
-    ts = _times(path, t)
     law = solution.model.classes[k].deadline
     rate = solution.model.classes[k].arrival_rate
-    out = np.array([solution.initial.eval0(solution.model, k, box.shifted(x))
-                    for x in ts.tolist()])
-    lo = np.minimum(path.tau(box.a + ts), ts)
-    hi = np.minimum(path.tau(box.b + ts), ts)
+    out = np.array([[solution.initial.eval0(solution.model, k, box.shifted(x))
+                     for x in ts.tolist()] for box in boxes]).reshape(len(boxes), len(ts))
+    a, b, c, d = (np.array(col)[:, None] for col in zip(*(
+        (box.a, box.b, box.c, box.d) for box in boxes)))
+    lo, hi = np.minimum(path.tau(np.stack([a + ts, b + ts])), ts)
     some = hi > lo
     if some.any():
-        ts, lo, hi = ts[some], lo[some], hi[some]
-        val = _survival_integrals(law, box.c + ts - hi, box.c + ts - lo)
-        if math.isfinite(box.d):
-            val -= _survival_integrals(law, box.d + ts - hi, box.d + ts - lo)
+        ts, c, d = (np.broadcast_to(x, some.shape)[some] for x in (ts, c, d))
+        lo, hi = lo[some], hi[some]
+        val = _survival_integrals(law, c + ts - hi, c + ts - lo)
+        bounded = np.isfinite(d)
+        if bounded.any():
+            ts, d, lo, hi = ts[bounded], d[bounded], lo[bounded], hi[bounded]
+            val[bounded] -= _survival_integrals(law, d + ts - hi, d + ts - lo)
         out[some] += rate * val
-    return _like(t, out)
+    return out
 
 
 def fluid_queue_length(solution: FluidSolution, k: int, t):

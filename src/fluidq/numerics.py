@@ -24,6 +24,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 GL_BLOCK = 128
 # Halvings of a node panel before cumulative_integral accepts it as it is.
 CUMULATIVE_MAX_DEPTH = 12
+# A time query may lie fewer than this many ulps of the horizon outside
+# [0, horizon]. Every in-range query of the test suite lies in [0, horizon]
+# exactly; the margin covers sums such as a grid's i * step, which lands one
+# ulp past a horizon of 0.3 at 3 * 0.1.
+TIME_SLACK_ULPS = 4
+
+
+def outside_horizon(t, horizon: float) -> bool:
+    """Whether any time in t is at least TIME_SLACK_ULPS ulps of the horizon
+    below 0 or above the horizon. The slack scales with the time unit."""
+    slack = TIME_SLACK_ULPS * np.spacing(abs(float(horizon)))
+    return bool(np.any(t <= -slack) or np.any(t >= horizon + slack))
 
 
 def rk4_path(f: Callable[[float], float] | Callable[[np.ndarray], np.ndarray],

@@ -15,19 +15,24 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import mix_seed
-from .fluid import (FluidSolution, ZeroInitial, equilibrium_band, eval_fluid,
+from .fluid import (FluidSolution, ZeroInitial, _eval_boxes, equilibrium_band,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
 from .numerics import sig17
 from .simulate import (DEFAULT_C_GRID, SimConfig, _warmup_duration,
                        fluid_model_of, run)
+
+
+log = logging.getLogger(__name__)
 
 
 class ScalingError(ValueError):
@@ -124,46 +129,60 @@ class ScalingReport:
         self.rows = rows
         self.footer = tuple(footer)
 
+    def _groups(self) -> dict[tuple[int, str], tuple[dict, dict]]:
+        """One pass over the rows: per (n, metric), in order of first
+        appearance, the sup of abs_err per replication and the abs_errs of
+        each (t, class) cell in row order."""
+        groups: dict[tuple[int, str], tuple[dict, dict]] = {}
+        for row in self.rows:
+            sups, cells = groups.setdefault((row.n, row.metric), ({}, {}))
+            sups[row.rep] = max(sups.get(row.rep, 0.0), row.abs_err)
+            cells.setdefault((row.t, row.cls), []).append(row.abs_err)
+        return groups
+
+    @staticmethod
+    def _sup_errors(sups: dict) -> list[float]:
+        return [sups[rep] for rep in sorted(sups)]
+
+    @staticmethod
+    def _sup_of_mean_error(cells: dict) -> float:
+        return max(float(np.mean(errs)) for errs in cells.values())
+
     def sup_errors(self, n: int, metric: str) -> list[float]:
         """Per replication: sup over the time grid (and classes) of the
         absolute error for one metric at one scale."""
-        sups: dict[int, float] = {}
-        for row in self.rows:
-            if row.n == n and row.metric == metric:
-                sups[row.rep] = max(sups.get(row.rep, 0.0), row.abs_err)
-        return [sups[rep] for rep in sorted(sups)]
+        sups, _ = self._groups().get((n, metric), ({}, {}))
+        return self._sup_errors(sups)
 
     def sup_of_mean_error(self, n: int, metric: str) -> float:
         """Sup over the time grid (and classes) of the replication-averaged
         absolute error: the headline convergence statistic."""
-        per_cell: dict[tuple, list[float]] = {}
-        for row in self.rows:
-            if row.n == n and row.metric == metric:
-                per_cell.setdefault((row.t, row.cls), []).append(row.abs_err)
-        if not per_cell:
+        group = self._groups().get((n, metric))
+        if group is None:
             raise ScalingError(f"no rows for n={n}, metric={metric!r}")
-        return max(float(np.mean(errs)) for errs in per_cell.values())
+        return self._sup_of_mean_error(group[1])
 
     def metrics(self) -> list[str]:
         seen = dict.fromkeys(row.metric for row in self.rows)
         return list(seen)
 
     def summary(self) -> list[dict]:
+        groups, metrics = self._groups(), self.metrics()
         out = []
         for n in self.plan.scales:
-            for metric in self.metrics():
-                sups = self.sup_errors(n, metric)
-                if not sups:
+            for metric in metrics:
+                if (n, metric) not in groups:
                     continue
-                arr = np.asarray(sups)
+                sups, cells = groups[n, metric]
+                arr = np.asarray(self._sup_errors(sups))
                 out.append({
                     "n": n,
                     "metric": metric,
-                    "reps": len(sups),
-                    "sup_mean_err": self.sup_of_mean_error(n, metric),
+                    "reps": len(arr),
+                    "sup_mean_err": self._sup_of_mean_error(cells),
                     "mean_sup_err": float(arr.mean()),
                     "max_sup_err": float(arr.max()),
-                    "std_sup_err": float(arr.std(ddof=1)) if len(sups) > 1 else 0.0,
+                    "std_sup_err": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
                 })
         return out
 
@@ -222,7 +241,7 @@ class _FluidTargets:
                 self.age_count[k, u] = values.tolist()
         self.boxes = []     # per class and time, {box: mass}
         for k in classes:
-            masses = np.array([eval_fluid(solution, k, ts, box) for box in rect_grid])
+            masses = _eval_boxes(solution, k, ts, rect_grid)
             self.boxes.append([dict(zip(rect_grid, row)) for row in masses.T.tolist()])
         self.residual_tail = [[[residual_deadline_limit(model, k, t, c) for c in c_grid]
                                for t in grid.tolist()] for k in classes]
@@ -258,6 +277,19 @@ def _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid, rect_edges,
             rows.append(_row(n, rep, t, f"age_count@{u:g}", k, old[k] / n,
                              targets.age_count[k, u][i]))
     return rows
+
+
+def _timed(seconds: dict, section: str, fn, *args):
+    """fn(*args), adding its wall time to seconds[section]."""
+    start = time.perf_counter()
+    out = fn(*args)
+    seconds[section] += time.perf_counter() - start
+    return out
+
+
+def _workload_rows(n, rep, trace, targets, i, t) -> list[ReportRow]:
+    return [_row(n, rep, t, "workload", None, trace.workload_at(t), targets.workload[i]),
+            _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
 
 
 def _residual_rows(n, rep, trace, targets, i, t, c_grid) -> list[ReportRow]:
@@ -303,21 +335,28 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     rows: list[ReportRow] = []
     for n in plan.scales:
         for rep in range(plan.replications):
+            seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
             trace = None    # freed before run builds the next trace
-            trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
+            trace = _timed(seconds, "simulate", run,
+                           replace(plan.base, scale=n, seed=plan.seed(n, rep)))
             workload, state, residual, corner = [], [], [], []
             for i, t in enumerate(grid):
-                workload += [_row(n, rep, t, "workload", None, trace.workload_at(t),
-                                  targets.workload[i]),
-                             _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
-                residual += _residual_rows(n, rep, trace, targets, i, t, c_grid)
-                # One snapshot per time, shared by the state and corner rows.
-                snaps = trace.snapshot(t)
-                state += _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid,
-                                     rect_edges, plan.ages)
-                corner += _corner_rows(n, rep, snaps, t, corners, kappas)
+                workload += _timed(seconds, "workload", _workload_rows,
+                                   n, rep, trace, targets, i, t)
+                residual += _timed(seconds, "residual", _residual_rows,
+                                   n, rep, trace, targets, i, t, c_grid)
+                # One snapshot per time, shared by the state and corner rows;
+                # it counts towards the state section.
+                snaps = _timed(seconds, "state", trace.snapshot, t)
+                state += _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
+                                targets, i, t, rect_grid, rect_edges, plan.ages)
+                corner += _timed(seconds, "corner", _corner_rows,
+                                 n, rep, snaps, t, corners, kappas)
                 del snaps
             rows += workload + state + residual + corner
+            log.debug("run_plan n=%d rep=%d: %d jobs; seconds: %s", n, rep,
+                      len(trace.t_arr), ", ".join(f"{name} {s:.3f}"
+                                                  for name, s in seconds.items()))
 
     footer = (
         f"statistical assertions use R={plan.replications} replications",

@@ -36,6 +36,7 @@ import numpy as np
 from .distributions import Distribution, DistributionError, Replay, stream
 from .fluid import FluidClass, FluidModelInput, equilibrium_band
 from .measures import ABANDONMENT, SERVICE, AtomicMeasure2D
+from .numerics import outside_horizon
 
 
 # Jobs per block of SimTrace's running bound on exit times; a query skips
@@ -444,7 +445,7 @@ class SimTrace:
         return len(self.config.classes)
 
     def _raw(self, t: float) -> float:
-        if t < -1e-12 or t > self.horizon + 1e-9:
+        if outside_horizon(t, self.horizon):
             raise SimulationError(f"time {t} outside the horizon [0, {self.horizon}]")
         return t + self.origin
 
@@ -510,17 +511,35 @@ class SimTrace:
         return win, self._exit(win) > raw
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
-        """Per-class unit-atom measures at (residual sojourn, residual patience)."""
+        """Per-class unit-atom measures at (residual sojourn, residual patience).
+
+        The atoms keep arrival order, which is FIFO order. A job's residual
+        virtual sojourn is the time left until the FIFO frontier reaches it,
+        so in exact arithmetic it is nondecreasing along arrivals, and along
+        each class's arrivals too. The floats can still invert by an ulp,
+        which is why measures check the order before they rely on it.
+
+        One pass per column: the service a job added, v * served, goes onto
+        w_before and d, which for finite services are the floats of
+        _virtual's and _patience's np.where, and elapsed comes off in place.
+        """
         raw = self._raw(t)
         win = self._window(raw)
-        elapsed = raw - self.t_arr[win]
-        rw, rp = self._virtual(win) - elapsed, self._patience(win) - elapsed
+        elapsed = np.subtract(raw, self.t_arr[win])
+        added = self.v[win] * self.served[win]
+        rw = self.w_before[win] + added
+        rw -= elapsed
+        rp = np.add(added, self.d[win], out=added)
+        rp -= elapsed
+        del elapsed     # freed before the atoms are copied out
+        if self.K == 1:
+            return [AtomicMeasure2D.from_arrays(rw, rp, np.ones(len(rw)), class_id=0)]
         cls = self.cls[win]
         out = []
         for k in range(self.K):
             sel = cls == k
             out.append(AtomicMeasure2D.from_arrays(
-                rw[sel], rp[sel], np.ones(int(sel.sum())), class_id=k))
+                rw.compress(sel), rp.compress(sel), np.ones(int(sel.sum())), class_id=k))
         return out
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:

@@ -15,12 +15,13 @@ from fluidq.distributions import (Deterministic, DistributionError,
                                   UniformMixture)
 from fluidq.fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                           FluidModelInput, FluidSolution, InvariantInitial,
-                          ZeroInitial, equilibrium_band, eval_fluid,
+                          WorkloadPath, ZeroInitial, equilibrium_band, eval_fluid,
                           fluid_abandoning, fluid_age_count,
                           fluid_nonabandoning, fluid_queue_length,
                           invariant_state, residual_deadline_limit,
                           solve_fluid, solve_workload)
 from fluidq.measures import Box, upper_right
+from fluidq.numerics import TIME_SLACK_ULPS
 
 LN2 = math.log(2.0)
 
@@ -575,6 +576,24 @@ def test_tau_does_not_depend_on_the_time_unit():
     assert reference == pytest.approx(2.3554401710, abs=1e-9)
     for c in (1e-3, 1e-6):
         assert scaled_path(0, c).tau(3.0 * c) / c == pytest.approx(reference, rel=1e-8)
+
+
+@pytest.mark.parametrize("c", (1e-6, 1.0, 1e6))
+def test_path_time_slack_scales_with_the_horizon(c):
+    """The path answers times fewer than TIME_SLACK_ULPS ulps of T outside
+    [0, T] and rejects the rest, whatever the time unit. The path is the
+    constant one at M/M/1+M's band level, built directly: solving at
+    c = 1e6 takes millions of RK4 steps."""
+    model = scaled_models(c)["markov"]
+    level, _ = equilibrium_band(model)
+    T = 6.0 * c
+    path = WorkloadPath(model, level, T, np.array([0.0, T]), np.array([level, level]),
+                        1e-10, ())
+    slack = TIME_SLACK_ULPS * np.spacing(T)
+    assert path.at(np.array([0.0, T, math.nextafter(T, math.inf)])).tolist() == [level] * 3
+    for t in (T + slack, -slack, T + 1e-9 * c):
+        with pytest.raises(FluidModelError):
+            path(t)
 
 
 def test_tau_takes_arrays(empty_solution):

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluidq.measures import (AtomicMeasure2D, Box, box_masses, corner_distance,
-                             corner_mass, eval_box, evolve, measure_rows,
-                             rect_distance, upper_right)
+from fluidq.measures import (BIN_BLOCK, BUCKET_MIN_ATOMS, AtomicMeasure2D, Box,
+                             _bin, _bucket_bin, _corner_cuts, box_masses,
+                             corner_distance, corner_mass, eval_box, evolve,
+                             measure_rows, rect_distance, upper_right)
 
 dyadic = st.integers(0, 64).map(lambda n: n / 8.0)
 
@@ -129,6 +130,18 @@ def test_corner_mass_empty_measure_and_bad_radius(x, y, kappas, bad):
             corner_mass(m, [(x, y)], [*kappas, bad])
 
 
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-300, 1e3),
+       st.floats(1e-300, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_corner_distance_is_one_hypot_below_left(x, y, dx, dy):
+    """Below-left of the corner both branches of corner_distance are
+    hypot(x - w, y - p), which corner_mass computes alone."""
+    w, p = x - dx, y - dy
+    assume(w < x and p < y)
+    want = corner_distance(np.array([w]), np.array([p]), x, y)
+    assert np.hypot(x - w, y - p).view(np.int64) == want.view(np.int64)[0]
+
+
 @st.composite
 def corner_case(draw):
     """Integer-mass atoms, corners and radii; each atom sits near one corner,
@@ -159,6 +172,135 @@ def test_multi_corner_mass_equals_corner_distance_counts(case):
             for x, y in corners]
     assert corner_mass(m, corners, kappas).tolist() == want
 
+
+def test_one_ulp_inversion_in_w_is_binned_exactly():
+    """A measure whose w steps back by one ulp right at an edge: the sorted
+    fast path would put both atoms of the pair on one side of it."""
+    below = math.nextafter(1.0, 0.0)
+    m = AtomicMeasure2D([(0.5, 2.0, 1.0), (1.0, 0.95, 2.0), (below, 1.9, 1.0),
+                         (below, 0.5, 3.0), (1.5, 1.0, 1.0), (2.0, 0.25, 1.0)])
+    assert np.sum(np.diff(m.w) < 0) == 1
+    boxes = [Box(1.0, math.inf, 0.0, math.inf), Box(0.0, 1.0, 1.0, 2.0),
+             Box(below, 1.0, 0.0, math.inf), Box(1.0, 1.5, 0.5, 1.0)]
+    edges = np.array([(box.a, box.b, box.c, box.d) for box in boxes]).T
+    assert box_masses(m, *edges).tolist() == [eval_box(m, box) for box in boxes]
+    assert box_masses(m, *edges).tolist() == [4.0, 1.0, 4.0, 2.0]
+    corners, kappas = [(1.0, 1.0), (1.0 + 0.05, 1.0)], (0.05, 0.1, 0.5)
+    want = [[float(m.mass[corner_distance(m.w, m.p, x, y) < k].sum()) for k in kappas]
+            for x, y in corners]
+    assert corner_mass(m, corners, kappas).tolist() == want
+
+
+def edge_set(kind, rng):
+    """Sorted distinct edges: a spread grid with ulp neighbours, 0 and 3
+    with a cluster too tight for any bucket (nine floats around 1), or one
+    finite edge; each with +inf."""
+    if kind == "spread":
+        base = rng.choice(np.arange(0.0, 4.0, 0.125), 12)
+        edges = np.concatenate([base, np.nextafter(base, np.inf), [-0.5]])
+    elif kind == "clustered":
+        edges = np.append(1.0 + np.arange(-4, 5) * np.spacing(1.0), [0.0, 3.0])
+    else:
+        edges = np.array([1.0])
+    return np.unique(np.append(edges, np.inf))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from((0, 1, 7, BUCKET_MIN_ATOMS - 1, BUCKET_MIN_ATOMS,
+                          BUCKET_MIN_ATOMS + BIN_BLOCK + 1)),
+       kind=st.sampled_from(("spread", "clustered", "single")), ordered=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_bin_equals_searchsorted_on_every_path(seed, n, kind, ordered):
+    """_bin against np.searchsorted(edges, values, "right"), with values on
+    the edges, one ulp off them and anywhere: sorted values (searched into),
+    unsorted ones below and above BUCKET_MIN_ATOMS (searchsorted, buckets),
+    and edges that buckets cannot separate."""
+    rng = np.random.default_rng(seed)
+    edges = edge_set(kind, rng)
+    finite = edges[np.isfinite(edges)]
+    pool = np.concatenate([finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf),
+                           [np.inf, 1e300]])
+    values = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-1.0, 5.0, n))
+    if ordered:
+        values.sort()
+    want = np.searchsorted(edges, values, side="right")
+    assert _bin(values, edges).tolist() == want.tolist()
+    bucketed = _bucket_bin(values, edges)
+    assert (bucketed is None) == (kind != "spread")
+    if bucketed is not None:
+        assert bucketed.tolist() == want.tolist()
+
+
+@st.composite
+def permuted_case(draw):
+    """A corner_case grown to n atoms on either side of BUCKET_MIN_ATOMS
+    (coordinates drawn with replacement from the corner lines, their
+    kappa-offsets, one ulp off those, and the dyadic grid), plus a
+    permutation of its atoms."""
+    corners = draw(st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=4))
+    kappas = draw(st.lists(st.sampled_from((0.1, 0.125, 0.3, 0.5, 1.0, 2.75))
+                           | radius, min_size=1, max_size=4))
+    n = draw(st.sampled_from((2, 40, BUCKET_MIN_ATOMS - 1, 2 * BUCKET_MIN_ATOMS + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pool(vs):
+        lines = np.array([v + s * k for v in vs for k in (0.0, *kappas) for s in (-1, 1)])
+        return np.concatenate([lines, np.nextafter(lines, -np.inf),
+                               np.nextafter(lines, np.inf), np.arange(0.125, 8.0, 0.125)])
+
+    xs, ys = zip(*corners)
+    w, p = rng.choice(pool(xs), n), rng.choice(pool(ys), n)
+    order = np.argsort(w, kind="stable")
+    m = AtomicMeasure2D.from_arrays(w[order], p[order], rng.integers(1, 5, n).astype(float))
+    return m, corners, kappas, rng.permutation(len(m))
+
+
+@given(permuted_case())
+@settings(max_examples=40, deadline=None)
+def test_box_and_corner_masses_ignore_atom_order(case):
+    """The same atoms sorted by w (the FIFO fast path) and permuted (the
+    fallback), at sizes on both sides of BUCKET_MIN_ATOMS: equal box and
+    corner masses, equal to eval_box and to the corner_distance counts."""
+    m, corners, kappas, perm = case
+    shuffled = AtomicMeasure2D.from_arrays(m.w[perm], m.p[perm], m.mass[perm])
+    boxes = [upper_right(x, y) for x, y in corners] + [
+        Box(x, x + k, y, y + k) for (x, y), k in zip(corners, kappas)]
+    edges = np.array([(box.a, box.b, box.c, box.d) for box in boxes]).T
+    want = [eval_box(m, box) for box in boxes]
+    assert box_masses(m, *edges).tolist() == want
+    assert box_masses(shuffled, *edges).tolist() == want
+    want = [[float(m.mass[corner_distance(m.w, m.p, x, y) < k].sum()) for k in kappas]
+            for x, y in corners]
+    assert corner_mass(m, corners, kappas).tolist() == want
+    assert corner_mass(shuffled, corners, kappas).tolist() == want
+
+
+def test_corner_cuts_are_cached_and_read_only(monkeypatch):
+    """corner_mass bisects its cut points once per distinct (corners,
+    kappas), and hands out the cached arrays read-only."""
+    from fluidq import numerics
+
+    m = AtomicMeasure2D([(1.0, 1.0, 1.0)])
+    corners, kappas = ((0.5, 0.75), (1.25, 1.0)), (0.2, 0.7)
+    bisect = numerics.bisect_leftmost
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return bisect(*args)
+
+    monkeypatch.setattr(numerics, "bisect_leftmost", counting)
+    _corner_cuts.cache_clear()
+    first = corner_mass(m, corners, kappas)
+    assert corner_mass(m, [list(c) for c in corners], list(kappas)).tolist() == first.tolist()
+    assert len(calls) == 4
+    corner_mass(m, corners, (0.2,))
+    assert len(calls) == 8
+    cuts = _corner_cuts(corners, kappas)
+    assert all(not cut.flags.writeable and cut.shape == (2, 2) for cut in cuts)
+
+
+right_edge = dyadic | st.just(math.inf)
 
 right_edge = dyadic | st.just(math.inf)
 

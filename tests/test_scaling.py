@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,3 +234,43 @@ def test_queue_length_depends_on_the_whole_deadline_law():
     # each law's runs sit near its own fluid value, not the other law's
     for z, target in zip(sims, fluid):
         assert abs(np.mean(z) - target) < gap / 10
+
+
+def test_corner_cuts_are_bisected_once_per_plan(monkeypatch):
+    """run_plan makes as many numerics.bisect_leftmost calls for one trace
+    as for six on three scales: the corner cut points are computed once per
+    (corners, kappas), not four times per nonempty snapshot."""
+    from fluidq import measures, numerics
+
+    bisect = numerics.bisect_leftmost
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return bisect(*args)
+
+    monkeypatch.setattr(numerics, "bisect_leftmost", counting)
+
+    def work(scales, reps):
+        measures._corner_cuts.cache_clear()
+        calls.clear()
+        run_plan(ScalingPlan(base=markov_base(seed=6), scales=scales, replications=reps))
+        return len(calls)
+
+    assert work((10,), 1) == work((10, 100, 1000), 2)
+
+
+def test_run_plan_logs_jobs_and_section_times(caplog):
+    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20), replications=1,
+                       time_grid=(0.0, 1.0, 2.0))
+    with caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
+        report = run_plan(plan)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"]
+    assert len(lines) == 2
+    for n, line in zip((5, 20), lines):
+        jobs = len(run(replace(plan.base, scale=n, seed=plan.seed(n, 0))).t_arr)
+        assert line.startswith(f"run_plan n={n} rep=0: {jobs} jobs; seconds: ")
+        for section in ("simulate", "workload", "state", "residual", "corner"):
+            assert f"{section} " in line
+    # the timings stay out of the report
+    assert report.rows == run_plan(plan).rows

@@ -14,6 +14,7 @@ from fluidq.distributions import (Deterministic, DistributionError, Exponential,
                                   HyperExponential, Replay, UniformInterval,
                                   UniformMixture)
 from fluidq.measures import AtomicMeasure2D
+from fluidq.numerics import TIME_SLACK_ULPS
 from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK,
                              RESIDUAL_BLOCK, ClassSpec, Empty, SimConfig,
                              SimulationError, WarmStart, _lindley, fluid_model_of,
@@ -589,6 +590,59 @@ class_specs = st.builds(
 def test_run_equals_scalar_recursion(classes, scale, horizon, seed, initial):
     assert_trace_is_reference(run(SimConfig(tuple(classes), horizon=horizon, scale=scale,
                                             seed=seed, initial=initial)))
+
+
+@given(classes=st.lists(class_specs, min_size=1, max_size=3),
+       scale=st.sampled_from((1, 10, 100, 1000)), seed=st.integers(0, 1000),
+       initial=st.sampled_from((Empty(), WarmStart(0.5), WarmStart(2.0))),
+       frac=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_snapshot_keeps_fifo_order(classes, scale, seed, initial, frac):
+    """Each class's residual virtual sojourns come in arrival order, which
+    is FIFO order, so they are nondecreasing up to rounding: an inversion
+    is at most 4 ulps of the larger of the raw time and the largest w
+    (2.5 at most over 300 random models with one to three classes)."""
+    tr = run(SimConfig(tuple(classes), horizon=3.0, scale=scale, seed=seed,
+                       initial=initial))
+    t = 3.0 * frac
+    for snap in tr.snapshot(t):
+        if len(snap) > 1:
+            drop = np.max(snap.w[:-1] - snap.w[1:])
+            assert drop <= 4 * np.spacing(max(t + tr.origin, np.max(snap.w)))
+
+
+def test_snapshot_equals_the_where_columns(markov_config):
+    """snapshot adds v * served onto w_before and d; for finite services
+    those are the floats of np.where(served, x + v, x), also on a
+    two-class trace, whose classes snapshot takes by mask."""
+    two = replace(markov_config, classes=markov_config.classes * 2, horizon=5.0)
+    for tr in (run(markov_config), run(two)):
+        for t in (0.0, 1.7, tr.horizon):
+            raw = t + tr.origin
+            win = slice(None, int(np.searchsorted(tr.t_arr, raw, side="right")))
+            elapsed = raw - tr.t_arr[win]
+            served = tr.served[win]
+            rw = np.where(served, tr.w_before[win] + tr.v[win], tr.w_before[win]) - elapsed
+            rp = np.where(served, tr.d[win] + tr.v[win], tr.d[win]) - elapsed
+            for k, snap in enumerate(tr.snapshot(t)):
+                keep = (tr.cls[win] == k) & (rw > 0) & (rp > 0)
+                assert snap.w.view(np.int64).tolist() == rw[keep].view(np.int64).tolist()
+                assert snap.p.view(np.int64).tolist() == rp[keep].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("c", (1e-6, 1.0, 1e6))
+def test_time_slack_scales_with_the_horizon(c):
+    """Queries fewer than TIME_SLACK_ULPS ulps of the horizon outside
+    [0, horizon] are answered and the rest rejected, whatever the time unit."""
+    spec = ClassSpec(Exponential(2.0 / c), Exponential(1.0 / c), Exponential(1.0 / c))
+    tr = run(SimConfig((spec,), horizon=6.0 * c, scale=10, seed=3))
+    slack = TIME_SLACK_ULPS * np.spacing(tr.horizon)
+    for t in (0.0, -0.0, tr.horizon, math.nextafter(tr.horizon, math.inf)):
+        tr.snapshot(t)
+        tr.workload_at(t)
+    for t in (tr.horizon + slack, -slack, tr.horizon + 1e-9 * c):
+        with pytest.raises(SimulationError):
+            tr.queue_lengths(t)
 
 
 positive = st.floats(0.01, 3.0)
