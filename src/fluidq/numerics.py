@@ -1,13 +1,11 @@
 """Numerical kernels shared by the fluid solver.
 
-Kept deliberately small: a classical fixed-step RK4 with step-halving
-validation, an adaptive Gauss-Legendre panel integrator for continuous
-integrands with a vector form that builds an antiderivative on given
-panels, and one bisection over the floats for the leftmost float at which
-a monotone predicate holds. The right-hand sides here are bounded,
-Lipschitz and smooth between the deadline knots, and the fluid solver
-calls the RK4 once per smooth piece, so an embedded adaptive pair would
-buy nothing.
+Kept deliberately small: 15-point Gauss-Legendre panels, vectorized, which
+time the level nodes of the workload path; a cumulative antiderivative on
+given panels, checked once per panel against its halves; and one bisection
+over the floats for the leftmost float at which a monotone predicate holds.
+The fixed-step RK4 pair and the adaptive integrator have no caller in the
+package and stay only while the benchmark's tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -22,7 +20,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # both class antiderivatives of a 513-node two-kink path take 2.0 ms at
 # 128, 2.9 ms at 64 and 1.3 ms in one unblocked call.
 GL_BLOCK = 128
-# Halvings of a node panel before cumulative_integral accepts it as it is.
+# Halvings of a node panel before cumulative_integral, or the workload
+# solve's midpoint check, accepts it as it is.
 CUMULATIVE_MAX_DEPTH = 12
 # A time query may lie fewer than this many ulps of the horizon outside
 # [0, horizon]. Every in-range query of the test suite lies in [0, horizon]
@@ -38,6 +37,9 @@ def outside_horizon(t, horizon: float) -> bool:
     return bool(np.any(t <= -slack) or np.any(t >= horizon + slack))
 
 
+# No caller in fluidq since the workload path became the time-to-level
+# integral. bench/tracer.py looks it up by name when it installs, so it stays
+# until the benchmark drops it; so do rk4_validated and integrate.
 def rk4_path(f: Callable[[float], float] | Callable[[np.ndarray], np.ndarray],
              y0: float, T: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 for the autonomous scalar ODE y' = f(y) on [0, T]."""
@@ -56,6 +58,7 @@ def rk4_path(f: Callable[[float], float] | Callable[[np.ndarray], np.ndarray],
     return ts, ys
 
 
+# Kept for bench/tracer.py, which wraps it by name; see rk4_path.
 def rk4_validated(f, y0: float, T: float, tol: float,
                   initial_steps: int = 64, max_steps: int = 1 << 22
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +96,7 @@ def gl_panels(f, a, b) -> np.ndarray:
     return half * (values * _GL_WEIGHTS).sum(axis=-1)
 
 
+# Only a test oracle in fluidq; kept for bench/tracer.py, which wraps it by name.
 def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
     """Adaptive 15-point Gauss-Legendre integration of a vectorized f.
 

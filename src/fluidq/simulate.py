@@ -418,6 +418,7 @@ class SimTrace:
             t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
         for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):
             arr.flags.writeable = False
+        self._last_live = (None,)     # (raw, window, live mask) of the last _live
 
     # Each derived column repeats the pass's float operations (W = w_before + v
     # if served), on the jobs of a query window win, and only what is asked.
@@ -506,9 +507,15 @@ class SimTrace:
         return slice(min(lo, hi), hi)
 
     def _live(self, raw: float) -> tuple[slice, np.ndarray]:
-        """The query window and which of its jobs are in the system at raw."""
-        win = self._window(raw)
-        return win, self._exit(win) > raw
+        """The query window and which of its jobs are in the system at raw.
+        The last answer is kept, read-only: queue_lengths and age_count are
+        asked at the same time, one after the other."""
+        if self._last_live[0] != raw:
+            win = self._window(raw)
+            live = self._exit(win) > raw
+            live.flags.writeable = False
+            self._last_live = (raw, win, live)
+        return self._last_live[1:]
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class unit-atom measures at (residual sojourn, residual patience).

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import signal
 
@@ -120,7 +121,7 @@ def test_workload_matches_closed_form(markovian):
 @pytest.mark.parametrize("w0", [0.0, 0.3, 2.0])
 def test_workload_between_nodes_matches_closed_form(markovian, w0):
     """The dense output keeps the nodes' accuracy: most of these points fall
-    between RK4 nodes."""
+    between path nodes."""
     ts = np.linspace(0.0, 10.0, 100_001)
     path = solve_workload(markovian, w0, 10.0)
     exact = np.log(2.0 - (2.0 - math.exp(w0)) * np.exp(-ts))
@@ -511,9 +512,55 @@ def test_mixture_paths_are_monotone_and_stop_at_the_band(components, rho, start,
     assert np.all(np.diff(ws + ts) > 0)
 
 
+@given(rho=st.floats(1.1, 4.0), rate=st.floats(0.1, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_exponential_paths_stay_on_their_side_of_the_band(rho, rate):
+    """One class with an exponential deadline, over a horizon long enough to
+    reach the band edge: the path from empty never exceeds w_l and the path
+    from above never drops below w_u, at the nodes and on a dense grid.
+    Exponential.survival takes math.exp on scalars and np.exp on arrays, so
+    a fixed point of the scalar load can sit an ulp past the band; the
+    solver evaluates the load on arrays only, as the band's bisection does."""
+    model = FluidModelInput((FluidClass(rho, 1.0, Exponential(rate)),))
+    w_l, w_u = equilibrium_band(model)
+    T = 60.0 / rate
+    ts = np.linspace(0.0, T, 4001)
+    rising = solve_workload(model, 0.0, T)
+    falling = solve_workload(model, 2.0 * w_u + 1.0 / rate, T)
+    assert rising.grid_w.max() <= w_l and rising.at(ts).max() <= w_l
+    assert falling.grid_w.min() >= w_u and falling.at(ts).min() >= w_u
+    assert rising(T) == w_l and falling(T) == w_u
+
+
+def test_paths_stop_at_a_band_edge_on_a_knot(gapped_model):
+    """The gapped model's band [1, 2] has a deadline knot at each edge. The
+    path from empty stops at w_l and the path from 2.5 at w_u, monotonically,
+    and neither counts the edge as a knot crossing."""
+    w_l, w_u = equilibrium_band(gapped_model)
+    assert (w_l, w_u) == pytest.approx((1.0, 2.0), abs=1e-15)
+    for w0, edge in ((0.0, w_l), (2.5, w_u)):
+        path = solve_workload(gapped_model, w0, 60.0)
+        ws = path.at(np.linspace(0.0, 60.0, 6001))
+        assert path.knot_times == ()
+        assert np.all(np.diff(ws) * np.sign(edge - w0) >= 0)
+        assert path(60.0) == edge
+
+
+def test_solve_workload_logs_its_nodes_and_midpoint_error(caplog, kink_model):
+    with caplog.at_level(logging.DEBUG, logger="fluidq.fluid"):
+        path = solve_workload(kink_model, 0.0, 3.0)
+    tol_w = 1e-10 * equilibrium_band(kink_model)[0]
+    assert [r.getMessage() for r in caplog.records if r.name == "fluidq.fluid"] == [
+        f"solve_workload: {path.node_count} nodes, largest midpoint error "
+        f"{path.midpoint_error:.3g} (tol_w {tol_w:.3g})"]
+    assert path.node_count == len(path.grid_t)
+    assert 0 < path.midpoint_error <= tol_w
+
+
 def test_knot_reached_within_tol_of_the_horizon_is_past_it():
-    """0.05 / (1.1 - 1) rounds to just below T = 0.5: that crossing would
-    leave a last piece shorter than one float spacing."""
+    """0.05 / (1.1 - 1) rounds to just below T = 0.5: a knot node within
+    tol * T of the horizon counts as past it, so that crossing leaves no
+    last piece a few ulps long."""
     law = UniformMixture(((1.0, 0.05, 1.0),))
     path = solve_workload(FluidModelInput((FluidClass(1.1, 1.0, law),)), 0.0, 0.5)
     assert path.knot_times == ()
@@ -545,7 +592,7 @@ def scaled_path(case, c):
 
 
 @given(case=st.integers(0, len(FRONTIER_CASES) - 1),
-       c=st.sampled_from((1e-6, 1e-3, 1.0)), frac=st.floats(0.0, 1.1))
+       c=st.sampled_from((1e-6, 1e-3, 1.0, 1e6)), frac=st.floats(0.0, 1.1))
 @example(case=1, c=1e-6, frac=0.0)
 @settings(max_examples=150, deadline=None)
 def test_tau_is_the_leftmost_root_at_relative_precision(case, c, frac):
@@ -571,19 +618,33 @@ def test_tau_is_the_leftmost_root_at_relative_precision(case, c, frac):
 
 
 def test_tau_does_not_depend_on_the_time_unit():
-    """tau(3) on M/M/1+M from empty, read in units of 1e-3 and 1e-6."""
+    """tau(3) on M/M/1+M from empty, read in units of 1e-3, 1e-6 and 1e6."""
     reference = scaled_path(0, 1.0).tau(3.0)
     assert reference == pytest.approx(2.3554401710, abs=1e-9)
-    for c in (1e-3, 1e-6):
+    for c in (1e-3, 1e-6, 1e6):
         assert scaled_path(0, c).tau(3.0 * c) / c == pytest.approx(reference, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", range(len(FRONTIER_CASES)))
+def test_path_nodes_do_not_depend_on_the_time_unit(case):
+    """The level nodes and their tolerance are relative to the level scale,
+    so M/M/1+M and the kink model get the same nodes, scaled, in any time
+    unit."""
+    base = scaled_path(case, 1.0)
+    for c in (1e-6, 1e6):
+        path = scaled_path(case, c)
+        assert path.node_count == base.node_count
+        np.testing.assert_allclose(path.grid_t / c, base.grid_t, rtol=1e-12)
+        np.testing.assert_allclose(path.grid_w / c, base.grid_w, rtol=1e-12, atol=1e-300)
+        assert len(path.knot_times) == len(base.knot_times)
 
 
 @pytest.mark.parametrize("c", (1e-6, 1.0, 1e6))
 def test_path_time_slack_scales_with_the_horizon(c):
     """The path answers times fewer than TIME_SLACK_ULPS ulps of T outside
     [0, T] and rejects the rest, whatever the time unit. The path is the
-    constant one at M/M/1+M's band level, built directly: solving at
-    c = 1e6 takes millions of RK4 steps."""
+    constant one at M/M/1+M's band level, built directly from its two
+    nodes."""
     model = scaled_models(c)["markov"]
     level, _ = equilibrium_band(model)
     T = 6.0 * c
@@ -618,7 +679,8 @@ def test_waiting_integral_matches_adaptive_quadrature(kink_solution):
     path = kink_solution.workload
     assert len(path.knot_times) == 2
     near = [x + d for x in path.knot_times for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
-    nodes = path.grid_t[[1, 77, 200, 311, len(path.grid_t) - 2]].tolist()
+    n = len(path.grid_t)
+    nodes = path.grid_t[[1, *(int(f * n) for f in (0.15, 0.39, 0.61)), n - 2]].tolist()
     limits = sorted([0.0, 0.3, 1.7, 2.9999, 3.0, *near, *nodes])
     for k, cls in enumerate(kink_solution.model.classes):
         def waiting(v):

@@ -497,6 +497,27 @@ def test_trace_window_skips_departed_blocks(query_traces):
     assert win.start >= EXIT_BLOCK and win.start % EXIT_BLOCK == 0
 
 
+def test_live_mask_is_computed_once_per_time(markov_config, monkeypatch):
+    """queue_lengths and age_count at one time share one _exit pass over the
+    query window, as the harness's state rows ask them; a new time takes a
+    new pass, and a time asked again after another gets the same answers."""
+    from fluidq.simulate import SimTrace
+
+    trace = run(markov_config)
+    exits = []
+    exit_pass = SimTrace._exit
+    monkeypatch.setattr(SimTrace, "_exit",
+                        lambda self, win: exits.append(win) or exit_pass(self, win))
+    answers = []
+    for t in (3.0, 14.0, 3.0):
+        before = len(exits)
+        answers.append((trace.queue_lengths(t), trace.age_count(t, 0.5),
+                        trace.age_count(t, 2.0), trace.queue_lengths(t)))
+        assert len(exits) - before == 1
+    assert answers[0] == answers[2]
+    assert answers[0][0] == answers[0][3]
+
+
 def lindley_reference(t_arr, v, d):
     """The scalar Lindley recursion, one job at a time: the reference that
     the chunked pass must equal bit for bit."""
