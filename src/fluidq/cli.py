@@ -26,7 +26,7 @@ from .distributions import (Deterministic, Distribution, DistributionError,
                             Exponential, HyperExponential, Replay,
                             UniformInterval, UniformMixture)
 from .fluid import (BoxMixtureInitial, FluidModelError, InvariantInitial,
-                    ZeroInitial, equilibrium_band, invariant_state, solve_fluid,
+                    ZeroInitial, invariant_state, solve_fluid,
                     fluid_abandoning, fluid_nonabandoning, fluid_queue_length)
 from .measures import Box, measure_rows
 from .numerics import sig17
@@ -271,8 +271,8 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
 
     out = _out_dir(args, cfg)
     try:
-        w_l, w_u = equilibrium_band(model)
-        initial = _fluid_initial(fl, model, (w_l, w_u))
+        w_l, w_u = model.band
+        initial = _fluid_initial(fl, model)
         solution = solve_fluid(model, initial, horizon, tol=tol)
     except (FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
@@ -304,7 +304,7 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     return paths
 
 
-def _fluid_initial(fl: dict, model, band: tuple[float, float]):
+def _fluid_initial(fl: dict, model):
     """Initial fluid state from the fluid block.
 
     Explicit 'initial' wins; otherwise w0 = 0 (or absent) means empty, and
@@ -331,7 +331,7 @@ def _fluid_initial(fl: dict, model, band: tuple[float, float]):
         raise FluidModelError(
             f"fluid.w0 = {w0} exceeds the largest deadline {model.d_max}: "
             "no initial state can hold that much unexpired work")
-    w_l, w_u = band
+    w_l, w_u = model.band
     if w_l - 1e-9 <= w0 <= w_u + 1e-9:
         return InvariantInitial(w0)
     raise FluidModelError(
@@ -469,7 +469,7 @@ def cmd_invariant(cfg: dict, args) -> list[str]:
     out = _out_dir(args, cfg)
     try:
         model = fluid_model_of(sim_cfg)
-        w_l, w_u = equilibrium_band(model)
+        w_l, w_u = model.band
         w = float(args.w) if args.w is not None else w_l
         state = invariant_state(model, w)
     except (SimulationError, FluidModelError, DistributionError) as exc:

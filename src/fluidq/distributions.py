@@ -8,8 +8,8 @@ Every family exposes the same four primitives:
 * ``sup_support()``            -- the exact supremum of the support.
 
 Deadline laws also give ``breakpoints()``, the points where G is not
-smooth; the fluid solver restarts its workload ODE at each one the path
-crosses.
+smooth; the fluid solver makes each one the path crosses a level node, so
+no piece of the workload path spans a kink.
 
 Survival integrals are deliberately closed form per family (never
 quadrature): the fluid performance formulas downstream are built from

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import numerics
 from .distributions import Distribution, require_deadline_law
@@ -40,6 +39,8 @@ QUAD_TOL = 1e-10
 # M/M/1+M. The last node lies within EDGE_EPS epsilons of the band edge.
 GRADING = 4.0
 EDGE_EPS = 4
+# A knot node within KNOT_WINDOW * T of the horizon T counts as past it.
+KNOT_WINDOW = 1e-10
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +105,11 @@ class FluidModelInput:
         """sum_k rho_k G_k(u); the ODE right side plus one."""
         return sum(c.rho * c.deadline.survival(u) for c in self.classes)
 
+    @cached_property
+    def band(self) -> tuple[float, float]:
+        """The equilibrium band (w_l, w_u), bisected once per model."""
+        return equilibrium_band(self)
+
 
 def equilibrium_band(model: FluidModelInput) -> tuple[float, float]:
     """Endpoints of the fixed-point interval {u : sum_k rho_k G_k(u) = 1},
@@ -137,7 +143,7 @@ class WorkloadPath:
     """
 
     def __init__(self, model: FluidModelInput, w0: float, T: float,
-                 ts: np.ndarray, ws: np.ndarray, tol: float,
+                 ts: np.ndarray, ws: np.ndarray,
                  knot_times: tuple[float, ...], *, slopes: np.ndarray | None = None,
                  midpoint_error: float = 0.0):
         self.model = model
@@ -145,14 +151,11 @@ class WorkloadPath:
         self.T = float(T)
         self.grid_t = ts
         self.grid_w = ws
-        self.tol = tol
         self.knot_times = knot_times
         self.midpoint_error = midpoint_error
         if slopes is None:
             slopes = _drift(model, ws)
-        # Hermite coefficients, one column per node interval.
-        self._coef = (CubicHermiteSpline(ts, ws, slopes).c if len(ts) > 1
-                      else np.zeros((4, 0)))
+        self._coef = _hermite_coefficients(ts, ws, slopes)
         self._waiting: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -264,6 +267,22 @@ def _cubic(c: np.ndarray, d):
     return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
 
 
+def _hermite_coefficients(x, y, m) -> np.ndarray:
+    """The cubic Hermite pieces through the nodes (x, y) with slopes m, one
+    column per node interval, highest power first; (4, 0) for one node.
+    The float operations are those of scipy's CubicHermiteSpline, so every
+    coefficient is bitwise its .c."""
+    x, y, m = (np.asarray(a, dtype=float) for a in (x, y, m))
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(m).all()):
+        raise FluidModelError("workload path nodes and slopes must be finite")
+    dx = np.diff(x)
+    if (dx <= 0).any():
+        raise FluidModelError("workload path times must be strictly increasing")
+    slope = np.diff(y) / dx
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
+
+
 def _drift(model: FluidModelInput, w):
     """The ODE right side f(w) = sum_k rho_k G_k(w) - 1."""
     return model.load_survival(np.maximum(w, 0.0)) - 1.0
@@ -303,8 +322,8 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
     T. Each panel starting before T is then checked once, as in
     numerics.cumulative_integral: the Hermite piece at the time of its
     mid-level must be within tol_w = tol * max(w0, edge) of it, or it is
-    halved there. The path ends at (T, w(T)), a knot within tol * T of T
-    counting as past it, or at (T, edge) with slope 0 if it gets there
+    halved there. The path ends at (T, w(T)), a knot within KNOT_WINDOW * T
+    of T counting as past it, or at (T, edge) with slope 0 if it gets there
     first. A node within TIME_SLACK_ULPS ulps of T of a neighbour is
     dropped: no query tells them apart, and so short a piece could
     overflow. w0 in the band, or T = 0, gives the constant path; w0 must be
@@ -322,10 +341,10 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
             f"w0={w0} exceeds the largest deadline support bound {d_max}")
 
     w0, T = float(w0), float(T)
-    w_l, w_u = equilibrium_band(model)
+    w_l, w_u = model.band
     if T == 0 or w_l <= w0 <= w_u:
         ts = np.array([0.0, T]) if T else np.zeros(1)
-        return WorkloadPath(model, w0, T, ts, np.full(len(ts), w0), tol, (),
+        return WorkloadPath(model, w0, T, ts, np.full(len(ts), w0), (),
                             slopes=np.zeros(len(ts)))
     edge = w_l if w0 < w_l else w_u
     tol_w = tol * max(w0, edge)
@@ -370,7 +389,7 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
         # level's slope would take: a monotone piece.
         t, y, s, _ = nodes[:, -1]
         nodes = np.append(nodes, [[t + (edge - y) / s], [edge], [0.0], [0.0]], axis=1)
-    past = (nodes[0] >= T) | ((nodes[3] > 0) & (nodes[0] >= T - tol * T))
+    past = (nodes[0] >= T) | ((nodes[3] > 0) & (nodes[0] >= T - KNOT_WINDOW * T))
     end = [T, edge, 0.0, 0.0]
     if past.any():
         j = int(np.argmax(past))
@@ -383,7 +402,7 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
     ts, ws, slopes, knot = nodes[:, np.concatenate([[True], apart[:-1] & apart[1:], [True]])]
     log.debug("solve_workload: %d nodes, largest midpoint error %.3g (tol_w %.3g)",
               len(ts), worst, tol_w)
-    return WorkloadPath(model, w0, T, ts, ws, tol, tuple(ts[knot > 0].tolist()),
+    return WorkloadPath(model, w0, T, ts, ws, tuple(ts[knot > 0].tolist()),
                         slopes=slopes, midpoint_error=worst)
 
 
@@ -469,7 +488,7 @@ class InvariantInitial(InitialFluidMeasure):
     w: float
 
     def validate(self, model: FluidModelInput) -> None:
-        w_l, w_u = equilibrium_band(model)
+        w_l, w_u = model.band
         if not (w_l - 1e-9 <= self.w <= w_u + 1e-9):
             raise FluidModelError(
                 f"invariant level w={self.w} outside the equilibrium band "
@@ -587,10 +606,6 @@ class FluidSolution:
     @property
     def w0(self) -> float:
         return self.workload.w0
-
-    @cached_property
-    def band(self) -> tuple[float, float]:
-        return equilibrium_band(self.model)
 
 
 def solve_fluid(model: FluidModelInput, initial: InitialFluidMeasure,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import mix_seed
-from .fluid import (FluidSolution, ZeroInitial, _eval_boxes, equilibrium_band,
+from .fluid import (FluidSolution, ZeroInitial, _eval_boxes,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
@@ -50,7 +50,7 @@ def default_rect_grid(config: SimConfig) -> tuple[Box, ...]:
     scale d~ = min(sup deadline support, 3 * the largest mean deadline).
     """
     model = fluid_model_of(config)
-    _, w_u = equilibrium_band(model)
+    _, w_u = model.band
     xs = np.linspace(0.0, w_u + model.d_tilde, 6)
     ys = np.linspace(0.0, model.d_tilde, 6)
     return tuple(upper_right(float(x), float(y)) for x in xs for y in ys)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import Distribution, DistributionError, Replay, stream
-from .fluid import FluidClass, FluidModelInput, equilibrium_band
+from .fluid import FluidClass, FluidModelInput
 from .measures import ABANDONMENT, SERVICE, AtomicMeasure2D
 from .numerics import outside_horizon
 
@@ -183,7 +183,7 @@ def _warmup_duration(config: SimConfig) -> float:
         if config.initial.duration < 0:
             raise SimulationError("warm-up duration must be nonnegative")
         return config.initial.duration
-    _, w_u = equilibrium_band(fluid_model_of(config))
+    _, w_u = fluid_model_of(config).band
     return 4.0 * w_u
 
 

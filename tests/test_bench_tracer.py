@@ -3,8 +3,9 @@
 bench/tracer.py replaces fluidq functions and methods by name; a rename in
 fluidq would silently zero its counters. Tracing a tiny run_plan here
 makes such a rename fail the test suite instead of the traced benchmark,
-tracing a kink-crossing fluid solve bounds its nodes and load evaluations, and
-tracing one simulation bounds the memory its trace retains per job. A
+tracing a kink-crossing fluid solve bounds its nodes and load evaluations,
+tracing fluid_kink's command counts its band bisections, and tracing one
+simulation bounds the memory its trace retains per job. A
 tiny simulate_large run through bench/workloads.py, traced and checked,
 keeps the calls that workload makes working.
 """
@@ -71,6 +72,22 @@ def test_tracer_bounds_kink_solve_work():
     assert len(solution.workload.knot_times) == 2
     assert solution.workload.node_count <= 300
     assert tracer.stats["fluid.solve"][0] > 0
+
+
+def test_traced_fluid_kink_bisects_the_band_once(tmp_path):
+    """The fluid_kink workload's `fluidq fluid` run reads the band from its
+    model four times (the command, the solve, both band-edge invariant
+    states) and bisects it once."""
+    kink = load_bench("workloads").FluidKink
+    inputs = kink.setup(1, True, str(tmp_path))
+    tracer = load_bench("tracer").Tracer()
+    tracer.install()
+    try:
+        result = kink.operate(inputs)
+    finally:
+        tracer.uninstall()
+    assert result["exit_code"] == 0
+    assert tracer.metrics(wall_s=1.0, bytes_written=0)["fluid.band_calls"] == 1
 
 
 def test_tracer_bounds_trace_bytes_per_job():

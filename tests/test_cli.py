@@ -25,6 +25,22 @@ MARKOV_CLASS = {
     "deadline": {"family": "exponential", "rate": 1.0},
 }
 
+# Two classes whose workload path from empty crosses the deadline knots at
+# 0.5 and 1 on its way up to the band {1.5}.
+KINK_FLUID_CONFIG = {
+    "model": {"classes": [
+        {"arrival": {"family": "exponential", "rate": 1.5},
+         "service": {"family": "exponential", "rate": 1.0},
+         "deadline": {"family": "uniform_mixture", "components": [
+             {"weight": 0.5, "lo": 0.0, "hi": 1.0},
+             {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+        {"arrival": {"family": "exponential", "rate": 1.0},
+         "service": {"family": "exponential", "rate": 2.0},
+         "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+    ]},
+    "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.1},
+}
+
 HAND_TRACE_CLASS = {
     "arrival": {"family": "replay", "samples": [1.0, 1.0, 1.0]},
     "service": {"family": "replay", "samples": [5.0, 5.0, 5.0]},
@@ -338,16 +354,7 @@ def test_fluid_command_work_is_bounded(tmp_path, capsys, monkeypatch):
 
     def work(grid_step):
         cfg = write_config(tmp_path, {
-            "model": {"classes": [
-                {"arrival": {"family": "exponential", "rate": 1.5},
-                 "service": {"family": "exponential", "rate": 1.0},
-                 "deadline": {"family": "uniform_mixture", "components": [
-                     {"weight": 0.5, "lo": 0.0, "hi": 1.0},
-                     {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
-                {"arrival": {"family": "exponential", "rate": 1.0},
-                 "service": {"family": "exponential", "rate": 2.0},
-                 "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
-            ]},
+            **KINK_FLUID_CONFIG,
             "fluid": {"w0": 0.0, "horizon": 3.0, "grid_step": grid_step},
         })
         code, _, _ = run_cli(capsys, "fluid", "--config", cfg,
@@ -361,6 +368,58 @@ def test_fluid_command_work_is_bounded(tmp_path, capsys, monkeypatch):
     assert 0 < coarse["bisect_leftmost"] == fine["bisect_leftmost"]
     assert max(passes) <= 64
     assert coarse["integrate"] == fine["integrate"] == 0
+
+
+def test_fluid_command_bisects_the_band_once(tmp_path, capsys, monkeypatch):
+    """One `fluidq fluid` run computes the equilibrium band once: the
+    command, the workload solve and both band-edge invariant states read
+    the model's cached band."""
+    from fluidq import fluid
+
+    band = fluid.equilibrium_band
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return band(model)
+
+    monkeypatch.setattr(fluid, "equilibrium_band", counting)
+    cfg = write_config(tmp_path, KINK_FLUID_CONFIG)
+    code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """fluidq runs on numpy alone: importing it and running `fluid`,
+    `simulate` and `converge` once each loads no scipy module. The check
+    runs in a child process, since the tests' oracles load scipy here."""
+    runs = [
+        ["fluid", "--config", write_config(tmp_path, KINK_FLUID_CONFIG, "fluid.json")],
+        ["simulate", "--config", write_config(tmp_path, {
+            "model": {"classes": [MARKOV_CLASS]},
+            "sim": {"horizon": 2.0, "n": 5, "seed": 1}}, "simulate.json")],
+        ["converge", "--config", write_config(tmp_path, {
+            "model": {"classes": [MARKOV_CLASS]},
+            "sim": {"horizon": 2.0, "seed": 1},
+            "converge": {"scales": [2, 4], "reps": 1, "time_grid": [0.0, 1.0, 2.0]},
+        }, "converge.json")],
+    ]
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    script = ("import json, sys\n"
+              "import fluidq.cli\n"
+              "codes = [fluidq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                                if m.split('.')[0] == 'scipy')]))\n")
+    src = os.path.dirname(os.path.dirname(fluidq.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
 
 
 def test_converge_rejects_scaled_base(tmp_path, capsys):

@@ -7,9 +7,10 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 
 from fluidq.distributions import (Deterministic, DistributionError,
                                   Exponential, UniformInterval,
@@ -19,8 +20,8 @@ from fluidq.fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                           WorkloadPath, ZeroInitial, equilibrium_band, eval_fluid,
                           fluid_abandoning, fluid_age_count,
                           fluid_nonabandoning, fluid_queue_length,
-                          invariant_state, residual_deadline_limit,
-                          solve_fluid, solve_workload)
+                          _hermite_coefficients, invariant_state,
+                          residual_deadline_limit, solve_fluid, solve_workload)
 from fluidq.measures import Box, upper_right
 from fluidq.numerics import TIME_SLACK_ULPS
 
@@ -473,7 +474,7 @@ def test_multiclass_conservation():
 
 
 def test_solution_band_property(empty_solution):
-    w_l, w_u = empty_solution.band
+    w_l, w_u = empty_solution.model.band
     assert w_l == pytest.approx(LN2, abs=1e-9)
     assert w_u == pytest.approx(LN2, abs=1e-9)
 
@@ -559,12 +560,64 @@ def test_solve_workload_logs_its_nodes_and_midpoint_error(caplog, kink_model):
 
 def test_knot_reached_within_tol_of_the_horizon_is_past_it():
     """0.05 / (1.1 - 1) rounds to just below T = 0.5: a knot node within
-    tol * T of the horizon counts as past it, so that crossing leaves no
-    last piece a few ulps long."""
+    KNOT_WINDOW * T of the horizon counts as past it, so that crossing
+    leaves no last piece a few ulps long."""
     law = UniformMixture(((1.0, 0.05, 1.0),))
     path = solve_workload(FluidModelInput((FluidClass(1.1, 1.0, law),)), 0.0, 0.5)
     assert path.knot_times == ()
     assert path(0.5) == pytest.approx(0.05, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1.0, 10.0])
+def test_knot_window_does_not_grow_with_tol(kink_model, tol):
+    """A coarse tol coarsens the level nodes, not the knot window: at tol 1
+    and 10 the kink path over T = 50 still ends near the band, within 1e-6
+    of its default-tol end, rather than extrapolating the piece up to its
+    first knot out to T."""
+    end = solve_workload(kink_model, 0.0, 50.0)(50.0)
+    assert solve_workload(kink_model, 0.0, 50.0, tol)(50.0) == pytest.approx(end, abs=1e-6)
+
+
+@st.composite
+def hermite_nodes(draw):
+    """2 to 12 strictly increasing finite times, with gaps from 1e-9 to 1e9
+    relative to a start anywhere in [-1e3, 1e3], and finite values and
+    slopes up to 1e6 in size."""
+    n = draw(st.integers(2, 12))
+    gaps = [draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-9, 9))
+            for _ in range(n - 1)]
+    x = np.cumsum([draw(st.floats(-1e3, 1e3)), *gaps])
+    assume(np.all(np.diff(x) > 0))
+    value = st.floats(-1e6, 1e6)
+    y = np.array([draw(value) for _ in range(n)])
+    m = np.array([draw(value) for _ in range(n)])
+    return x, y, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_nodes())
+def test_hermite_coefficients_are_scipys_bit_for_bit(markovian, nodes):
+    """The workload path's Hermite pieces are CubicHermiteSpline's .c to the
+    bit, and its constructor rejects the nodes scipy rejected: unsorted,
+    duplicate or non-finite times, non-finite values or slopes."""
+    x, y, m = nodes
+    ours = _hermite_coefficients(x, y, m)
+    assert ours.tobytes() == CubicHermiteSpline(x, y, m).c.tobytes()
+
+    def build(x, y, m):
+        return WorkloadPath(markovian, y[0], x[-1], x, y, (), slopes=m)
+
+    assert build(x, y, m)._coef.tobytes() == ours.tobytes()
+    bad = [(x[::-1], y, m), (np.concatenate([x[:1], x[:-1]]), y, m)]
+    for i, array in enumerate((x, y, m)):
+        for value in (math.nan, math.inf):
+            broken = [x, y, m]
+            broken[i] = array.copy()
+            broken[i][-1] = value
+            bad.append(broken)
+    for args in bad:
+        with pytest.raises(FluidModelError):
+            build(*args)
 
 
 def scaled_models(c):
@@ -648,8 +701,7 @@ def test_path_time_slack_scales_with_the_horizon(c):
     model = scaled_models(c)["markov"]
     level, _ = equilibrium_band(model)
     T = 6.0 * c
-    path = WorkloadPath(model, level, T, np.array([0.0, T]), np.array([level, level]),
-                        1e-10, ())
+    path = WorkloadPath(model, level, T, np.array([0.0, T]), np.array([level, level]), ())
     slack = TIME_SLACK_ULPS * np.spacing(T)
     assert path.at(np.array([0.0, T, math.nextafter(T, math.inf)])).tolist() == [level] * 3
     for t in (T + slack, -slack, T + 1e-9 * c):
