@@ -242,10 +242,6 @@ def _write_json(path: str, payload) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return sig17(float(x))
-
-
 def _time_grid(horizon: float, step: float) -> list[float]:
     count = int(math.floor(horizon / step + 1e-9)) if step > 0 else 0
     ts = [min(i * step, horizon) for i in range(count + 1)]
@@ -280,12 +276,12 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     grid = _time_grid(horizon, step)
     path = solution.workload
     ts = np.array(grid)
-    workload_rows = [(_fmt(t), _fmt(w), _fmt(s))
+    workload_rows = [(sig17(t), sig17(w), sig17(s))
                      for t, w, s in zip(grid, path.at(ts), path.tau(ts))]
     columns = [[f(solution, k, ts) for f in (fluid_queue_length, fluid_nonabandoning,
                                               fluid_abandoning)]
                for k in range(len(model.classes))]
-    func_rows = [(_fmt(t), k, *(_fmt(col[i]) for col in columns[k]))
+    func_rows = [(sig17(t), k, *(sig17(col[i]) for col in columns[k]))
                  for i, t in enumerate(grid) for k in range(len(model.classes))]
 
     band = {"w_l": w_l, "w_u": w_u, "d_max": model.d_max}
@@ -388,22 +384,22 @@ def cmd_simulate(cfg: dict, args) -> list[str]:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
     jobs = trace.jobs()
-    job_rows = [(job.cls, job.index, _fmt(job.arrival), _fmt(job.service),
-                 _fmt(job.deadline), _fmt(job.workload_before),
-                 _fmt(job.virtual_sojourn), _fmt(job.patience),
-                 int(job.served), _fmt(job.exit_time), job.exit_cause) for job in jobs]
+    job_rows = [(job.cls, job.index, sig17(job.arrival), sig17(job.service),
+                 sig17(job.deadline), sig17(job.workload_before),
+                 sig17(job.virtual_sojourn), sig17(job.patience),
+                 int(job.served), sig17(job.exit_time), job.exit_cause) for job in jobs]
 
     # a job's virtual sojourn is the workload just after its arrival
-    workload_rows = [(_fmt(0.0), _fmt(trace.workload_at(0.0)))]
-    workload_rows += [(_fmt(job.arrival), _fmt(job.virtual_sojourn)) for job in jobs
+    workload_rows = [(sig17(0.0), sig17(trace.workload_at(0.0)))]
+    workload_rows += [(sig17(job.arrival), sig17(job.virtual_sojourn)) for job in jobs
                       if 0.0 < job.arrival <= trace.horizon]
     if trace.horizon > 0:
-        workload_rows.append((_fmt(trace.horizon), _fmt(trace.workload_at(trace.horizon))))
+        workload_rows.append((sig17(trace.horizon), sig17(trace.workload_at(trace.horizon))))
 
     snap_rows = []
     for measure in trace.snapshot(trace.horizon):
         for cid, w, p, mass in measure_rows(measure):
-            snap_rows.append((cid, _fmt(w), _fmt(p), _fmt(mass)))
+            snap_rows.append((cid, sig17(w), sig17(p), sig17(mass)))
 
     paths = [os.path.join(out, name) for name in
              ("jobs.csv", "workload.csv", "snapshot.csv")]
@@ -442,6 +438,10 @@ def cmd_converge(cfg: dict, args) -> list[str]:
               if "c_grid" in conv else None)
     kappas = (_number_list(conv["kappas"], "converge.kappas")
               if "kappas" in conv else None)
+    for i, kappa in enumerate(kappas or ()):
+        if not 0 < kappa < math.inf:
+            raise _config_error(f"converge.kappas[{i}]",
+                                f"must be positive and finite, got {kappa}")
     ages = (_number_list(conv["ages"], "converge.ages", minimum=0.0)
             if "ages" in conv else (0.25,))
 
@@ -483,11 +483,11 @@ def cmd_invariant(cfg: dict, args) -> list[str]:
         for i in range(5):
             for j in range(5):
                 box = Box(float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1]))
-                rows.append((k, "box", _fmt(box.a), _fmt(box.b), _fmt(box.c),
-                             _fmt(box.d), _fmt(state.measure(k, box))))
-        rows.append((k, "queue_length", "", "", "", "", _fmt(state.queue_length(k))))
-        rows.append((k, "nonabandoning", "", "", "", "", _fmt(state.nonabandoning(k))))
-        rows.append((k, "abandoning", "", "", "", "", _fmt(state.abandoning(k))))
+                rows.append((k, "box", sig17(box.a), sig17(box.b), sig17(box.c),
+                             sig17(box.d), sig17(state.measure(k, box))))
+        rows.append((k, "queue_length", "", "", "", "", sig17(state.queue_length(k))))
+        rows.append((k, "nonabandoning", "", "", "", "", sig17(state.nonabandoning(k))))
+        rows.append((k, "abandoning", "", "", "", "", sig17(state.abandoning(k))))
 
     path = os.path.join(out, "invariant.csv")
     _write_csv(path, ("class", "metric", "a", "b", "c", "d", "value"), rows)

@@ -2,7 +2,7 @@
 
 Every family exposes the same four primitives:
 
-* ``survival(x)``      -- G(x) = P(X > x), closed form, vectorized;
+* ``survival(x)``      -- G(x) = P(X > x), closed form, scalar or array;
 * ``integrate_survival(a, b)`` -- the exact integral of G over [a, b];
 * ``sample(rng, size)``        -- one uniform per variate from a seeded stream;
 * ``sup_support()``            -- the exact supremum of the support.
@@ -53,10 +53,19 @@ def mix_seed(base_seed: int, *path: int) -> int:
 
 
 class Distribution:
-    """Base class; subclasses are immutable value objects."""
+    """Base class; subclasses are immutable value objects that write array
+    kernels only, ``_survival`` and ``_inverse_cdf``. The base class takes
+    scalars through them, so a scalar gets the bits of a one-element array."""
 
     def survival(self, x):
-        """G(x) = P(X > x) for x >= 0 (scalar or ndarray)."""
+        """G(x) = P(X > x) for x >= 0: a float for a scalar x, else an ndarray."""
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(a < 0):
+            raise DistributionError("survival is defined on x >= 0")
+        g = self._survival(a)
+        return float(g[0]) if np.ndim(x) == 0 else g
+
+    def _survival(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def cdf(self, x):
@@ -67,11 +76,12 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Sample(s) from the given stream, one uniform each."""
-        u = rng.random(size)
-        return self._inverse_cdf(u)
+        """Sample(s) from the given stream, one uniform each: a float for
+        size=None, else an ndarray of that size."""
+        x = self._inverse_cdf(rng.random(1 if size is None else size))
+        return float(x[0]) if size is None else x
 
-    def _inverse_cdf(self, u):
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -95,14 +105,29 @@ class Distribution:
         raise NotImplementedError
 
 
-def _check_nonneg_x(x) -> None:
-    if np.any(np.asarray(x) < 0):
-        raise DistributionError("survival is defined on x >= 0")
-
-
 def _check_interval(a: float, b: float) -> None:
     if not (0 <= a <= b):
         raise DistributionError(f"need 0 <= a <= b, got a={a}, b={b}")
+
+
+def _check_weights(weights) -> None:
+    """A mixture's weights: at least one, each positive, summing to 1."""
+    if not weights:
+        raise DistributionError("mixture needs at least one component")
+    for w in weights:
+        if not w > 0:
+            raise DistributionError(f"weights must be positive, got {w}")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > 1e-12:
+        raise DistributionError(f"weights must sum to 1, got {total}")
+
+
+def _uniform_integral(lo: float, hi: float, a: float, b: float) -> float:
+    """Integral over [a, b] of the survival of the uniform law on [lo, hi)."""
+    # G = 1 on [0, lo), linear down to 0 on [lo, hi), 0 afterwards.
+    flat = max(0.0, min(b, lo) - a)
+    xa, xb = min(max(a, lo), hi), min(max(b, lo), hi)
+    return flat + ((hi - xa) ** 2 - (hi - xb) ** 2) / (2.0 * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -113,9 +138,8 @@ class Exponential(Distribution):
         if not self.rate > 0:
             raise DistributionError(f"rate must be positive, got {self.rate}")
 
-    def survival(self, x):
-        _check_nonneg_x(x)
-        return np.exp(-self.rate * np.asarray(x, dtype=float)) if np.ndim(x) else math.exp(-self.rate * x)
+    def _survival(self, x):
+        return np.exp(-self.rate * x)
 
     def integrate_survival(self, a: float, b: float) -> float:
         _check_interval(a, b)
@@ -148,19 +172,16 @@ class Deterministic(Distribution):
         if not self.value > 0:
             raise DistributionError(f"value must be positive, got {self.value}")
 
-    def survival(self, x):
-        _check_nonneg_x(x)
+    def _survival(self, x):
         # Right-continuous: G(value) = 0.
-        if np.ndim(x):
-            return (np.asarray(x, dtype=float) < self.value).astype(float)
-        return 1.0 if x < self.value else 0.0
+        return (x < self.value).astype(float)
 
     def integrate_survival(self, a: float, b: float) -> float:
         _check_interval(a, b)
         return max(0.0, min(b, self.value) - a)
 
     def _inverse_cdf(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.value) if np.ndim(u) else self.value
+        return np.full_like(u, self.value)
 
     def mean(self) -> float:
         return self.value
@@ -187,21 +208,12 @@ class UniformInterval(Distribution):
         if not (0 <= self.lo < self.hi):
             raise DistributionError(f"need 0 <= lo < hi, got lo={self.lo}, hi={self.hi}")
 
-    def survival(self, x):
-        _check_nonneg_x(x)
-        lo, hi = self.lo, self.hi
-        x = np.asarray(x, dtype=float)
-        g = np.clip((hi - x) / (hi - lo), 0.0, 1.0)
-        return g if g.ndim else float(g)
+    def _survival(self, x):
+        return np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
 
     def integrate_survival(self, a: float, b: float) -> float:
         _check_interval(a, b)
-        lo, hi = self.lo, self.hi
-        # G = 1 on [0, lo), linear down to 0 on [lo, hi), 0 afterwards.
-        flat = max(0.0, min(b, lo) - a)
-        xa, xb = min(max(a, lo), hi), min(max(b, lo), hi)
-        tri = ((hi - xa) ** 2 - (hi - xb) ** 2) / (2.0 * (hi - lo))
-        return flat + tri
+        return _uniform_integral(self.lo, self.hi, a, b)
 
     def _inverse_cdf(self, u):
         return self.lo + u * (self.hi - self.lo)
@@ -234,16 +246,10 @@ class UniformMixture(Distribution):
     def __post_init__(self):
         comps = tuple((float(w), float(lo), float(hi)) for w, lo, hi in self.components)
         object.__setattr__(self, "components", comps)
-        if not comps:
-            raise DistributionError("mixture needs at least one component")
-        for w, lo, hi in comps:
-            if not w > 0:
-                raise DistributionError(f"weights must be positive, got {w}")
+        _check_weights([w for w, _, _ in comps])
+        for _, lo, hi in comps:
             if not (0 <= lo < hi):
                 raise DistributionError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-        total = math.fsum(w for w, _, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"weights must sum to 1, got {total}")
         # Piecewise-linear CDF knots for exact single-draw inversion.
         knots = sorted({lo for _, lo, _ in comps} | {hi for _, _, hi in comps})
         cdf_at = [math.fsum(self._component_cdf(x)) for x in knots]
@@ -261,30 +267,24 @@ class UniformMixture(Distribution):
     def _component_cdf(self, x: float):
         return [w * min(max((x - lo) / (hi - lo), 0.0), 1.0) for w, lo, hi in self.components]
 
-    def survival(self, x):
-        _check_nonneg_x(x)
-        x = np.asarray(x, dtype=float)
-        g = sum(w * np.clip((hi - x) / (hi - lo), 0.0, 1.0) for w, lo, hi in self.components)
-        return g if g.ndim else float(g)
+    def _survival(self, x):
+        return sum(w * np.clip((hi - x) / (hi - lo), 0.0, 1.0) for w, lo, hi in self.components)
 
     def integrate_survival(self, a: float, b: float) -> float:
         _check_interval(a, b)
-        return math.fsum(w * UniformInterval(lo, hi).integrate_survival(a, b)
-                         for w, lo, hi in self.components)
+        return math.fsum(w * _uniform_integral(lo, hi, a, b) for w, lo, hi in self.components)
 
     def _inverse_cdf(self, u):
         # Generalized inverse of the piecewise-linear CDF: one uniform per
         # sample, exact in closed form, monotone in u. In place on the output
         # so that only the piece index and one gathered column are transient.
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         i = np.searchsorted(self._cdf_knots[1:-1], u, side="right")
         out = u - self._f0[i]
         out /= self._df[i]
         np.clip(out, 0.0, 1.0, out=out)
         out *= self._dx[i]
         out += self._x0[i]
-        return float(out[0]) if scalar else out
+        return out
 
     def mean(self) -> float:
         return math.fsum(w * 0.5 * (lo + hi) for w, lo, hi in self.components)
@@ -319,16 +319,10 @@ class HyperExponential(Distribution):
     def __post_init__(self):
         comps = tuple((float(w), float(r)) for w, r in self.components)
         object.__setattr__(self, "components", comps)
-        if not comps:
-            raise DistributionError("mixture needs at least one component")
-        for w, r in comps:
-            if not w > 0:
-                raise DistributionError(f"weights must be positive, got {w}")
+        _check_weights([w for w, _ in comps])
+        for _, r in comps:
             if not r > 0:
                 raise DistributionError(f"rates must be positive, got {r}")
-        total = math.fsum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"weights must sum to 1, got {total}")
         # Cumulative weights from 0 with the last forced to exactly 1, so
         # the components' shares [C_{j-1}, C_j) cover [0, 1).
         cum = np.concatenate(([0.0], np.cumsum([w for w, _ in comps])))
@@ -337,11 +331,8 @@ class HyperExponential(Distribution):
         object.__setattr__(self, "_width", np.diff(cum))
         object.__setattr__(self, "_neg_rates", -np.array([r for _, r in comps]))
 
-    def survival(self, x):
-        _check_nonneg_x(x)
-        x = np.asarray(x, dtype=float)
-        g = sum(w * np.exp(-r * x) for w, r in self.components)
-        return g if g.ndim else float(g)
+    def _survival(self, x):
+        return sum(w * np.exp(-r * x) for w, r in self.components)
 
     def integrate_survival(self, a: float, b: float) -> float:
         _check_interval(a, b)
@@ -353,8 +344,6 @@ class HyperExponential(Distribution):
         # through its quantile -log1p(-u') / r_j. Rounding can take u' to 1,
         # so it is capped one ulp below; dividing log1p(-u') by -r_j gives
         # the bits of Exponential(r_j)'s -log1p(-u') / r_j.
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         j = np.searchsorted(self._cum[1:-1], u, side="right")
         out = u - self._cum[j]
         out /= self._width[j]
@@ -362,7 +351,7 @@ class HyperExponential(Distribution):
         np.negative(out, out=out)
         np.log1p(out, out=out)
         out /= self._neg_rates[j]
-        return float(out[0]) if scalar else out
+        return out
 
     def mean(self) -> float:
         return math.fsum(w / r for w, r in self.components)

@@ -339,9 +339,7 @@ def rect_distance(a: AtomicMeasure2D | BoxEvaluator,
     """
     if not grid:
         raise ValueError("grid must be nonempty")
-    fa = a if callable(a) else a.__call__
-    fb = b if callable(b) else b.__call__
-    return max(abs(fa(box) - fb(box)) for box in grid)
+    return max(abs(a(box) - b(box)) for box in grid)
 
 
 def measure_rows(measure: AtomicMeasure2D) -> list[tuple[int | None, float, float, float]]:

@@ -19,11 +19,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .distributions import mix_seed
-from .fluid import (FluidSolution, ZeroInitial, _eval_boxes,
+from .fluid import (FluidModelInput, FluidSolution, ZeroInitial, _eval_boxes,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
@@ -42,14 +43,13 @@ class ScalingError(ValueError):
 DEFAULT_KAPPAS = (0.05, 0.1, 0.2, 0.4)
 
 
-def default_rect_grid(config: SimConfig) -> tuple[Box, ...]:
+def default_rect_grid(model: FluidModelInput) -> tuple[Box, ...]:
     """6x6 grid of upper-right rectangles [x, inf) x [y, inf).
 
     The x knots span the union of supports the fluid state can reach
     (workload band plus deadline scale) and the y knots span the deadline
     scale d~ = min(sup deadline support, 3 * the largest mean deadline).
     """
-    model = fluid_model_of(config)
     _, w_u = model.band
     xs = np.linspace(0.0, w_u + model.d_tilde, 6)
     ys = np.linspace(0.0, model.d_tilde, 6)
@@ -73,7 +73,6 @@ class ScalingPlan:
     time_grid: tuple[float, ...] | None = None
     rect_grid: tuple[Box, ...] | None = None
     ages: tuple[float, ...] = (0.25,)
-    tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(int(n) for n in self.scales))
@@ -91,6 +90,11 @@ class ScalingPlan:
                 raise ScalingError("time grid must lie within [0, horizon]")
             object.__setattr__(self, "time_grid", grid)
 
+    @cached_property
+    def model(self) -> FluidModelInput:
+        """The base system's fluid model, built once per plan."""
+        return fluid_model_of(self.base)
+
     def seed(self, n: int, rep: int) -> int:
         return mix_seed(self.base.seed, n, rep)
 
@@ -102,7 +106,7 @@ class ScalingPlan:
     def resolved_rect_grid(self) -> tuple[Box, ...]:
         if self.rect_grid is not None:
             return tuple(self.rect_grid)
-        return default_rect_grid(self.base)
+        return default_rect_grid(self.model)
 
 
 @dataclass(frozen=True)
@@ -219,10 +223,9 @@ class _FluidTargets:
 
     def __init__(self, plan: ScalingPlan, grid: tuple[float, ...],
                  rect_grid: tuple[Box, ...], c_grid: tuple[float, ...]):
-        model = fluid_model_of(plan.base)
+        model = plan.model
         t0 = _warmup_duration(plan.base)
-        solution: FluidSolution = solve_fluid(
-            model, ZeroInitial(), t0 + plan.base.horizon, tol=plan.tol)
+        solution: FluidSolution = solve_fluid(model, ZeroInitial(), t0 + plan.base.horizon)
         grid = np.array(grid)
         ts = t0 + grid
         classes = range(len(plan.base.classes))
@@ -330,6 +333,8 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     corners = corner_points(rect_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(float(c) for c in c_grid)
     kappas = DEFAULT_KAPPAS if kappas is None else tuple(float(k) for k in kappas)
+    if not all(0 < k < math.inf for k in kappas):
+        raise ScalingError(f"kappas must be positive and finite, got {list(kappas)}")
     targets = _FluidTargets(plan, grid, rect_grid, c_grid)
 
     rows: list[ReportRow] = []

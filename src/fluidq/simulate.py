@@ -197,7 +197,7 @@ def _arrival_epochs(law: Distribution, rng: np.random.Generator, horizon: float)
         gaps = []
         total = 0.0
         while total <= horizon and law.remaining:
-            gap = float(law.sample(rng))
+            gap = law.sample(rng)
             gaps.append(gap)
             total += gap
         epochs = np.cumsum(np.asarray(gaps, dtype=float))
@@ -209,7 +209,7 @@ def _arrival_epochs(law: Distribution, rng: np.random.Generator, horizon: float)
     parts: list[np.ndarray] = []
     total = 0.0
     while total <= horizon:
-        draws = np.atleast_1d(law.sample(rng, block))
+        draws = law.sample(rng, block)
         parts.append(draws)
         total += float(draws.sum())
     epochs = np.cumsum(np.concatenate(parts))
@@ -361,8 +361,8 @@ def run(config: SimConfig) -> "SimTrace":
         m = len(epochs)
         all_t.append(epochs)
         all_k.append(np.full(m, k, dtype=np.min_scalar_type(len(config.classes) - 1)))
-        all_v.append(np.atleast_1d(service.sample(rng_v, m)) if m else np.empty(0))
-        all_d.append(np.atleast_1d(spec.deadline.sample(rng_d, m)) if m else np.empty(0))
+        all_v.append(service.sample(rng_v, m))
+        all_d.append(spec.deadline.sample(rng_d, m))
 
     # each sorted array replaces its unsorted parts before the next is built,
     # so the peak holds one column twice, not all four

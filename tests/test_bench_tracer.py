@@ -49,6 +49,8 @@ def test_tracer_counts_harness_layers():
     assert tracer.stats["measures.rect"][0] > 0
     assert metrics["simulate.query_calls"] > 0
     assert metrics["scaling.rows"] > 0
+    # the plan's one fluid model serves the rectangle grid and the targets
+    assert metrics["fluid.band_calls"] == 1
 
 
 def test_tracer_bounds_kink_solve_work():

@@ -446,6 +446,28 @@ def test_converge_rejects_replay_laws(tmp_path, capsys):
     assert "replay" in err
 
 
+@pytest.mark.parametrize("kappa", ("0", "-0.1", "1e400"))
+def test_converge_rejects_bad_corner_radii_before_simulating(tmp_path, capsys, monkeypatch,
+                                                             kappa):
+    """A corner radius is positive and finite; json reads 1e400 as inf."""
+    import fluidq.scaling
+
+    def no_run(config):
+        raise AssertionError("converge simulated before checking its kappas")
+
+    monkeypatch.setattr(fluidq.scaling, "run", no_run)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"classes": [MARKOV_CLASS]},
+        "sim": {"horizon": 1.0},
+        "converge": {"scales": [2], "reps": 1, "kappas": [0.1, "KAPPA"]},
+    }).replace('"KAPPA"', kappa))
+    code, _, err = run_cli(capsys, "converge", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "config error at converge.kappas[1]: must be positive and finite" in err
+
+
 def test_invariant_command(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"classes": [MARKOV_CLASS]}})
     out = tmp_path / "o"

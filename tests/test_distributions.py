@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -103,6 +103,46 @@ def test_mixture_breakpoints_bound_affine_pieces(components):
     for a, b in zip(points, points[1:]):
         mid = law.survival(0.5 * (a + b))
         assert mid == pytest.approx(0.5 * (law.survival(a) + law.survival(b)), abs=1e-12)
+
+
+def hyperexponential(components):
+    total = math.fsum(w for w, _ in components)
+    return HyperExponential(tuple((w / total, r) for w, r in components))
+
+
+rates = st.floats(1e-3, 1e3)
+laws = st.one_of(
+    rates.map(Exponential),
+    rates.map(Deterministic),
+    st.tuples(st.floats(0.0, 4.0), st.floats(0.05, 3.0)).map(
+        lambda p: UniformInterval(p[0], p[0] + p[1])),
+    mixture_components.map(uniform_mixture),
+    st.lists(st.tuples(st.floats(0.05, 1.0), rates), min_size=1, max_size=4).map(
+        hyperexponential))
+
+
+@given(law=laws, x=st.floats(0.0, 50.0), neg=st.floats(max_value=0.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(law=Exponential(1.0), x=3.3, neg=-1.0, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_scalars_take_the_array_path(law, x, neg, seed):
+    """The base class takes a scalar through the family's array kernel: the
+    survival of a float is a float with the bits of a one-element array's
+    entry (math.exp and np.exp differ in the last bit at 3.3), one draw is
+    a float with the bits of the first of a size-1 draw, size 0 draws an
+    empty float array, and a negative x is rejected alone or in an array."""
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    g = law.survival(x)
+    assert type(g) is float and bits(g) == bits(law.survival(np.array([x]))[0])
+    one = law.sample(stream(seed))
+    assert type(one) is float and bits(one) == bits(law.sample(stream(seed), 1)[0])
+    none = law.sample(stream(seed), 0)
+    assert isinstance(none, np.ndarray) and none.dtype == np.float64 and none.shape == (0,)
+    for bad in (neg, np.array([x, neg])):
+        with pytest.raises(DistributionError):
+            law.survival(bad)
 
 
 def mixture_inverse_cdf_reference(law, u):
@@ -266,6 +306,8 @@ def test_replay_has_no_law():
     law = Replay((1.0,))
     with pytest.raises(DistributionError):
         law.survival(0.5)
+    with pytest.raises(DistributionError):
+        law.survival(np.array([0.5]))
     with pytest.raises(DistributionError):
         law.mean()
     assert law.scaled(2).samples == (0.5,)

@@ -518,10 +518,7 @@ def test_mixture_paths_are_monotone_and_stop_at_the_band(components, rho, start,
 def test_exponential_paths_stay_on_their_side_of_the_band(rho, rate):
     """One class with an exponential deadline, over a horizon long enough to
     reach the band edge: the path from empty never exceeds w_l and the path
-    from above never drops below w_u, at the nodes and on a dense grid.
-    Exponential.survival takes math.exp on scalars and np.exp on arrays, so
-    a fixed point of the scalar load can sit an ulp past the band; the
-    solver evaluates the load on arrays only, as the band's bisection does."""
+    from above never drops below w_u, at the nodes and on a dense grid."""
     model = FluidModelInput((FluidClass(rho, 1.0, Exponential(rate)),))
     w_l, w_u = equilibrium_band(model)
     T = 60.0 / rate

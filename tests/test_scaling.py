@@ -35,7 +35,7 @@ def small_report():
 
 
 def test_default_rect_grid_shape():
-    grid = default_rect_grid(markov_base())
+    grid = default_rect_grid(fluid_model_of(markov_base()))
     assert len(grid) == 36
     assert all(box.b == math.inf and box.d == math.inf for box in grid)
     assert all(box.a >= 0 and box.c >= 0 for box in grid)
@@ -65,6 +65,19 @@ def test_plan_validation():
                     time_grid=(0.0, 5.0))
     with pytest.raises(ScalingError):
         ScalingPlan(base=markov_base(scale=2), scales=(10,), replications=1)
+
+
+@pytest.mark.parametrize("kappa", (0.0, -0.1, math.inf, math.nan))
+def test_run_plan_rejects_bad_corner_radii_before_simulating(kappa, monkeypatch):
+    import fluidq.scaling
+
+    def no_run(config):
+        raise AssertionError("run_plan simulated before checking its kappas")
+
+    monkeypatch.setattr(fluidq.scaling, "run", no_run)
+    plan = ScalingPlan(base=markov_base(), scales=(5,), replications=1)
+    with pytest.raises(ScalingError, match="kappas must be positive and finite"):
+        run_plan(plan, kappas=(0.1, kappa))
 
 
 def test_report_covers_all_metric_families(small_report):
