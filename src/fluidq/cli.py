@@ -69,12 +69,16 @@ def _check_keys(mapping: dict, path: str, allowed: set[str], required: set[str])
         raise _config_error(path, f"missing required key {missing[0]!r}")
 
 
-def _number(value, path: str, *, minimum=None, positive=False) -> float:
+def _number(value, path: str, *, minimum=None, positive=False, infinite=False) -> float:
+    """A finite number (json reads 1e400 as inf), or inf too where infinite
+    is set; NaN is never one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _config_error(path, f"expected a number, got {type(value).__name__}")
     x = float(value)
     if math.isnan(x):
         raise _config_error(path, "must not be NaN")
+    if not infinite and math.isinf(x):
+        raise _config_error(path, f"must be finite, got {x}")
     if positive and not x > 0:
         raise _config_error(path, f"must be positive, got {x}")
     if minimum is not None and x < minimum:
@@ -90,10 +94,11 @@ def _integer(value, path: str, *, minimum=None) -> int:
     return value
 
 
-def _number_list(value, path: str, *, minimum=None) -> tuple[float, ...]:
+def _number_list(value, path: str, *, minimum=None, infinite=False) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise _config_error(path, "expected a nonempty array of numbers")
-    return tuple(_number(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value))
+    return tuple(_number(v, f"{path}[{i}]", minimum=minimum, infinite=infinite)
+                 for i, v in enumerate(value))
 
 
 def _components(spec: dict, path: str, fields: tuple[str, ...]) -> tuple[tuple[float, ...], ...]:
@@ -188,7 +193,9 @@ def _parse_initial(spec, path: str) -> Empty | WarmStart:
 def _parse_box(value, path: str) -> Box:
     if not isinstance(value, list) or len(value) != 4:
         raise _config_error(path, "expected an array [a, b, c, d]")
-    a, b, c, d = (_number(v, f"{path}[{i}]", minimum=0.0) for i, v in enumerate(value))
+    # the right and top edges b and d may be infinite
+    a, b, c, d = (_number(v, f"{path}[{i}]", minimum=0.0, infinite=i % 2 == 1)
+                  for i, v in enumerate(value))
     try:
         return Box(a, b, c, d)
     except ValueError as exc:
@@ -436,7 +443,8 @@ def cmd_converge(cfg: dict, args) -> list[str]:
                           for i, b in enumerate(boxes))
     c_grid = (_number_list(conv["c_grid"], "converge.c_grid", minimum=0.0)
               if "c_grid" in conv else None)
-    kappas = (_number_list(conv["kappas"], "converge.kappas")
+    # an infinite radius gets the radii's own message, just below
+    kappas = (_number_list(conv["kappas"], "converge.kappas", infinite=True)
               if "kappas" in conv else None)
     for i, kappa in enumerate(kappas or ()):
         if not 0 < kappa < math.inf:

@@ -29,8 +29,10 @@ from .fluid import (FluidModelInput, FluidSolution, ZeroInitial, _eval_boxes,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
 from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
 from .numerics import sig17
-from .simulate import (DEFAULT_C_GRID, SimConfig, _warmup_duration,
-                       fluid_model_of, run)
+# run is not called here; bench/workloads.py reads and patches scaling.run
+# by name, so the name stays.
+from .simulate import (DEFAULT_C_GRID, LiveJobs, SimConfig, _warmup_duration,  # noqa: F401
+                       chunks, fluid_model_of, residual_tails, run, tail_counts)
 
 
 log = logging.getLogger(__name__)
@@ -224,7 +226,7 @@ class _FluidTargets:
     def __init__(self, plan: ScalingPlan, grid: tuple[float, ...],
                  rect_grid: tuple[Box, ...], c_grid: tuple[float, ...]):
         model = plan.model
-        t0 = _warmup_duration(plan.base)
+        self.t0 = t0 = _warmup_duration(plan.base)
         solution: FluidSolution = solve_fluid(model, ZeroInitial(), t0 + plan.base.horizon)
         grid = np.array(grid)
         ts = t0 + grid
@@ -295,11 +297,10 @@ def _workload_rows(n, rep, trace, targets, i, t) -> list[ReportRow]:
             _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
 
 
-def _residual_rows(n, rep, trace, targets, i, t, c_grid) -> list[ReportRow]:
-    """A_tail@c and V_tail@c per class and c: the trace's residual-deadline
+def _residual_rows(n, rep, per_class, targets, i, t, c_grid) -> list[ReportRow]:
+    """A_tail@c and V_tail@c per class and c: the run's residual-deadline
     tail counts, fluid-scaled, against lambda_k * int_c^{c+t} G_k."""
     rows = []
-    per_class = trace.residual_deadline_measures(t, c_grid)
     for k in range(targets.K):
         tails = per_class[k]
         for c, a, v, target in zip(c_grid, tails.residual, tails.residual_with_service,
@@ -326,6 +327,12 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     residual-deadline tails A_tail@c and V_tail@c against the common fluid
     target lambda_k * int_c^{c+t} G_k; and the worst fluid-scaled mass near
     any grid corner set, per kappa.
+
+    Each simulation is streamed (simulate.chunks), and each grid time is
+    evaluated, in time order, as soon as the stream has passed it, on a
+    trace of the jobs still held (simulate.LiveJobs), so memory follows the
+    jobs in the system rather than the length of the run. The residual
+    tails sum each chunk's counts for every time not yet passed.
     """
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
@@ -336,38 +343,65 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     if not all(0 < k < math.inf for k in kappas):
         raise ScalingError(f"kappas must be positive and finite, got {list(kappas)}")
     targets = _FluidTargets(plan, grid, rect_grid, c_grid)
+    order = sorted(range(len(grid)), key=grid.__getitem__)
 
     rows: list[ReportRow] = []
     for n in plan.scales:
         for rep in range(plan.replications):
             seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
-            trace = None    # freed before run builds the next trace
-            trace = _timed(seconds, "simulate", run,
-                           replace(plan.base, scale=n, seed=plan.seed(n, rep)))
-            workload, state, residual, corner = [], [], [], []
-            for i, t in enumerate(grid):
-                workload += _timed(seconds, "workload", _workload_rows,
-                                   n, rep, trace, targets, i, t)
-                residual += _timed(seconds, "residual", _residual_rows,
-                                   n, rep, trace, targets, i, t, c_grid)
-                # One snapshot per time, shared by the state and corner rows;
-                # it counts towards the state section.
-                snaps = _timed(seconds, "state", trace.snapshot, t)
-                state += _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
-                                targets, i, t, rect_grid, rect_edges, plan.ages)
-                corner += _timed(seconds, "corner", _corner_rows,
-                                 n, rep, snaps, t, corners, kappas)
-                del snaps
-            rows += workload + state + residual + corner
-            log.debug("run_plan n=%d rep=%d: %d jobs; seconds: %s", n, rep,
-                      len(trace.t_arr), ", ".join(f"{name} {s:.3f}"
-                                                  for name, s in seconds.items()))
+            config = replace(plan.base, scale=n, seed=plan.seed(n, rep))
+            live = LiveJobs(config, targets.t0)
+            raws = [grid[i] + live.origin for i in order]
+            counts = [None] * len(grid)     # tail_counts per time, summed over chunks
+            workload, state, residual, corner = ([None] * len(grid) for _ in range(4))
+            stream = chunks(config, targets.t0)
+            j = 0
+            while j < len(order):
+                chunk = _timed(seconds, "simulate", next, stream, None)
+                live.push(chunk)
+                if chunk is not None:
+                    _timed(seconds, "residual", _count_tails, counts, chunk, targets.K,
+                           live.origin, order[j:], raws[j:], c_grid)
+                while j < len(order) and live.passed(raws[j]):
+                    i = order[j]
+                    t = grid[i]
+                    trace = live.trace()
+                    workload[i] = _timed(seconds, "workload", _workload_rows,
+                                         n, rep, trace, targets, i, t)
+                    residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
+                                         residual_tails(counts[i]), targets, i, t, c_grid)
+                    # One snapshot per time, shared by the state and corner rows;
+                    # it counts towards the state section.
+                    snaps = _timed(seconds, "state", trace.snapshot, t)
+                    state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
+                                      targets, i, t, rect_grid, rect_edges, plan.ages)
+                    corner[i] = _timed(seconds, "corner", _corner_rows,
+                                       n, rep, snaps, t, corners, kappas)
+                    del trace, snaps
+                    j += 1
+                live.release(raws[j:])
+            stream.close()
+            for section in (workload, state, residual, corner):
+                for part in section:
+                    rows += part
+            log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s",
+                      n, rep, live.jobs, live.most,
+                      ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()))
+            del live    # freed before the next simulation starts
 
     footer = (
         f"statistical assertions use R={plan.replications} replications",
         "convergence tolerances are empirical (no theoretical rate is available)",
     )
     return ScalingReport(plan, rows, footer)
+
+
+def _count_tails(counts, chunk, K, origin, indices, raws, c_grid) -> None:
+    """Add one chunk's residual-tail counts to counts[i] for each grid index
+    i and its raw time."""
+    for i, raw in zip(indices, raws):
+        part = tail_counts(chunk.t_arr, chunk.cls, chunk.v, chunk.d, K, origin, raw, c_grid)
+        counts[i] = part if counts[i] is None else counts[i] + part
 
 
 def corner_regularity_probe(plan: ScalingPlan, kappas=None) -> ScalingReport:

@@ -28,6 +28,9 @@ for jobs that did not move the workload).
 from __future__ import annotations
 
 import logging
+import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +54,13 @@ EXIT_MARGIN_ULPS = 4
 # the scalar stretch run after a pass that verified few jobs.
 CHUNK_MIN, CHUNK_MAX = 64, 1 << 13
 STRETCH_MIN, STRETCH_MAX = 16, 1 << 14
+# Jobs per chunk of the simulation stream (``chunks``). A multiple of
+# EXIT_BLOCK, so chunk boundaries are boundaries of SimTrace's exit blocks
+# and a buffer of whole chunks sees the blocks the full trace sees.
+STREAM_CHUNK = 32 * EXIT_BLOCK
+# Arrivals per block of each class's draws; the blocks being merged into a
+# chunk are all that the stream holds besides the chunk itself.
+DRAW_BLOCK = 4 * EXIT_BLOCK
 # Jobs per block of residual_deadline_measures' counting pass: its buffers
 # take a few hundred KiB whatever the window, and larger blocks run no faster.
 RESIDUAL_BLOCK = 1 << 14
@@ -118,8 +128,8 @@ class SimConfig:
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise SimulationError("need at least one class")
-        if self.horizon < 0:
-            raise SimulationError(f"horizon must be nonnegative, got {self.horizon}")
+        if not 0 <= self.horizon < math.inf:
+            raise SimulationError(f"horizon must be finite and nonnegative, got {self.horizon}")
         if not (isinstance(self.scale, int) and self.scale >= 1):
             raise SimulationError(f"scale must be an integer >= 1, got {self.scale}")
 
@@ -180,40 +190,51 @@ def _warmup_duration(config: SimConfig) -> float:
     if isinstance(config.initial, Empty):
         return 0.0
     if config.initial.duration is not None:
-        if config.initial.duration < 0:
-            raise SimulationError("warm-up duration must be nonnegative")
+        if not 0 <= config.initial.duration < math.inf:
+            raise SimulationError("warm-up duration must be finite and nonnegative")
         return config.initial.duration
     _, w_u = fluid_model_of(config).band
     return 4.0 * w_u
 
 
-def _arrival_epochs(law: Distribution, rng: np.random.Generator, horizon: float) -> np.ndarray:
-    """Renewal epochs in (0, horizon], drawn from the interarrival law.
+def _class_jobs(config: SimConfig, k: int, t_end: float, block: int):
+    """Class k's arrivals in (0, t_end], in blocks of at most `block`: each
+    block's epochs with the services and deadlines of those arrivals.
 
-    A scripted Replay stream that runs out simply stops producing
-    arrivals; for genuine laws draws continue until the horizon is passed.
+    Each block of interarrival gaps gets the last epoch folded into its first
+    gap, so np.cumsum continues where the previous block ended, with the float
+    additions of one cumsum over all gaps; and blocks of draws from one stream
+    are the bits of one draw. A scripted Replay stream that runs out simply
+    stops producing arrivals; for genuine laws draws continue until the
+    horizon is passed.
     """
-    if isinstance(law, Replay):
-        gaps = []
-        total = 0.0
-        while total <= horizon and law.remaining:
-            gap = law.sample(rng)
-            gaps.append(gap)
-            total += gap
-        epochs = np.cumsum(np.asarray(gaps, dtype=float))
-        return epochs[epochs <= horizon]
-    try:
-        block = max(16, int(horizon / law.mean() * 1.25) + 16)
-    except DistributionError:
-        block = 256
-    parts: list[np.ndarray] = []
-    total = 0.0
-    while total <= horizon:
-        draws = law.sample(rng, block)
-        parts.append(draws)
-        total += float(draws.sum())
-    epochs = np.cumsum(np.concatenate(parts))
-    return epochs[epochs <= horizon]
+    spec = config.classes[k]
+    rng_a, rng_v, rng_d = (stream(config.seed, k, i) for i in range(3))
+    interarrival = spec.interarrival.scaled(config.scale)
+    service = spec.service.scaled(config.scale)
+    last = 0.0
+    while True:
+        size = block
+        if isinstance(interarrival, Replay):
+            size = min(size, interarrival.remaining)
+        epochs = interarrival.sample(rng_a, size)
+        if size:
+            epochs[0] += last
+            np.cumsum(epochs, out=epochs)
+            last = float(epochs[-1])
+        m = int(np.searchsorted(epochs, t_end, side="right"))
+        if m < size:
+            epochs = epochs[:m].copy()      # a view would keep the block
+        yield epochs, service.sample(rng_v, m), spec.deadline.sample(rng_d, m)
+        if m < block:
+            return
+
+
+def _reset_replays(config: SimConfig) -> None:
+    for spec in config.classes:
+        for law in (spec.interarrival, spec.service, spec.deadline):
+            if isinstance(law, Replay):
+                law.reset()
 
 
 class LindleyWork(NamedTuple):
@@ -247,13 +268,14 @@ def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
     return W, t_prev, idle
 
 
-def _lindley(t_arr, v, d):
+def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0)):
     """The Lindley pass over the merged arrivals, in windows of jobs.
 
-    For jobs in arrival order with services v and deadlines d, returns the
-    workload each job found, whether it was served, the idleness up to its
-    arrival, and the LindleyWork done. The outputs are those of the scalar
-    recursion
+    For jobs in arrival order with services v and deadlines d, starting from
+    state (W, t_prev, idle) after the job before them (an empty system at
+    time 0 by default), returns the workload each job found, whether it was
+    served, the idleness up to its arrival, and the LindleyWork done. The
+    outputs are those of the scalar recursion
 
         found = W - (t - t_prev); if found < 0: idle += -found, found = 0
         served = d > found; W = found + v if served else found
@@ -284,7 +306,7 @@ def _lindley(t_arr, v, d):
     w_before = np.empty(m)
     served = np.zeros(m, dtype=bool)
     cum_idle = np.empty(m)
-    state = (0.0, 0.0, 0.0)   # W, t_prev, idle after the last accepted job
+    # state: W, t_prev, idle after the last accepted job
     i = guessed = 0
     chunk, stretch = CHUNK_MIN, STRETCH_MIN
     passes = elements = scalar = 0
@@ -334,6 +356,107 @@ def _lindley(t_arr, v, d):
     return w_before, served, cum_idle, LindleyWork(passes, elements, scalar)
 
 
+class Chunk(NamedTuple):
+    """Consecutive jobs of one run in arrival order: SimTrace's seven
+    columns, and the latest exit in each block of EXIT_BLOCK of them."""
+
+    t_arr: np.ndarray
+    cls: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    w_before: np.ndarray
+    served: np.ndarray
+    cum_idle: np.ndarray
+    block_exits: np.ndarray
+
+
+def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
+    """The run's jobs in arrival order, in chunks of STREAM_CHUNK jobs (the
+    last one shorter, and empty only when no job arrives); t_warm is the
+    warm-up duration, _warmup_duration(config).
+
+    Each class draws its arrivals, services and deadlines in blocks
+    (_class_jobs). The classes are cut at a common time tau, the earliest
+    last epoch among the classes still drawing, and the jobs up to tau are
+    merged by a stable argsort of their concatenation in class order, so
+    arrival ties across classes resolve in class order. The Lindley pass
+    carries (W, t_prev, idle) from one chunk to the next, and its check makes
+    the outputs exact whatever the chunk size: the chunks are those of one
+    pass over the whole merged stream, bit for bit.
+    """
+    t_end = t_warm + config.horizon
+    K = len(config.classes)
+    kind = np.min_scalar_type(K - 1)
+    _reset_replays(config)
+    draws = [_class_jobs(config, k, t_end, DRAW_BLOCK) for k in range(K)]
+    drawing = [True] * K
+    none = np.empty(0)
+    pending = [(none, none, none)] * K     # per class: drawn, not yet merged
+    state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
+    work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
+    out, fill = None, 0                    # the chunk being filled: t, cls, v, d
+
+    def simulated(t, cls, v, d) -> Chunk:
+        nonlocal state
+        w_before, served, cum_idle, lindley = _lindley(t, v, d, state)
+        if len(t):
+            w = float(w_before[-1])
+            state = (w + float(v[-1]) if served[-1] else w, float(t[-1]),
+                     float(cum_idle[-1]))
+        work[:] = (work[0] + 1, work[1] + len(t), work[2] + lindley.passes,
+                   work[3] + lindley.scalar_steps)
+        return Chunk(t, cls, v, d, w_before, served, cum_idle,
+                     _block_exits(t, v, d, w_before, served))
+
+    while True:
+        for k in range(K):
+            while drawing[k] and not len(pending[k][0]):
+                block = next(draws[k], None)
+                if block is None:
+                    drawing[k] = False
+                else:
+                    pending[k] = block
+        open_ends = [pending[k][0][-1] for k in range(K) if drawing[k]]
+        tau = min(open_ends) if open_ends else math.inf
+        upto = [int(np.searchsorted(p[0], tau, side="right")) for p in pending]
+        parts = [tuple(a[:m] for a in p) for p, m in zip(pending, upto)]
+        pending = [tuple(a[m:] for a in p) for p, m in zip(pending, upto)]
+        if K == 1:
+            t, v, d = parts[0]
+            merged, order = (t, np.zeros(len(t), dtype=kind), v, d), None
+        else:
+            t = np.concatenate([p[0] for p in parts])
+            order = np.argsort(t, kind="stable")
+            merged = (t, np.repeat(np.arange(K, dtype=kind), [len(p[0]) for p in parts]),
+                      np.concatenate([p[1] for p in parts]),
+                      np.concatenate([p[2] for p in parts]))
+        # Copied, in merged order, into the chunk being filled, which is
+        # simulated when full.
+        m, a = len(t), 0
+        while a < m:
+            if out is None:
+                out = (np.empty(STREAM_CHUNK), np.empty(STREAM_CHUNK, dtype=kind),
+                       np.empty(STREAM_CHUNK), np.empty(STREAM_CHUNK))
+            b = min(m, a + STREAM_CHUNK - fill)
+            for col, src in zip(out, merged):
+                if order is None:
+                    col[fill:fill + b - a] = src[a:b]
+                else:
+                    np.take(src, order[a:b], out=col[fill:fill + b - a])
+            fill += b - a
+            a = b
+            if fill == STREAM_CHUNK:
+                yield simulated(*out)
+                out, fill = None, 0
+        if not any(drawing):
+            if fill or not work[0]:
+                yield simulated(*(col[:fill] for col in out) if out is not None
+                                else (none, np.zeros(0, dtype=kind), none, none))
+            log.debug("simulate: %d chunks, %d jobs, %d vector passes, %d scalar steps",
+                      *work)
+            return
+
+
 def run(config: SimConfig) -> "SimTrace":
     """Simulate the queue; deterministic for a fixed config.
 
@@ -341,28 +464,33 @@ def run(config: SimConfig) -> "SimTrace":
     derived from the base seed, so any two configurations sharing the seed
     see pathwise-coupled primitives. Arrival ties across classes resolve
     in class order.
+
+    The whole run goes through the steps of ``chunks`` at once: each class's
+    draws in one block of about 1.25 times its expected arrivals (more if
+    the horizon is not passed), one stable argsort of the classes'
+    concatenation, one _lindley pass. The trace's columns are the chunks'
+    joined, bit for bit. Whole-run arrays are backed by huge pages, where
+    collecting a streamed run's chunks pays a page fault per 4 KiB of them
+    and a copy to join them.
     """
     t_warm = _warmup_duration(config)
     t_end = t_warm + config.horizon
-
-    for spec in config.classes:
-        for law in (spec.interarrival, spec.service, spec.deadline):
-            if isinstance(law, Replay):
-                law.reset()
-
+    _reset_replays(config)
     all_t, all_k, all_v, all_d = [], [], [], []
+    kind = np.min_scalar_type(len(config.classes) - 1)
     for k, spec in enumerate(config.classes):
-        rng_a = stream(config.seed, k, 0)
-        rng_v = stream(config.seed, k, 1)
-        rng_d = stream(config.seed, k, 2)
-        interarrival = spec.interarrival.scaled(config.scale)
-        service = spec.service.scaled(config.scale)
-        epochs = _arrival_epochs(interarrival, rng_a, t_end)
-        m = len(epochs)
-        all_t.append(epochs)
-        all_k.append(np.full(m, k, dtype=np.min_scalar_type(len(config.classes) - 1)))
-        all_v.append(service.sample(rng_v, m))
-        all_d.append(spec.deadline.sample(rng_d, m))
+        try:
+            block = max(16, int(t_end / spec.interarrival.scaled(config.scale).mean()
+                                * 1.25) + 16)
+        except DistributionError:
+            block = 256
+        t, v, d = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                   for parts in zip(*_class_jobs(config, k, t_end, block)))
+        all_t.append(t)
+        all_v.append(v)
+        all_d.append(d)
+        all_k.append(np.full(len(t), k, dtype=kind))
+    del t, v, d
 
     # each sorted array replaces its unsorted parts before the next is built,
     # so the peak holds one column twice, not all four
@@ -380,11 +508,76 @@ def run(config: SimConfig) -> "SimTrace":
     w_before, served, cum_idle, work = _lindley(t_arr, v, d)
     log.debug("simulate.run: %d jobs, %d vector passes, %d scalar steps",
               len(t_arr), work.passes, work.scalar_steps)
-    return SimTrace(config, t_warm, t_arr, cls, v, d, w_before, served, cum_idle)
+    return SimTrace(config, t_warm, t_arr, cls, v, d, w_before, served, cum_idle,
+                    _block_exits(t_arr, v, d, w_before, served))
+
+
+def tail_counts(t_arr, cls, v, d, K: int, origin: float, raw: float, cs) -> np.ndarray:
+    """Residual-deadline tail counts over the given consecutive jobs that
+    arrived in raw (origin, raw]: row i < len(cs), column k counts class k's
+    jobs with residual deadline d - elapsed >= max(cs[i], smallest positive
+    float), and row len(cs) + i those with (d + v) - elapsed at least that,
+    elapsed being raw - arrival. For c >= 0, "x > 0 and x >= c" is that one
+    comparison, false for -0.0 and NaN alike. The counts over consecutive
+    runs of jobs add up to the counts over their union.
+
+    The jobs go through in blocks of RESIDUAL_BLOCK, in buffers allocated
+    once, so memory does not grow with their number.
+    """
+    lo = int(np.searchsorted(t_arr, origin, side="right"))
+    hi = int(np.searchsorted(t_arr, raw, side="right"))
+    cuts = [max(float(c), _SMALLEST) for c in cs]
+    # rows: each cut on the residual, then each cut on residual plus service
+    counts = np.zeros((2 * len(cuts), K), dtype=np.int64)
+    size = max(min(RESIDUAL_BLOCK, hi - lo), 0)
+    bufs = (np.empty(size), np.empty(size), np.empty(size),
+            np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+    masks = np.empty((K - 1, size), dtype=bool)    # classes 1..K-1
+    for a in range(lo, hi, RESIDUAL_BLOCK):
+        b = min(a + RESIDUAL_BLOCK, hi)
+        elapsed, resid, resid_v, ge, hit = (buf[:b - a] for buf in bufs)
+        np.subtract(raw, t_arr[a:b], out=elapsed)
+        np.subtract(d[a:b], elapsed, out=resid)
+        np.add(d[a:b], v[a:b], out=resid_v)
+        resid_v -= elapsed
+        in_class = [np.equal(cls[a:b], k, out=mask[:b - a])
+                    for k, mask in enumerate(masks, 1)]
+        tally = []
+        for x in (resid, resid_v):
+            for cut in cuts:
+                np.greater_equal(x, cut, out=ge)
+                n = [np.count_nonzero(np.logical_and(ge, m, out=hit)) for m in in_class]
+                tally.append([np.count_nonzero(ge) - sum(n), *n])   # class 0: the rest
+        counts += np.array(tally, dtype=np.int64).reshape(counts.shape)
+    return counts
+
+
+def residual_tails(counts: np.ndarray) -> list[ResidualTails]:
+    """tail_counts' rows as one ResidualTails per class."""
+    c = len(counts) // 2
+    return [ResidualTails(tuple(row[:c]), tuple(row[c:])) for row in counts.T.tolist()]
+
+
+def _exit_cut(raw: float) -> float:
+    """Jobs that left by this time have residual sojourn or patience <= 0 at
+    raw, whatever the rounding of raw - t_arr."""
+    return raw - EXIT_MARGIN_ULPS * np.spacing(abs(raw))
+
+
+def _block_exits(t_arr, v, d, w_before, served) -> np.ndarray:
+    """The latest raw exit in each block of EXIT_BLOCK jobs. The exits are
+    SimTrace._exit's sums, built in one buffer (addition commutes)."""
+    if not len(t_arr):
+        return np.empty(0)
+    t_exit = w_before + v
+    np.copyto(t_exit, d, where=~served)
+    t_exit += t_arr
+    return np.maximum.reduceat(t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))
 
 
 class SimTrace:
-    """Complete, immutable record of one run; all queries take model time.
+    """Immutable record of one run, or of its jobs from some exit block on;
+    all queries take model time.
 
     Per job, in arrival order, it stores what the simulation pass decides:
     ``t_arr``, ``cls`` (narrowest integer dtype holding K - 1), ``v``, ``d``,
@@ -396,9 +589,19 @@ class SimTrace:
     epoch on the jobs a query reads. A job's virtual sojourn is the workload
     just after its arrival, and the path between arrivals has slope -1 while
     positive, so these reconstruct it everywhere.
+
+    It is built from the fields of a Chunk of its jobs: the seven columns
+    and ``block_exits``, the latest exit in each block of EXIT_BLOCK jobs. A
+    trace may hold a run's jobs from job EXIT_BLOCK * b on only
+    (``LiveJobs.trace``), given the idleness up to the origin as
+    ``idle_origin``. Its queries at a time answer as the full trace's do
+    when every job it lacks left by the time's exit cut (so the query window
+    starts within it) and it holds the last arrival by that time. ``jobs``
+    numbers each class's jobs from the first held.
     """
 
-    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, cum_idle):
+    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, cum_idle,
+                 block_exits, idle_origin=None):
         self.config = config
         self.origin = float(origin)
         self.horizon = float(config.horizon)
@@ -409,16 +612,12 @@ class SimTrace:
         self.w_before = w_before
         self.served = served
         self.cum_idle = cum_idle
-        # exit_bound[j]: the latest exit among the jobs of blocks 0..j. The
-        # exits are _exit's sums built in one buffer (addition commutes).
-        t_exit = w_before + v
-        np.copyto(t_exit, d, where=~served)
-        t_exit += t_arr
-        self.exit_bound = (np.maximum.accumulate(np.maximum.reduceat(
-            t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))) if len(t_exit) else t_exit)
+        # exit_bound[j]: the latest exit among the jobs of blocks 0..j.
+        self.exit_bound = np.maximum.accumulate(block_exits)
         for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):
             arr.flags.writeable = False
         self._last_live = (None,)     # (raw, window, live mask) of the last _live
+        self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
 
     # Each derived column repeats the pass's float operations (W = w_before + v
     # if served), on the jobs of a query window win, and only what is asked.
@@ -484,7 +683,7 @@ class SimTrace:
 
     def idle_at(self, t: float) -> float:
         """I(t): cumulative idleness of the server over model (0, t]."""
-        return self._idle_raw(self._raw(t)) - self._idle_raw(self.origin)
+        return self._idle_raw(self._raw(t)) - self.idle_origin
 
     def busy_at(self, t: float) -> float:
         """B(t) = t - I(t): cumulative busy time over model (0, t]."""
@@ -502,8 +701,7 @@ class SimTrace:
         jobs arrive after raw, and each earlier job left by raw minus the
         margin, so its residual sojourn or patience at raw is <= 0."""
         hi = int(np.searchsorted(self.t_arr, raw, side="right"))
-        cut = raw - EXIT_MARGIN_ULPS * np.spacing(abs(raw))
-        lo = EXIT_BLOCK * int(np.searchsorted(self.exit_bound, cut, side="right"))
+        lo = EXIT_BLOCK * int(np.searchsorted(self.exit_bound, _exit_cut(raw), side="right"))
         return slice(min(lo, hi), hi)
 
     def _live(self, raw: float) -> tuple[slice, np.ndarray]:
@@ -566,42 +764,10 @@ class SimTrace:
                                    cs=DEFAULT_C_GRID) -> list[ResidualTails]:
         """Per class, over arrivals in model (0, t]: for each c in cs, how many
         have residual deadline d - (t - arrival) positive and at least c, and
-        how many have that plus their service positive and at least c.
-
-        The residuals are d - elapsed and (d + v) - elapsed, elapsed being
-        raw - arrival. For c >= 0, "x > 0 and x >= c" is the one comparison
-        x >= max(c, smallest positive float), false for -0.0 and NaN alike.
-        One pass takes the arrivals in blocks of RESIDUAL_BLOCK jobs through
-        buffers allocated once, so memory does not grow with the window.
-        """
-        raw = self._raw(t)
-        lo = int(np.searchsorted(self.t_arr, self.origin, side="right"))
-        hi = int(np.searchsorted(self.t_arr, raw, side="right"))
-        cuts = [max(float(c), _SMALLEST) for c in cs]
-        # rows: each cut on the residual, then each cut on residual plus service
-        counts = np.zeros((2 * len(cuts), self.K), dtype=np.int64)
-        size = max(min(RESIDUAL_BLOCK, hi - lo), 0)
-        bufs = (np.empty(size), np.empty(size), np.empty(size),
-                np.empty(size, dtype=bool), np.empty(size, dtype=bool))
-        masks = np.empty((self.K - 1, size), dtype=bool)    # classes 1..K-1
-        for a in range(lo, hi, RESIDUAL_BLOCK):
-            b = min(a + RESIDUAL_BLOCK, hi)
-            elapsed, resid, resid_v, ge, hit = (buf[:b - a] for buf in bufs)
-            np.subtract(raw, self.t_arr[a:b], out=elapsed)
-            np.subtract(self.d[a:b], elapsed, out=resid)
-            np.add(self.d[a:b], self.v[a:b], out=resid_v)
-            resid_v -= elapsed
-            in_class = [np.equal(self.cls[a:b], k, out=mask[:b - a])
-                        for k, mask in enumerate(masks, 1)]
-            tally = []
-            for x in (resid, resid_v):
-                for cut in cuts:
-                    np.greater_equal(x, cut, out=ge)
-                    n = [np.count_nonzero(np.logical_and(ge, m, out=hit)) for m in in_class]
-                    tally.append([np.count_nonzero(ge) - sum(n), *n])   # class 0: the rest
-            counts += np.array(tally, dtype=np.int64).reshape(counts.shape)
-        c = len(cuts)
-        return [ResidualTails(tuple(row[:c]), tuple(row[c:])) for row in counts.T.tolist()]
+        how many have that plus their service positive and at least c
+        (``tail_counts`` over all the trace's jobs)."""
+        return residual_tails(tail_counts(self.t_arr, self.cls, self.v, self.d, self.K,
+                                          self.origin, self._raw(t), cs))
 
     def age_count(self, t: float, u: float) -> list[int]:
         """Per class: jobs in system at t that arrived at or before t - u."""
@@ -612,3 +778,81 @@ class SimTrace:
         old = live & (self.t_arr[win] <= raw - u)
         cls = self.cls[win]
         return [int(np.count_nonzero(old & (cls == k))) for k in range(self.K)]
+
+
+class LiveJobs:
+    """The jobs of a streamed run (``chunks``) that queries at the times not
+    yet passed can still read, held in whole chunks.
+
+    ``push`` takes each chunk of the stream in turn, and None once it ends.
+    When ``passed(raw)``, every job that arrives by raw is in, and the
+    queries of ``trace()`` at raw answer as the full trace's would.
+    ``release(raws)`` drops the leading chunks that no query at the raw
+    times raws can read: a chunk goes once every job in it left by the
+    earliest exit cut of raws (so did every job before it), so that every
+    query window starts after it. The newest chunk stays: a time not yet
+    passed comes after its last arrival, so the last arrival workload_at
+    and idle_at read is in it or later. Until the first trace has read the
+    idleness at the origin, a chunk also stays unless a later one arrived
+    by the origin.
+    """
+
+    def __init__(self, config: SimConfig, origin: float):
+        self.config = config
+        self.origin = float(origin)
+        self.chunks: deque = deque()
+        self.idle_origin = None         # I at the origin, from the first trace
+        self.last_arrival = -math.inf
+        self.ended = False
+        self.jobs = self.held = self.most = 0     # pushed, held now, held at most
+        self._trace = None
+
+    def push(self, chunk: Chunk | None) -> None:
+        self._trace = None
+        if chunk is None:
+            self.ended = True
+            return
+        self.chunks.append(chunk)
+        m = len(chunk.t_arr)
+        if m:
+            self.last_arrival = float(chunk.t_arr[-1])
+        self.jobs += m
+        self.held += m
+        self.most = max(self.most, self.held)
+
+    def passed(self, raw: float) -> bool:
+        return self.ended or self.last_arrival > raw
+
+    def trace(self) -> SimTrace:
+        """A trace of the held jobs. Each field is joined in turn, and the
+        held chunks' arrays of it become views of the joined array at once,
+        so the jobs are held once, not twice, beyond the field being joined."""
+        if self._trace is None:
+            held = [list(chunk) for chunk in self.chunks]
+            self.chunks.clear()
+            columns = []
+            for c in range(len(Chunk._fields)):
+                column = np.concatenate([chunk[c] for chunk in held])
+                end = 0
+                for chunk in held:
+                    end += len(chunk[c])
+                    chunk[c] = column[end - len(chunk[c]):end]
+                columns.append(column)
+            self.chunks.extend(map(Chunk._make, held))
+            self._trace = SimTrace(self.config, self.origin, *columns,
+                                   idle_origin=self.idle_origin)
+            self.idle_origin = self._trace.idle_origin
+        return self._trace
+
+    def release(self, raws) -> None:
+        if not raws:
+            return
+        cut = min(_exit_cut(raw) for raw in raws)
+        while len(self.chunks) > 1:
+            chunk, after = self.chunks[0], self.chunks[1]
+            if (chunk.block_exits.max() > cut
+                    or (self.idle_origin is None and after.t_arr[0] > self.origin)):
+                return
+            self.chunks.popleft()
+            self.held -= len(chunk.t_arr)
+            self._trace = None

@@ -452,10 +452,10 @@ def test_converge_rejects_bad_corner_radii_before_simulating(tmp_path, capsys, m
     """A corner radius is positive and finite; json reads 1e400 as inf."""
     import fluidq.scaling
 
-    def no_run(config):
+    def no_run(*args):
         raise AssertionError("converge simulated before checking its kappas")
 
-    monkeypatch.setattr(fluidq.scaling, "run", no_run)
+    monkeypatch.setattr(fluidq.scaling, "chunks", no_run)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "model": {"classes": [MARKOV_CLASS]},
@@ -466,6 +466,38 @@ def test_converge_rejects_bad_corner_radii_before_simulating(tmp_path, capsys, m
                            "--out", str(tmp_path / "o"))
     assert code == 2
     assert "config error at converge.kappas[1]: must be positive and finite" in err
+
+
+@pytest.mark.parametrize("command, block", (("simulate", "sim"), ("fluid", "fluid")))
+def test_infinite_horizon_is_a_config_error(tmp_path, capsys, command, block):
+    """json reads 1e400 as inf: `simulate` died with an OverflowError (exit
+    1) and `fluid` exited 3, for what is a config error."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"classes": [MARKOV_CLASS]}, block: {"horizon": "HORIZON"},
+    }).replace('"HORIZON"', "1e400"))
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"config error at {block}.horizon: must be finite, got inf" in err
+
+
+def test_rect_grid_boxes_may_be_unbounded_right_and_up(tmp_path, capsys):
+    """A box's right and top edges b and d may be infinite; a and c may not."""
+    def converge(box):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": {"classes": [MARKOV_CLASS]}, "sim": {"horizon": 1.0},
+            "converge": {"scales": [2], "reps": 1, "rect_grid": ["BOX"]},
+        }).replace('"BOX"', box))
+        return run_cli(capsys, "converge", "--config", str(cfg), "--out", str(tmp_path / "o"))
+
+    code, _, _ = converge("[0.5, 1e400, 0.25, 1e400]")
+    assert code == 0
+    rows = read_csv(tmp_path / "o" / "report.csv")
+    assert any(r[3] == "rect_measure" for r in rows[1:])
+    code, _, err = converge("[1e400, 1e400, 0.25, 1e400]")
+    assert code == 2
+    assert "config error at converge.rect_grid[0][0]: must be finite, got inf" in err
 
 
 def test_invariant_command(tmp_path, capsys):

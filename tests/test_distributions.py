@@ -159,6 +159,34 @@ def mixture_inverse_cdf_reference(law, u):
     return x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
 
 
+@given(law=laws, scale=st.sampled_from((1, 7, 100_000)), a=st.integers(0, 3000),
+       b=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_draws_in_blocks_have_the_bits_of_one_draw(law, scale, a, b, seed):
+    """The simulator draws each stream in blocks: a draws then b draws are
+    the bits of one draw of a + b, and leave the stream where that draw
+    leaves it, for every family, scaled or not."""
+    law = law.scaled(scale)
+    rng, one = stream(seed, 1), stream(seed, 1)
+    blocks = np.concatenate([law.sample(rng, a), law.sample(rng, b)])
+    assert blocks.view(np.int64).tolist() == law.sample(one, a + b).view(np.int64).tolist()
+    assert law.sample(rng, 3).tolist() == law.sample(one, 3).tolist()
+
+
+@given(samples=st.lists(st.floats(1e-3, 10.0), max_size=60), scale=st.sampled_from((1, 7)),
+       a=st.integers(0, 30), b=st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_replay_draws_in_blocks_continue_the_script(samples, scale, a, b):
+    """A Replay script read in two blocks gives the bits of one read."""
+    a = min(a, len(samples))
+    b = min(b, len(samples) - a)
+    law = Replay(tuple(samples)).scaled(scale)
+    blocks = np.concatenate([law.sample(None, a), law.sample(None, b)])
+    law.reset()
+    assert blocks.view(np.int64).tolist() == law.sample(None, a + b).view(np.int64).tolist()
+    assert law.remaining == len(samples) - a - b
+
+
 @given(components=mixture_components, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_mixture_inverse_cdf_matches_reference_bit_for_bit(components, seed):

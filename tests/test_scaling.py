@@ -4,11 +4,15 @@ import csv
 import json
 import logging
 import math
+import re
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fluidq import simulate
 from fluidq.distributions import Exponential, UniformInterval, mix_seed
 from fluidq.fluid import (FluidClass, FluidModelInput, ZeroInitial,
                           fluid_queue_length, solve_fluid, solve_workload)
@@ -71,10 +75,10 @@ def test_plan_validation():
 def test_run_plan_rejects_bad_corner_radii_before_simulating(kappa, monkeypatch):
     import fluidq.scaling
 
-    def no_run(config):
+    def no_run(*args):
         raise AssertionError("run_plan simulated before checking its kappas")
 
-    monkeypatch.setattr(fluidq.scaling, "run", no_run)
+    monkeypatch.setattr(fluidq.scaling, "chunks", no_run)
     plan = ScalingPlan(base=markov_base(), scales=(5,), replications=1)
     with pytest.raises(ScalingError, match="kappas must be positive and finite"):
         run_plan(plan, kappas=(0.1, kappa))
@@ -281,9 +285,73 @@ def test_run_plan_logs_jobs_and_section_times(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"]
     assert len(lines) == 2
     for n, line in zip((5, 20), lines):
+        # every job fits one chunk, so all of them are held at the end
         jobs = len(run(replace(plan.base, scale=n, seed=plan.seed(n, 0))).t_arr)
-        assert line.startswith(f"run_plan n={n} rep=0: {jobs} jobs; seconds: ")
+        assert line.startswith(f"run_plan n={n} rep=0: {jobs} jobs, at most {jobs} held; "
+                               "seconds: ")
         for section in ("simulate", "workload", "state", "residual", "corner"):
             assert f"{section} " in line
     # the timings stay out of the report
     assert report.rows == run_plan(plan).rows
+
+
+@contextmanager
+def chunked(chunk, draw):
+    """Stream with simulate.STREAM_CHUNK = chunk and DRAW_BLOCK = draw."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "STREAM_CHUNK", chunk)
+        mp.setattr(simulate, "DRAW_BLOCK", draw)
+        yield
+
+
+CHUNK_PLANS = {
+    "markov_empty": ScalingPlan(markov_base(horizon=3.0, seed=4), scales=(200, 4000),
+                                replications=2),
+    # an unsorted time grid with a repeated time; two classes, warm start
+    "two_class_warm": ScalingPlan(
+        SimConfig((ClassSpec(Exponential(1.5), Exponential(1.0), UniformInterval(0.0, 2.0)),
+                   ClassSpec(Exponential(1.0), Exponential(2.0), Exponential(1.0))),
+                  horizon=2.0, seed=9, initial=WarmStart()),
+        scales=(50, 2000), replications=1, time_grid=(1.5, 0.0, 2.0, 0.5, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_PLANS))
+def test_chunk_size_does_not_change_run_plan(name, caplog):
+    """run_plan's rows are bit-identical whatever the stream's chunk and draw
+    sizes. At the defaults every run is one chunk, held whole, so the rows
+    are those of the full traces; 1024-job chunks are released as the
+    stream passes the grid times."""
+    plan = CHUNK_PLANS[name]
+    reports = []
+    for chunk, draw in ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK)):
+        caplog.clear()
+        with chunked(chunk, draw), caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
+            rows = run_plan(plan).rows
+        reports.append([(r.n, r.rep, r.t.hex(), r.metric, r.cls, r.sim_value.hex(),
+                         r.fluid_value.hex(), r.abs_err.hex()) for r in rows])
+        if chunk == 1024:
+            last = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"][-1]
+            jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) held", last).groups())
+            assert simulate.STREAM_CHUNK > jobs > 2 * held
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_run_plan_memory_follows_the_jobs_in_the_system():
+    """The acceptance model's plan holds about 10 times more jobs in the
+    system at n = 1e5 than at 1e4, and simulates 10 times more. Its
+    tracemalloc peak grows by less than 3 times (with full traces it grew
+    by about 10): the stream holds the jobs still in the system and a
+    chunk or two, not the run."""
+    base = markov_base(horizon=6.0, seed=1)
+    run_plan(ScalingPlan(base, (10,), 1))    # warm numpy and the caches outside the count
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_plan(ScalingPlan(base, (n,), 1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100_000) < 3 * peak(10_000)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fluidq import simulate
 from fluidq.distributions import (Deterministic, DistributionError, Exponential,
                                   HyperExponential, Replay, UniformInterval,
-                                  UniformMixture)
+                                  UniformMixture, stream)
 from fluidq.measures import AtomicMeasure2D
 from fluidq.numerics import TIME_SLACK_ULPS
 from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK,
@@ -752,7 +754,7 @@ def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
     trace keeps 42 B/job. The sort used to hold every unsorted column and
     the order beside the sorted ones (99 B/job), and the exit bound two
-    full temporaries (61 B/job); 54 B/job now."""
+    full temporaries (61 B/job); 51 B/job now."""
     config = SimConfig(LARGE_CLASSES, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
     run(replace(config, scale=10))   # warm numpy and the band solve outside the count
     tracemalloc.start()
@@ -791,3 +793,172 @@ def test_residual_query_memory_does_not_grow_with_the_window():
     assert peak < 4 * 1024 * 1024
     assert retained < 4 * 1024
     assert len(tails) == 2
+
+
+def arrival_epochs_reference(law, rng, horizon):
+    """Renewal epochs in (0, horizon] as the simulator drew them before
+    _class_jobs (the former _arrival_epochs): blocks of 1.25 times the
+    expected count until their sum passes the horizon, one cumsum of them
+    all, one cut (a scripted Replay one gap at a time)."""
+    if isinstance(law, Replay):
+        gaps = []
+        total = 0.0
+        while total <= horizon and law.remaining:
+            gap = law.sample(rng)
+            gaps.append(gap)
+            total += gap
+        epochs = np.cumsum(np.asarray(gaps, dtype=float))
+        return epochs[epochs <= horizon]
+    block = max(16, int(horizon / law.mean() * 1.25) + 16)
+    parts = []
+    total = 0.0
+    while total <= horizon:
+        draws = law.sample(rng, block)
+        parts.append(draws)
+        total += float(draws.sum())
+    epochs = np.cumsum(np.concatenate(parts))
+    return epochs[epochs <= horizon]
+
+
+@contextmanager
+def chunked(chunk, draw):
+    """Run the stream with STREAM_CHUNK = chunk and DRAW_BLOCK = draw."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "STREAM_CHUNK", chunk)
+        mp.setattr(simulate, "DRAW_BLOCK", draw)
+        yield
+
+
+interarrivals = st.sampled_from((
+    Exponential(2.0), HyperExponential(((0.5, 1.0), (0.5, 4.0))),
+    UniformInterval(0.25, 0.75), Deterministic(0.5), Deterministic(0.3)))
+
+
+@given(laws=st.lists(interarrivals, min_size=1, max_size=3),
+       scale=st.sampled_from((1, 100, 1000)),
+       horizon=st.sampled_from((0.0, 0.3, 1.0, 1.5, 3.0)) | st.floats(0.0, 3.0),
+       seed=st.integers(0, 1000), draw=st.sampled_from((1, 7, 64, 1024)),
+       chunk=st.sampled_from((1024, 2048)))
+@settings(max_examples=60, deadline=None)
+def test_chunked_arrival_epochs_equal_one_cumsum(laws, scale, horizon, seed, draw, chunk):
+    """The stream's merged epochs and classes, drawn in blocks of `draw`
+    gaps and cut into chunks, and run's, drawn in one block per class, equal
+    one cumsum per class cut at the horizon and one stable argsort of the
+    classes' concatenation: horizons on an epoch of the deterministic laws
+    and tied epochs across classes (two classes with one deterministic law)
+    included."""
+    config = SimConfig(tuple(ClassSpec(a, Exponential(1.0), Exponential(1.0)) for a in laws),
+                       horizon=horizon, scale=scale, seed=seed)
+    epochs = [arrival_epochs_reference(spec.interarrival.scaled(scale), stream(seed, k, 0),
+                                       horizon) for k, spec in enumerate(config.classes)]
+    t = np.concatenate(epochs)
+    order = np.argsort(t, kind="stable")
+    cls = np.repeat(np.arange(len(laws)), [len(e) for e in epochs])[order]
+    with chunked(chunk, draw):
+        parts = list(simulate.chunks(config, 0.0))
+    streamed = [np.concatenate([p.t_arr for p in parts]),
+                np.concatenate([p.cls for p in parts]).astype(np.int64)]
+    tr = run(config)
+    for got in (streamed, (tr.t_arr, tr.cls.astype(np.int64))):
+        assert_same_bits(got, (t[order], cls))
+
+
+LIVE_CONFIGS = {
+    "markov_empty": SimConfig(ADVERSARIAL["overloaded_markov"], horizon=3.0, scale=3000,
+                              seed=5),
+    "two_class_warm": SimConfig(LARGE_CLASSES, horizon=3.0, scale=1200, seed=2,
+                                initial=WarmStart()),
+    # rho = 0.5 after a warm-up of about four chunks of 1024 jobs
+    "underloaded_warm": SimConfig(ADVERSARIAL["underloaded"], horizon=3.0, scale=1000,
+                                  seed=3, initial=WarmStart(8.0)),
+    # every epoch tied across three classes; 1024 is not a multiple of 3
+    "tied_deterministic": SimConfig(3 * (ClassSpec(Deterministic(1.0), Exponential(1.0),
+                                                   Exponential(1.0)),),
+                                    horizon=12.0, scale=500, seed=1),
+    # Replay scripts that run out inside the second chunk of 1024 jobs.
+    "replay_runs_out": SimConfig((ClassSpec(
+        Replay(tuple(np.full(1500, 0.01))), Replay(tuple(np.full(1500, 0.015))),
+        Replay(tuple(np.linspace(0.5, 2.0, 1500)))),), horizon=50.0),
+}
+# (STREAM_CHUNK, DRAW_BLOCK) settings: small chunks that the stream cuts
+# anywhere, and the defaults, at which every LIVE_CONFIGS run is one chunk.
+CHUNKINGS = ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK))
+COLUMNS = ("t_arr", "cls", "v", "d", "w_before", "served", "cum_idle", "exit_bound")
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
+def test_chunks_join_into_run(name):
+    """run takes the whole run through the stream's steps at once: the
+    stream's chunks, at every chunk and draw size, joined, are run's columns
+    bit for bit (the exit blocks accumulated, its exit bound), and those are
+    the scalar recursion's."""
+    config = LIVE_CONFIGS[name]
+    tr = run(config)
+    assert 1024 < len(tr.t_arr) < simulate.STREAM_CHUNK
+    want = [getattr(tr, c) for c in COLUMNS]
+    for chunk, draw in CHUNKINGS:
+        with chunked(chunk, draw):
+            parts = list(simulate.chunks(config, tr.origin))
+        *got, block_exits = (np.concatenate(field) for field in zip(*parts))
+        assert_same_bits(got + [np.maximum.accumulate(block_exits)], want)
+    assert_trace_is_reference(tr)
+
+
+def streamed_answers(config, times):
+    """Each query of run_plan at each time (ascending), answered on the jobs
+    LiveJobs holds when the stream passes it; also the most jobs held."""
+    t_warm = simulate._warmup_duration(config)
+    live = simulate.LiveJobs(config, t_warm)
+    raws = [t + live.origin for t in times]
+    answers, j = [], 0
+    stream_ = simulate.chunks(config, t_warm)
+    while j < len(times):
+        live.push(next(stream_, None))
+        while j < len(times) and live.passed(raws[j]):
+            answers.append(query_answers(live.trace(), times[j]))
+            j += 1
+        live.release(raws[j:])
+    return answers, live.most
+
+
+def query_answers(tr, t):
+    """What run_plan reads at t, floats as their bits."""
+    snaps = [(s.w.view(np.int64).tolist(), s.p.view(np.int64).tolist())
+             for s in tr.snapshot(t)]
+    w, idle = (np.float64(x).view(np.int64) for x in (tr.workload_at(t), tr.idle_at(t)))
+    return snaps, tr.queue_lengths(t), tr.age_count(t, 0.25), tr.age_count(t, 0.0), w, idle
+
+
+def live_times(name, tr):
+    """Query times for test_live_jobs_answer_as_the_full_trace: grid times,
+    times on arrival epochs, on the first arrival of each 1024-job chunk
+    (tied with the last of the chunk before in the three deterministic
+    classes) and between the last job of a chunk and the first of the next,
+    where the underloaded queue is often empty. That queue's times start
+    after the second chunk past the one holding its warm-up origin has
+    begun, so the stream drops chunks before the first trace reads the
+    idleness at the origin."""
+    ends, starts = tr.t_arr[1023::1024], tr.t_arr[1024::1024]
+    between = [e + f * (s - e) for e, s in zip(ends, starts) for f in (0.3, 0.6)]
+    arrivals = tr.t_arr[len(tr.t_arr) // 3::len(tr.t_arr) // 5]
+    times = [t - tr.origin for t in [*between, *starts, *arrivals]]
+    start = 0.0
+    if name == "underloaded_warm":
+        holding = int(np.searchsorted(tr.t_arr, tr.origin, side="right")) - 1
+        start = tr.t_arr[1024 * (holding // 1024 + 2)] - tr.origin + 0.05
+    return sorted(t for t in [start, 0.0, 0.0, 0.4, 1.0, 2.5, 3.0] + times
+                  if start <= t <= tr.horizon)
+
+
+@pytest.mark.parametrize("name", ("markov_empty", "two_class_warm", "underloaded_warm",
+                                  "tied_deterministic"))
+def test_live_jobs_answer_as_the_full_trace(name):
+    """LiveJobs on 1024-job chunks releases most of the run, and its traces
+    answer every query run_plan makes as the full trace does."""
+    config = LIVE_CONFIGS[name]
+    full = run(config)
+    times = live_times(name, full)
+    with chunked(1024, 100):
+        answers, most = streamed_answers(config, times)
+    assert answers == [query_answers(full, t) for t in times]
+    assert most < len(full.t_arr) / 2
