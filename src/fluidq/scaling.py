@@ -17,7 +17,9 @@ import csv
 import json
 import logging
 import math
+import os
 import time
+import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -333,67 +335,167 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     trace of the jobs still held (simulate.LiveJobs), so memory follows the
     jobs in the system rather than the length of the run. The residual
     tails sum each chunk's counts for every time not yet passed.
+
+    The (scale, replication) simulations are seeded independently, so they
+    run one share per CPU the process may use (``_shares``): this process
+    runs the first share, and a forked child runs each other one. The rows
+    are joined in plan order, so they are the same bits whatever the CPU
+    count; with one CPU or one simulation, no child is started.
     """
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
-    rect_edges = np.array([(box.a, box.b, box.c, box.d) for box in rect_grid]).T
-    corners = corner_points(rect_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(float(c) for c in c_grid)
     kappas = DEFAULT_KAPPAS if kappas is None else tuple(float(k) for k in kappas)
     if not all(0 < k < math.inf for k in kappas):
         raise ScalingError(f"kappas must be positive and finite, got {list(kappas)}")
+    rect_edges = np.array([(box.a, box.b, box.c, box.d) for box in rect_grid]).T
+    corners = corner_points(rect_grid)
     targets = _FluidTargets(plan, grid, rect_grid, c_grid)
     order = sorted(range(len(grid)), key=grid.__getitem__)
 
-    rows: list[ReportRow] = []
-    for n in plan.scales:
-        for rep in range(plan.replications):
-            seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
-            config = replace(plan.base, scale=n, seed=plan.seed(n, rep))
-            live = LiveJobs(config, targets.t0)
-            raws = [grid[i] + live.origin for i in order]
-            counts = [None] * len(grid)     # tail_counts per time, summed over chunks
-            workload, state, residual, corner = ([None] * len(grid) for _ in range(4))
-            stream = chunks(config, targets.t0)
-            j = 0
-            while j < len(order):
-                chunk = _timed(seconds, "simulate", next, stream, None)
-                live.push(chunk)
-                if chunk is not None:
-                    _timed(seconds, "residual", _count_tails, counts, chunk, targets.K,
-                           live.origin, order[j:], raws[j:], c_grid)
-                while j < len(order) and live.passed(raws[j]):
-                    i = order[j]
-                    t = grid[i]
-                    trace = live.trace()
-                    workload[i] = _timed(seconds, "workload", _workload_rows,
-                                         n, rep, trace, targets, i, t)
-                    residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
-                                         residual_tails(counts[i]), targets, i, t, c_grid)
-                    # One snapshot per time, shared by the state and corner rows;
-                    # it counts towards the state section.
-                    snaps = _timed(seconds, "state", trace.snapshot, t)
-                    state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
-                                      targets, i, t, rect_grid, rect_edges, plan.ages)
-                    corner[i] = _timed(seconds, "corner", _corner_rows,
-                                       n, rep, snaps, t, corners, kappas)
-                    del trace, snaps
-                    j += 1
-                live.release(raws[j:])
-            stream.close()
-            for section in (workload, state, residual, corner):
-                for part in section:
-                    rows += part
-            log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s",
-                      n, rep, live.jobs, live.most,
-                      ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()))
-            del live    # freed before the next simulation starts
+    def task(n, rep):
+        """One (n, rep) simulation: its rows, the jobs it simulated, the
+        most jobs it held, and the seconds per section."""
+        seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
+        config = replace(plan.base, scale=n, seed=plan.seed(n, rep))
+        live = LiveJobs(config, targets.t0)
+        raws = [grid[i] + live.origin for i in order]
+        counts = [None] * len(grid)     # tail_counts per time, summed over chunks
+        workload, state, residual, corner = ([None] * len(grid) for _ in range(4))
+        stream = chunks(config, targets.t0)
+        j = 0
+        while j < len(order):
+            chunk = _timed(seconds, "simulate", next, stream, None)
+            live.push(chunk)
+            if chunk is not None:
+                _timed(seconds, "residual", _count_tails, counts, chunk, targets.K,
+                       live.origin, order[j:], raws[j:], c_grid)
+            while j < len(order) and live.passed(raws[j]):
+                i = order[j]
+                t = grid[i]
+                trace = live.trace()
+                workload[i] = _timed(seconds, "workload", _workload_rows,
+                                     n, rep, trace, targets, i, t)
+                residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
+                                     residual_tails(counts[i]), targets, i, t, c_grid)
+                # One snapshot per time, shared by the state and corner rows;
+                # it counts towards the state section.
+                snaps = _timed(seconds, "state", trace.snapshot, t)
+                state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
+                                  targets, i, t, rect_grid, rect_edges, plan.ages)
+                corner[i] = _timed(seconds, "corner", _corner_rows,
+                                   n, rep, snaps, t, corners, kappas)
+                del trace, snaps
+                j += 1
+            live.release(raws[j:])
+        stream.close()
+        rows = [row for section in (workload, state, residual, corner)
+                for part in section for row in part]
+        return rows, live.jobs, live.most, seconds
 
+    tasks = [(n, rep) for n in plan.scales for rep in range(plan.replications)]
+    shares = _shares(tasks, _cpus())
+    if len(shares) == 1:
+        results = {key: task(*key) for key in tasks}
+    else:
+        results = _run_shares(task, shares)
+    share_of = {key: s for s, share in enumerate(shares) for key in share}
+
+    rows: list[ReportRow] = []
+    for n, rep in tasks:
+        task_rows, jobs, most, seconds = results[n, rep]
+        rows += task_rows
+        log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s; share %d",
+                  n, rep, jobs, most,
+                  ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()),
+                  share_of[n, rep])
     footer = (
         f"statistical assertions use R={plan.replications} replications",
         "convergence tolerances are empirical (no theoretical rate is available)",
     )
     return ScalingReport(plan, rows, footer)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _shares(tasks, cpus: int) -> list[list[tuple[int, int]]]:
+    """The (n, rep) tasks split into min(cpus, len(tasks)) shares, each in
+    plan order. Greedy by weight n, heaviest first (ties in plan order): each
+    task goes to the lightest share so far (ties to the first), so the split
+    depends on the tasks and the CPU count alone."""
+    shares = [[] for _ in range(min(cpus, len(tasks)))]
+    weights = [0] * len(shares)
+    for index in sorted(range(len(tasks)), key=lambda i: -tasks[i][0]):
+        s = weights.index(min(weights))
+        shares[s].append(index)
+        weights[s] += tasks[index][0]
+    return [[tasks[i] for i in sorted(share)] for share in shares]
+
+
+def _run_shares(task, shares) -> dict:
+    """task(n, rep) for every task of the shares, by (n, rep): the first
+    share here, each other one in a child forked before it starts, which
+    sends its results (or its exception) back through a pipe. The children
+    are ended and joined before this returns or raises.
+
+    Forked children inherit the fluid targets and the imported modules,
+    which a spawned one would import and compute again.
+    Process and Pipe start no helper thread (an executor would), so the
+    only other threads at a fork are numpy's BLAS pool, which is made safe
+    for fork by its own handlers."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_run_share, args=(task, share, send),
+                                    daemon=True)
+            child.start()
+            send.close()
+            children.append((child, receive))
+        results = {key: task(*key) for key in shares[0]}
+        for child, receive in children:
+            try:
+                failed, value = receive.recv()
+            except EOFError:
+                child.join()
+                raise ScalingError(f"a run_plan child exited with code {child.exitcode} "
+                                   "before sending its rows") from None
+            if failed:
+                raise value
+            results.update(value)
+        return results
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+
+
+def _run_share(task, share, send) -> None:
+    """A forked child's work: task(n, rep) for each task of one share, sent
+    as (False, results by (n, rep)), or (True, the exception raised), with
+    its traceback in a note."""
+    try:
+        send.send((False, {key: task(*key) for key in share}))
+    except Exception as exc:
+        if hasattr(exc, "add_note"):    # Python 3.11+
+            exc.add_note(f"raised in the run_plan child for tasks {share}:\n"
+                         + traceback.format_exc())
+        try:
+            send.send((True, exc))
+        except Exception:   # it does not pickle
+            send.send((True, ScalingError(f"{type(exc).__name__}: {exc}")))
+    send.close()
 
 
 def _count_tails(counts, chunk, K, origin, indices, raws, c_grid) -> None:

@@ -243,6 +243,7 @@ class LindleyWork(NamedTuple):
     passes: int         # vector passes over a window of jobs
     elements: int       # jobs in those windows, summed over the passes
     scalar_steps: int   # jobs taken by the scalar step
+    window: int         # the window size the next jobs would be taken with
 
 
 def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
@@ -268,14 +269,15 @@ def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
     return W, t_prev, idle
 
 
-def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0)):
+def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
     """The Lindley pass over the merged arrivals, in windows of jobs.
 
     For jobs in arrival order with services v and deadlines d, starting from
     state (W, t_prev, idle) after the job before them (an empty system at
-    time 0 by default), returns the workload each job found, whether it was
-    served, the idleness up to its arrival, and the LindleyWork done. The
-    outputs are those of the scalar recursion
+    time 0 by default) with a first window of `window` jobs, returns the
+    workload each job found, whether it was served, the idleness up to its
+    arrival, and the LindleyWork done. The outputs are those of the scalar
+    recursion
 
         found = W - (t - t_prev); if found < 0: idle += -found, found = 0
         served = d > found; W = found + v if served else found
@@ -300,7 +302,9 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0)):
     stretch of STRETCH_MIN jobs that doubles on each such pass until a whole
     window verifies. So there is at most about one pass per 32 jobs, the
     windows sum to a small multiple of the jobs, and an input where restarts
-    or flips come every few jobs runs as the scalar loop.
+    or flips come every few jobs runs as the scalar loop. The returned
+    LindleyWork's window is the size reached, so a stream that passes it to
+    the call on its next jobs does not ramp up from CHUNK_MIN again.
     """
     m = len(t_arr)
     w_before = np.empty(m)
@@ -308,7 +312,7 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0)):
     cum_idle = np.empty(m)
     # state: W, t_prev, idle after the last accepted job
     i = guessed = 0
-    chunk, stretch = CHUNK_MIN, STRETCH_MIN
+    chunk, stretch = window, STRETCH_MIN
     passes = elements = scalar = 0
     while i < m:
         j = min(i + chunk, m)
@@ -353,7 +357,7 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0)):
         state = _steps(t_arr, v, d, i, i + n, state, w_before, served, cum_idle)
         scalar += n
         i += n
-    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar)
+    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar, chunk)
 
 
 class Chunk(NamedTuple):
@@ -380,9 +384,9 @@ def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
     last epoch among the classes still drawing, and the jobs up to tau are
     merged by a stable argsort of their concatenation in class order, so
     arrival ties across classes resolve in class order. The Lindley pass
-    carries (W, t_prev, idle) from one chunk to the next, and its check makes
-    the outputs exact whatever the chunk size: the chunks are those of one
-    pass over the whole merged stream, bit for bit.
+    carries (W, t_prev, idle) and its window size from one chunk to the next,
+    and its check makes the outputs exact whatever the chunk size: the chunks
+    are those of one pass over the whole merged stream, bit for bit.
     """
     t_end = t_warm + config.horizon
     K = len(config.classes)
@@ -393,12 +397,14 @@ def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
     none = np.empty(0)
     pending = [(none, none, none)] * K     # per class: drawn, not yet merged
     state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
+    window = CHUNK_MIN                     # _lindley's window size after it
     work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
     out, fill = None, 0                    # the chunk being filled: t, cls, v, d
 
     def simulated(t, cls, v, d) -> Chunk:
-        nonlocal state
-        w_before, served, cum_idle, lindley = _lindley(t, v, d, state)
+        nonlocal state, window
+        w_before, served, cum_idle, lindley = _lindley(t, v, d, state, window)
+        window = lindley.window
         if len(t):
             w = float(w_before[-1])
             state = (w + float(v[-1]) if served[-1] else w, float(t[-1]),

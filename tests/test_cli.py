@@ -390,36 +390,55 @@ def test_fluid_command_bisects_the_band_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_commands_load_no_scipy(tmp_path):
-    """fluidq runs on numpy alone: importing it and running `fluid`,
-    `simulate` and `converge` once each loads no scipy module. The check
-    runs in a child process, since the tests' oracles load scipy here."""
-    runs = [
+def run_fresh(tmp_path, runs, packages):
+    """Run each CLI argv (--out added) in one fresh Python that imports
+    fluidq first; the exit codes and the loaded modules of `packages`."""
+    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    script = ("import json, sys\n"
+              "import fluidq, fluidq.cli\n"
+              "codes = [fluidq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                                if m.split('.')[0] in sys.argv[2:])]))\n")
+    src = os.path.dirname(os.path.dirname(fluidq.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), *packages],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def fluid_and_simulate_runs(tmp_path):
+    return [
         ["fluid", "--config", write_config(tmp_path, KINK_FLUID_CONFIG, "fluid.json")],
         ["simulate", "--config", write_config(tmp_path, {
             "model": {"classes": [MARKOV_CLASS]},
             "sim": {"horizon": 2.0, "n": 5, "seed": 1}}, "simulate.json")],
+    ]
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """fluidq runs on numpy alone: importing it and running `fluid`,
+    `simulate` and `converge` once each loads no scipy module. The check
+    runs in a child process, since the tests' oracles load scipy here."""
+    runs = fluid_and_simulate_runs(tmp_path) + [
         ["converge", "--config", write_config(tmp_path, {
             "model": {"classes": [MARKOV_CLASS]},
             "sim": {"horizon": 2.0, "seed": 1},
             "converge": {"scales": [2, 4], "reps": 1, "time_grid": [0.0, 1.0, 2.0]},
         }, "converge.json")],
     ]
-    runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
-    script = ("import json, sys\n"
-              "import fluidq.cli\n"
-              "codes = [fluidq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-              "                                if m.split('.')[0] == 'scipy')]))\n")
-    src = os.path.dirname(os.path.dirname(fluidq.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert scipy_modules == []
+    assert run_fresh(tmp_path, runs, ["scipy"]) == [[0, 0, 0], []]
+
+
+def test_fluid_and_simulate_load_no_process_pool(tmp_path):
+    """Only converge starts processes, and it imports multiprocessing when
+    it does: importing fluidq and running `fluid` and `simulate` once each
+    loads neither multiprocessing nor concurrent.futures, so they add
+    nothing to the import time or the resident size. Checked in a child
+    process, since the test process may have loaded them."""
+    runs = fluid_and_simulate_runs(tmp_path)
+    assert run_fresh(tmp_path, runs, ["multiprocessing", "concurrent"]) == [[0, 0], []]
 
 
 def test_converge_rejects_scaled_base(tmp_path, capsys):

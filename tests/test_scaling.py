@@ -4,7 +4,10 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
+import os
 import re
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -12,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidq import simulate
+from fluidq import scaling, simulate
 from fluidq.distributions import Exponential, UniformInterval, mix_seed
 from fluidq.fluid import (FluidClass, FluidModelInput, ZeroInitial,
                           fluid_queue_length, solve_fluid, solve_workload)
@@ -20,7 +23,8 @@ from fluidq.scaling import (CSV_COLUMNS, DEFAULT_C_GRID, DEFAULT_KAPPAS,
                             ScalingError, ScalingPlan, corner_points,
                             corner_regularity_probe, default_rect_grid,
                             run_plan)
-from fluidq.simulate import ClassSpec, SimConfig, WarmStart, fluid_model_of, run
+from fluidq.simulate import (ClassSpec, SimConfig, SimulationError, WarmStart,
+                             fluid_model_of, run)
 
 LN2 = math.log(2.0)
 
@@ -277,31 +281,41 @@ def test_corner_cuts_are_bisected_once_per_plan(monkeypatch):
     assert work((10,), 1) == work((10, 100, 1000), 2)
 
 
-def test_run_plan_logs_jobs_and_section_times(caplog):
-    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20), replications=1,
+def use_cpus(monkeypatch, count):
+    """Make run_plan see `count` CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def bits(rows):
+    return [(r.n, r.rep, r.t.hex(), r.metric, r.cls, r.sim_value.hex(),
+             r.fluid_value.hex(), r.abs_err.hex()) for r in rows]
+
+
+def test_run_plan_logs_jobs_and_section_times(caplog, monkeypatch):
+    """One line per (n, rep), in plan order, all from this process, although
+    a child ran the second share."""
+    use_cpus(monkeypatch, 2)
+    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20), replications=2,
                        time_grid=(0.0, 1.0, 2.0))
     with caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
         report = run_plan(plan)
-    lines = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"]
-    assert len(lines) == 2
-    for n, line in zip((5, 20), lines):
+    records = [r for r in caplog.records if r.name == "fluidq.scaling"]
+    assert {r.process for r in records} == {os.getpid()}
+    tasks = [(5, 0), (5, 1), (20, 0), (20, 1)]
+    assert len(records) == len(tasks)
+    shares = {key: s for s, share in enumerate(scaling._shares(tasks, 2)) for key in share}
+    for (n, rep), record in zip(tasks, records):
+        line = record.getMessage()
         # every job fits one chunk, so all of them are held at the end
-        jobs = len(run(replace(plan.base, scale=n, seed=plan.seed(n, 0))).t_arr)
-        assert line.startswith(f"run_plan n={n} rep=0: {jobs} jobs, at most {jobs} held; "
-                               "seconds: ")
+        jobs = len(run(replace(plan.base, scale=n, seed=plan.seed(n, rep))).t_arr)
+        assert line.startswith(f"run_plan n={n} rep={rep}: {jobs} jobs, at most {jobs} "
+                               "held; seconds: ")
         for section in ("simulate", "workload", "state", "residual", "corner"):
             assert f"{section} " in line
+        assert line.endswith(f"; share {shares[n, rep]}")
+    assert set(shares.values()) == {0, 1}
     # the timings stay out of the report
     assert report.rows == run_plan(plan).rows
-
-
-@contextmanager
-def chunked(chunk, draw):
-    """Stream with simulate.STREAM_CHUNK = chunk and DRAW_BLOCK = draw."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "STREAM_CHUNK", chunk)
-        mp.setattr(simulate, "DRAW_BLOCK", draw)
-        yield
 
 
 CHUNK_PLANS = {
@@ -314,6 +328,150 @@ CHUNK_PLANS = {
                   horizon=2.0, seed=9, initial=WarmStart()),
         scales=(50, 2000), replications=1, time_grid=(1.5, 0.0, 2.0, 0.5, 0.5, 1.0)),
 }
+PARALLEL_PLANS = {
+    **CHUNK_PLANS,
+    # the acceptance model at small scales
+    "acceptance": ScalingPlan(markov_base(horizon=6.0, seed=1), scales=(10, 100, 1000),
+                              replications=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_PLANS))
+def test_parallel_rows_equal_one_cpu_rows(name, monkeypatch, caplog):
+    """A plan's rows are the same bits whether its simulations run in one
+    process or in one share per CPU, and no child outlives run_plan."""
+    plan = PARALLEL_PLANS[name]
+    reports = []
+    for count in (1, 2, 3):
+        use_cpus(monkeypatch, count)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
+            reports.append(bits(run_plan(plan).rows))
+        assert multiprocessing.active_children() == []
+        shares = {int(r.getMessage().rsplit(" ", 1)[1]) for r in caplog.records
+                  if r.name == "fluidq.scaling"}
+        assert shares == set(range(min(count, len(plan.scales) * plan.replications)))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_shares_split_heaviest_first_and_repeat():
+    """The split depends on the tasks and the CPU count alone: greedy by n,
+    heaviest first, ties to the first share; each share in plan order."""
+    tasks = [(n, rep) for n in (10, 100, 1000, 10_000, 100_000) for rep in range(2)]
+    two = scaling._shares(tasks, 2)
+    assert two == [[(n, 0) for n in (10, 100, 1000, 10_000, 100_000)],
+                   [(n, 1) for n in (10, 100, 1000, 10_000, 100_000)]]
+    assert scaling._shares(list(tasks), 2) == two
+    assert scaling._shares(tasks, 3) == [
+        [(100_000, 0)], [(100_000, 1)],
+        [(10, 0), (10, 1), (100, 0), (100, 1), (1000, 0), (1000, 1), (10_000, 0),
+         (10_000, 1)]]
+    for cpus in (1, 4, 10, 64):
+        shares = scaling._shares(tasks, cpus)
+        assert len(shares) == min(cpus, len(tasks))
+        assert sorted(key for share in shares for key in share) == tasks
+        assert scaling._shares(tasks, cpus) == shares
+    assert scaling._shares([(7, 0)], 8) == [[(7, 0)]]
+
+
+def failing_chunks(fail):
+    """scaling.chunks, with fail(n) called first for a run at scale n."""
+    stream = scaling.chunks
+
+    def wrapped(config, t_warm):
+        fail(config.scale)
+        return stream(config, t_warm)
+
+    return wrapped
+
+
+def test_a_child_error_reaches_the_caller(monkeypatch):
+    """An error raised in a child's share reaches the caller with its type
+    and message, and no child is left running."""
+    use_cpus(monkeypatch, 2)
+    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20), replications=1,
+                       time_grid=(0.0, 1.0, 2.0))
+    parent = os.getpid()
+
+    def fail_in_child(n):
+        if os.getpid() != parent:
+            raise SimulationError(f"no jobs at n={n}")
+
+    monkeypatch.setattr(scaling, "chunks", failing_chunks(fail_in_child))
+    with pytest.raises(SimulationError) as info:
+        run_plan(plan)
+    assert str(info.value) == "no jobs at n=5"
+    if sys.version_info >= (3, 11):     # the child's traceback comes as a note
+        assert "in fail_in_child" in "".join(info.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_parent_error_ends_the_children(monkeypatch):
+    """An error in the parent's own share ends and joins the children."""
+    use_cpus(monkeypatch, 3)
+    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20, 80), replications=1,
+                       time_grid=(0.0, 1.0, 2.0))
+    parent = os.getpid()
+
+    def fail_here(n):
+        if os.getpid() == parent:
+            raise KeyError(n)
+
+    monkeypatch.setattr(scaling, "chunks", failing_chunks(fail_here))
+    with pytest.raises(KeyError):
+        run_plan(plan)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_or_fails_oddly_is_reported(monkeypatch):
+    """A child that exits without sending its rows, or raises an exception
+    that does not pickle, still makes run_plan raise a ScalingError."""
+    use_cpus(monkeypatch, 2)
+    plan = ScalingPlan(base=markov_base(seed=3), scales=(5, 20), replications=1,
+                       time_grid=(0.0, 1.0, 2.0))
+    parent = os.getpid()
+
+    def exit_in_child(n):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    def unpicklable_in_child(n):
+        if os.getpid() != parent:
+            exc = ValueError("odd")
+            exc.hook = lambda: None
+            raise exc
+
+    for fail, match in ((exit_in_child, "exited with code 3"),
+                        (unpicklable_in_child, r"^ValueError: odd$")):
+        monkeypatch.setattr(scaling, "chunks", failing_chunks(fail))
+        with pytest.raises(ScalingError, match=match):
+            run_plan(plan)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def no_child(monkeypatch):
+    """Fail any attempt to start a child process."""
+    def start(self):
+        raise AssertionError("run_plan started a child process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+
+
+def test_one_task_or_one_cpu_starts_no_child(monkeypatch, no_child):
+    use_cpus(monkeypatch, 8)
+    run_plan(ScalingPlan(markov_base(seed=2), (50,), 1))
+    use_cpus(monkeypatch, 1)
+    run_plan(ScalingPlan(markov_base(seed=2), (5, 50), 2))
+
+
+@contextmanager
+def chunked(chunk, draw):
+    """Stream with simulate.STREAM_CHUNK = chunk and DRAW_BLOCK = draw."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "STREAM_CHUNK", chunk)
+        mp.setattr(simulate, "DRAW_BLOCK", draw)
+        yield
 
 
 @pytest.mark.parametrize("name", sorted(CHUNK_PLANS))
@@ -327,9 +485,7 @@ def test_chunk_size_does_not_change_run_plan(name, caplog):
     for chunk, draw in ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK)):
         caplog.clear()
         with chunked(chunk, draw), caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
-            rows = run_plan(plan).rows
-        reports.append([(r.n, r.rep, r.t.hex(), r.metric, r.cls, r.sim_value.hex(),
-                         r.fluid_value.hex(), r.abs_err.hex()) for r in rows])
+            reports.append(bits(run_plan(plan).rows))
         if chunk == 1024:
             last = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"][-1]
             jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) held", last).groups())
@@ -337,12 +493,14 @@ def test_chunk_size_does_not_change_run_plan(name, caplog):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_run_plan_memory_follows_the_jobs_in_the_system():
+def test_run_plan_memory_follows_the_jobs_in_the_system(no_child):
     """The acceptance model's plan holds about 10 times more jobs in the
     system at n = 1e5 than at 1e4, and simulates 10 times more. Its
     tracemalloc peak grows by less than 3 times (with full traces it grew
     by about 10): the stream holds the jobs still in the system and a
-    chunk or two, not the run."""
+    chunk or two, not the run. The plans have one task each, so the
+    simulation runs in this process and tracemalloc sees it; no_child fails
+    the test if a child is started."""
     base = markov_base(horizon=6.0, seed=1)
     run_plan(ScalingPlan(base, (10,), 1))    # warm numpy and the caches outside the count
 

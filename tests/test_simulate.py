@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -17,7 +18,7 @@ from fluidq.distributions import (Deterministic, DistributionError, Exponential,
                                   UniformMixture, stream)
 from fluidq.measures import AtomicMeasure2D
 from fluidq.numerics import TIME_SLACK_ULPS
-from fluidq.simulate import (ABANDONMENT, CHUNK_MIN, SERVICE, EXIT_BLOCK,
+from fluidq.simulate import (ABANDONMENT, CHUNK_MAX, CHUNK_MIN, SERVICE, EXIT_BLOCK,
                              RESIDUAL_BLOCK, ClassSpec, Empty, SimConfig,
                              SimulationError, WarmStart, _lindley, fluid_model_of,
                              run)
@@ -572,12 +573,14 @@ def assert_trace_is_reference(tr):
        rho=st.sampled_from((0.3, 0.9, 1.0, 2.0, 5.0)),
        service=st.sampled_from(("exponential", "deterministic")),
        deadline=st.sampled_from(("exponential", "band", "zero")),
-       ties=st.sampled_from((0.0, 0.5, 1.0)))
+       ties=st.sampled_from((0.0, 0.5, 1.0)),
+       window=st.sampled_from((CHUNK_MIN, 1000, CHUNK_MAX)))
 @settings(max_examples=150, deadline=None)
-def test_lindley_equals_scalar_recursion(m, seed, n, rho, service, deadline, ties):
+def test_lindley_equals_scalar_recursion(m, seed, n, rho, service, deadline, ties, window):
     """Services of mean 1/n at offered load rho; deadlines exponential,
     within 1e-3 of 1 (the band level of the deterministic queue at rho = 2),
-    or all zero; a share of the interarrival gaps is zero (tied epochs)."""
+    or all zero; a share of the interarrival gaps is zero (tied epochs). The
+    first window is the smallest, the largest, or one between."""
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / (rho * n), m)
     gaps[rng.random(m) < ties] = 0.0
@@ -586,9 +589,10 @@ def test_lindley_equals_scalar_recursion(m, seed, n, rho, service, deadline, tie
     d = {"exponential": lambda: rng.exponential(1.0, m),
          "band": lambda: rng.uniform(0.999, 1.001, m),
          "zero": lambda: np.zeros(m)}[deadline]()
-    *got, work = _lindley(t_arr, v, d)
+    *got, work = _lindley(t_arr, v, d, window=window)
     assert_same_bits(got, lindley_reference(t_arr, v, d))
     assert_bounded_work(work, m)
+    assert CHUNK_MIN <= work.window <= CHUNK_MAX
 
 
 def law(kind, rate):
@@ -732,6 +736,22 @@ def test_lindley_work_is_bounded_on_adversarial_inputs(name):
     *got, work = _lindley(tr.t_arr, tr.v, tr.d)
     assert_same_bits(got, lindley_reference(tr.t_arr, tr.v, tr.d))
     assert_bounded_work(work, m)
+
+
+def test_stream_carries_the_window_across_chunks(caplog):
+    """The stream passes _lindley's window size from one chunk to the next,
+    so a streamed run of the acceptance model at n = 1e5 (37 chunks) makes
+    about as many vector passes as run, not a ramp from CHUNK_MIN per chunk
+    (657 passes against run's 418 when each chunk started afresh)."""
+    config = SimConfig(ADVERSARIAL["overloaded_markov"], horizon=6.0, scale=100_000, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
+        jobs = len(run(config).t_arr)
+        for _ in simulate.chunks(config, 0.0):
+            pass
+    whole, streamed = (int(re.search(r"(\d+) vector passes", r.getMessage()).group(1))
+                       for r in caplog.records)
+    assert f"{jobs // simulate.STREAM_CHUNK + 1} chunks, {jobs} jobs" in caplog.text
+    assert streamed <= 1.05 * whole
 
 
 def test_run_logs_its_work(caplog):
