@@ -252,7 +252,7 @@ def _write_json(path: str, payload) -> None:
 def _time_grid(horizon: float, step: float) -> list[float]:
     count = int(math.floor(horizon / step + 1e-9)) if step > 0 else 0
     ts = [min(i * step, horizon) for i in range(count + 1)]
-    if not ts or ts[-1] < horizon - 1e-12 * max(1.0, horizon):
+    if not ts or ts[-1] < horizon - 1e-12 * horizon:
         ts.append(horizon)
     return ts
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics
 from .distributions import Distribution, require_deadline_law
-from .measures import Box, upper_right
+from .measures import Box
 
 QUAD_TOL = 1e-10
 # Workload level nodes (_levels): GRADING puts the Hermite error of an
@@ -410,12 +410,6 @@ def solve_workload(model: FluidModelInput, w0: float, T: float,
 # Initial conditions
 # ---------------------------------------------------------------------------
 
-def _rect_overlap_area(ax: float, bx: float, ay: float, by: float,
-                       qa: float, qb: float, qc: float, qd: float) -> float:
-    """Area of [ax,bx)x[ay,by) intersected with [qa,qb)x[qc,qd)."""
-    return max(0.0, min(bx, qb) - max(ax, qa)) * max(0.0, min(by, qd) - max(ay, qc))
-
-
 def _area_above_diagonal(x1: float, x2: float, y1: float, y2: float) -> float:
     """Area of the rectangle [x1,x2]x[y1,y2] lying strictly above p = w."""
     if x2 <= x1 or y2 <= y1:
@@ -561,8 +555,8 @@ class BoxMixtureInitial(InitialFluidMeasure):
         for kk, piece, mass in self.pieces:
             if kk != k:
                 continue
-            overlap = _rect_overlap_area(piece.a, piece.b, piece.c, piece.d,
-                                         box.a, box.b, box.c, box.d)
+            overlap = (max(0.0, min(piece.b, box.b) - max(piece.a, box.a))
+                       * max(0.0, min(piece.d, box.d) - max(piece.c, box.c)))
             total += mass * overlap / piece.area
         return total
 
@@ -618,10 +612,11 @@ def solve_fluid(model: FluidModelInput, initial: InitialFluidMeasure,
 
 
 def _times(path: WorkloadPath, t) -> np.ndarray:
-    """The time argument of a functional, checked, as a flat array."""
+    """The time argument of a functional, checked, as a flat array; a time
+    within the path's slack below 0 reads as 0."""
     t = np.asarray(t, dtype=float)
     path._check_time(t)
-    return t.reshape(-1)
+    return np.maximum(t.reshape(-1), 0.0)
 
 
 def _like(t, values: np.ndarray):
@@ -635,16 +630,15 @@ def _survival_integrals(law: Distribution, a, b) -> np.ndarray:
     return np.array([law.integrate_survival(x, y) for x, y in zip(a.tolist(), b.tolist())])
 
 
-def _by_time(solution: FluidSolution, t, head, tail):
-    """A functional at the time(s) t: head(x) one time at a time where x < w0
-    and the initial state still holds mass, tail on the array of the rest."""
-    ts = _times(solution.workload, t)
-    out = np.empty(len(ts))
+def _initial_share(solution: FluidSolution, ts: np.ndarray, mass) -> np.ndarray:
+    """The initial state's share of a functional at the times ts: mass(x)
+    at each time x < w0, and +0.0 from w0 on. Every initial job starts at a
+    workload coordinate of at most w0, which falls at unit rate, so by time
+    w0 all of them have left."""
+    out = np.zeros(len(ts))
     early = ts < solution.w0
-    out[early] = [head(x) for x in ts[early].tolist()]
-    if not early.all():
-        out[~early] = tail(ts[~early])
-    return _like(t, out)
+    out[early] = [mass(x) for x in ts[early].tolist()]
+    return out
 
 
 def eval_fluid(solution: FluidSolution, k: int, t, box: Box):
@@ -668,8 +662,8 @@ def _eval_boxes(solution: FluidSolution, k: int, ts: np.ndarray, boxes) -> np.nd
     path = solution.workload
     law = solution.model.classes[k].deadline
     rate = solution.model.classes[k].arrival_rate
-    out = np.array([[solution.initial.eval0(solution.model, k, box.shifted(x))
-                     for x in ts.tolist()] for box in boxes]).reshape(len(boxes), len(ts))
+    out = np.array([_initial_share(solution, ts, lambda x, box=box: solution.initial.eval0(
+        solution.model, k, box.shifted(x))) for box in boxes]).reshape(len(boxes), len(ts))
     a, b, c, d = (np.array(col)[:, None] for col in zip(*(
         (box.a, box.b, box.c, box.d) for box in boxes)))
     lo, hi = np.minimum(path.tau(np.stack([a + ts, b + ts])), ts)
@@ -687,76 +681,58 @@ def _eval_boxes(solution: FluidSolution, k: int, ts: np.ndarray, boxes) -> np.nd
 
 
 def fluid_queue_length(solution: FluidSolution, k: int, t):
-    """z_k(t): class k fluid mass in system at the time(s) t."""
-    path = solution.workload
-    cls = solution.model.classes[k]
-
-    def head(x):
-        return (solution.initial.eval0(solution.model, k, upper_right(x, x))
-                + cls.arrival_rate * cls.deadline.integrate_survival(0.0, x))
-
-    def tail(ts):
-        w_tau = path.at(path.tau(ts))
-        return cls.arrival_rate * _survival_integrals(cls.deadline, 0.0, w_tau)
-
-    return _by_time(solution, t, head, tail)
+    """z_k(t): class k fluid mass in system at the time(s) t, the age count
+    at age 0."""
+    return fluid_age_count(solution, k, t, 0.0)
 
 
 def fluid_nonabandoning(solution: FluidSolution, k: int, t):
     """n_k(t): fluid mass of jobs that will eventually be served."""
     path = solution.workload
-    cls = solution.model.classes[k]
-
-    def head(x):
-        return (solution.initial.mass_nonabandoning(solution.model, k, x)
-                + cls.arrival_rate * path.waiting_integral(k, 0.0, x))
-
-    def tail(ts):
-        return cls.arrival_rate * path.waiting_integral(k, path.tau(ts), ts)
-
-    return _by_time(solution, t, head, tail)
+    ts = _times(path, t)
+    rate = solution.model.classes[k].arrival_rate
+    initial = _initial_share(solution, ts, lambda x: solution.initial.mass_nonabandoning(
+        solution.model, k, x))
+    return _like(t, initial + rate * path.waiting_integral(k, path.tau(ts), ts))
 
 
 def fluid_abandoning(solution: FluidSolution, k: int, t):
     """a_k(t): fluid mass of jobs that will renege before reaching service."""
     path = solution.workload
+    ts = _times(path, t)
     cls = solution.model.classes[k]
-
-    def head(x):
-        window = cls.deadline.integrate_survival(0.0, x)
-        waiting = path.waiting_integral(k, 0.0, x)
-        return (solution.initial.mass_abandoning(solution.model, k, x)
-                + cls.arrival_rate * (window - waiting))
-
-    def tail(ts):
-        s = path.tau(ts)
-        window = _survival_integrals(cls.deadline, 0.0, ts - s)
-        return cls.arrival_rate * (window - path.waiting_integral(k, s, ts))
-
-    return _by_time(solution, t, head, tail)
+    initial = _initial_share(solution, ts, lambda x: solution.initial.mass_abandoning(
+        solution.model, k, x))
+    s = path.tau(ts)
+    window = _survival_integrals(cls.deadline, 0.0, ts - s)
+    return _like(t, initial + cls.arrival_rate * (window - path.waiting_integral(k, s, ts)))
 
 
 def fluid_age_count(solution: FluidSolution, k: int, t, u: float):
     """z_k(t, u): class k fluid mass of jobs in system at the time(s) t
-    with age >= u."""
+    with age >= u.
+
+    At a time x < w0, the initial jobs counted are those ahead of the
+    arrival at time x - u, whose workload coordinate is then w(x - u) - u:
+    the box [x, w(x - u) - u + x) x [x, inf) at time 0. An arrival waits
+    until its work reaches the server, so the oldest arrival still waiting
+    has age t while tau(t) = 0, and w(tau(t)) after that.
+    """
     path = solution.workload
+    ts = _times(path, t)
     cls = solution.model.classes[k]
-    if not (0 <= u and np.all(u <= np.asarray(t))):
+    if not (0 <= u and np.all(u <= ts)):
         raise FluidModelError(f"need 0 <= u <= t, got u={u}, t={t}")
 
-    def head(x):
+    def initial(x):
         edge = max(path(x - u) - u, 0.0)
-        return (solution.initial.eval0(solution.model, k, Box(x, edge + x, x, math.inf))
-                + cls.arrival_rate * cls.deadline.integrate_survival(u, x))
+        return solution.initial.eval0(solution.model, k, Box(x, edge + x, x, math.inf))
 
-    def tail(ts):
-        w_tau = path.at(path.tau(ts))
-        out = np.zeros(len(ts))
-        some = u < w_tau
-        out[some] = cls.arrival_rate * _survival_integrals(cls.deadline, u, w_tau[some])
-        return out
-
-    return _by_time(solution, t, head, tail)
+    age = np.where(ts < solution.w0, ts, path.at(path.tau(ts)))
+    out = _initial_share(solution, ts, initial)
+    some = u < age
+    out[some] += cls.arrival_rate * _survival_integrals(cls.deadline, u, age[some])
+    return _like(t, out)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .numerics import sig17
 # by name, so the name stays.
 from .simulate import (DEFAULT_C_GRID, LiveJobs, SimConfig, _warmup_duration,  # noqa: F401
                        chunks, fluid_model_of, residual_tails, run, tail_counts)
+from .simulate import log as simulate_log
 
 
 log = logging.getLogger(__name__)
@@ -340,7 +341,9 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     run one share per CPU the process may use (``_shares``): this process
     runs the first share, and a forked child runs each other one. The rows
     are joined in plan order, so they are the same bits whatever the CPU
-    count; with one CPU or one simulation, no child is started.
+    count; with one CPU or one simulation, no child is started. Each
+    simulation's fluidq.simulate records are held back and emitted here just
+    before its run_plan line, so the log is in plan order too.
     """
     grid = plan.resolved_time_grid()
     rect_grid = plan.resolved_rect_grid()
@@ -355,7 +358,22 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
 
     def task(n, rep):
         """One (n, rep) simulation: its rows, the jobs it simulated, the
-        most jobs it held, and the seconds per section."""
+        most jobs it held, the seconds per section, and the fluidq.simulate
+        records it made, held back from every handler for this process to
+        emit."""
+        records = []
+
+        def hold(record):
+            record.msg, record.args = record.getMessage(), None     # so it pickles
+            records.append(record)
+
+        simulate_log.addFilter(hold)    # a filter returning None drops the record
+        try:
+            return (*simulate(n, rep), records)
+        finally:
+            simulate_log.removeFilter(hold)
+
+    def simulate(n, rep):
         seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
         config = replace(plan.base, scale=n, seed=plan.seed(n, rep))
         live = LiveJobs(config, targets.t0)
@@ -403,8 +421,10 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
 
     rows: list[ReportRow] = []
     for n, rep in tasks:
-        task_rows, jobs, most, seconds = results[n, rep]
+        task_rows, jobs, most, seconds, records = results[n, rep]
         rows += task_rows
+        for record in records:
+            simulate_log.handle(record)
         log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s; share %d",
                   n, rep, jobs, most,
                   ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()),

@@ -1,4 +1,5 @@
-"""The artifacts of `fluidq converge` and `fluidq simulate` pinned by hash.
+"""The artifacts of `fluidq converge`, `fluidq simulate` and `fluidq fluid`
+pinned by hash.
 
 A change meant to keep these outputs (a refactor, a speed-up) must leave
 the hashes alone; a change meant to alter them updates the goldens and
@@ -121,4 +122,48 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     for artifact, digest in SIMULATE_GOLDEN.items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
+
+
+# The fluid_kink model (two classes whose laws have knots at 0.5, 1, 2, 2.5
+# and 3; band {1.5}) from two initial states that hold mass: the functionals
+# at the times before w0 carry the initial state's share. The box mixture
+# starts at w0 = 0.8, so its path crosses the knot at 1.
+FLUID_MODEL = {"classes": [
+    {"arrival": _exp(1.5), "service": _exp(1.0),
+     "deadline": {"family": "uniform_mixture", "components": [
+         {"weight": 0.5, "lo": 0.0, "hi": 1.0}, {"weight": 0.5, "lo": 2.0, "hi": 3.0}]}},
+    {"arrival": _exp(1.0), "service": _exp(2.0),
+     "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
+]}
+FLUID_CONFIGS = {
+    "invariant": {"kind": "invariant", "w": 1.5},
+    "boxes": {"kind": "boxes", "pieces": [
+        {"class": 0, "box": [0.0, 0.8, 0.3, 2.0], "mass": 0.7},
+        {"class": 1, "box": [0.4, 0.7, 0.0, 1.0], "mass": 0.2}]},
+}
+
+# Pinned when each functional's early times (t < w0) still went through a
+# scalar evaluation of their own, and kept when they joined the array path.
+FLUID_GOLDEN = {
+    "invariant": {
+        "functionals.csv": "5b60e8eed8f7dc6730f4d08789daabdc7aa85f4352a60d69e29b8a4620b2dfd7",
+        "workload.csv": "ebb3eaf5d215e2b26e5880c3af38bc4c4c92110d615052006d7e8cd1ce0671dd",
+    },
+    "boxes": {
+        "functionals.csv": "7e0e00217bf8c228c4294fdccaf43e32f74b47f2713a701add4c61554b5a1a66",
+        "workload.csv": "56b846a81e0458522e9f25a1e0e789f893beb857646e619dcc43a8c626d208f4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUID_CONFIGS))
+def test_fluid_outputs_match_golden_hashes(tmp_path, capsys, name):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": FLUID_MODEL, "fluid": {
+        "horizon": 3.0, "grid_step": 0.05, "initial": FLUID_CONFIGS[name]}}))
+    out = tmp_path / "out"
+    assert main(["fluid", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for artifact, digest in FLUID_GOLDEN[name].items():
         assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fluidq
-from fluidq.cli import main
+from fluidq.cli import _time_grid, main
 from fluidq.distributions import Exponential
 from fluidq.fluid import (FluidClass, FluidModelInput, equilibrium_band,
                           invariant_state)
@@ -103,6 +103,22 @@ def test_fluid_command_happy_path(tmp_path, capsys):
     assert band["d_max"] == math.inf
     assert band["at_w_l"]["queue_length"][0] == pytest.approx(1.0, abs=1e-9)
     assert band["at_w_l"]["nonabandoning"][0] == pytest.approx(LN2, abs=1e-9)
+
+
+def test_time_grid_does_not_depend_on_the_time_unit():
+    """The written grid, divided by c, is the same at c = 1e-6, 1 and 1e6:
+    its end check is relative to the horizon, so the horizon row is never
+    dropped. fluid_kink's horizons 3 and 0.6 at step 0.02 keep their grids."""
+    base = _time_grid(1.0, 0.3333333)
+    assert len(base) == 5 and base[-1] == 1.0
+    for c in (1e-6, 1e6):
+        assert [t / c for t in _time_grid(c * 1.0, c * 0.3333333)] == pytest.approx(
+            base, rel=1e-15)
+    for horizon, count in ((3.0, 151), (0.6, 31)):
+        grid = _time_grid(horizon, 0.02)
+        assert len(grid) == count and grid[-1] == horizon
+        assert grid == [min(i * 0.02, horizon) for i in range(count)]
+    assert _time_grid(0.0, 1.0) == [0.0]
 
 
 def test_fluid_command_invariant_start(tmp_path, capsys):

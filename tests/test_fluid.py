@@ -778,3 +778,120 @@ def test_functionals_on_arrays_equal_scalar_calls(kink_model, name):
         gap = (values["fluid_queue_length"] - values["fluid_nonabandoning"]
                - values["fluid_abandoning"])
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+def scaled_initial_states(model, c):
+    """Zero, the invariant state at the band's lower edge, and a box
+    mixture with every box edge multiplied by c, for a model of
+    scaled_models(c)."""
+    pieces = [(0, Box(0.0, 1.2 * c, 0.3 * c, 2.0 * c), 0.7),
+              (model.K - 1, Box(0.4 * c, 0.9 * c, 0.0, 1.0 * c), 0.2)]
+    return {"zero": ZeroInitial(), "invariant": InvariantInitial(model.band[0]),
+            "boxes": BoxMixtureInitial(tuple(pieces))}
+
+
+def functionals_in_units_of(c, name, state):
+    """Every functional of one model and initial state at the times c * t,
+    for the 41 times t of [0, 4]: z, n, a, the age count at ages c * u and
+    three box masses with every edge multiplied by c, per class."""
+    model = scaled_models(c)[name]
+    solution = solve_fluid(model, scaled_initial_states(model, c)[state], T=4.0 * c)
+    base = np.linspace(0.0, 4.0, 41)
+    ts = c * base
+    boxes = (Box(0.1 * c, 0.9 * c, 0.2 * c, 1.4 * c), Box(0.0, 0.5 * c, 0.0, math.inf),
+             upper_right(0.6 * c, 0.3 * c))
+    out = {}
+    for k in range(model.K):
+        for f in (fluid_queue_length, fluid_nonabandoning, fluid_abandoning):
+            out[f.__name__, k] = f(solution, k, ts)
+        for u in (0.0, 0.25, 1.0):
+            out["age", k, u] = fluid_age_count(solution, k, ts[base >= u], c * u)
+        for i, box in enumerate(boxes):
+            out["box", k, i] = eval_fluid(solution, k, ts, box)
+    return out
+
+
+@pytest.mark.parametrize("state", ["zero", "invariant", "boxes"])
+@pytest.mark.parametrize("name", ["markov", "kink"])
+def test_functionals_do_not_depend_on_the_time_unit(name, state):
+    """With every rate divided by c and every deadline law and initial box
+    stretched by c, each functional at c * t is a mass, so it equals its
+    value at t in the unit time scale, to 1e-12 of the largest value."""
+    base = functionals_in_units_of(1.0, name, state)
+    for c in (1e-6, 1e6):
+        scaled = functionals_in_units_of(c, name, state)
+        for key, want in base.items():
+            scale = max(np.max(np.abs(want), initial=0.0), 1e-300)
+            assert np.max(np.abs(scaled[key] - want), initial=0.0) <= 1e-12 * scale, (c, key)
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_STATES))
+def test_functionals_read_a_time_just_below_zero_as_zero(kink_model, name):
+    """A time within TIME_SLACK_ULPS ulps of T below 0 passes the path's
+    check, and every functional reads it as 0; one at the slack is
+    rejected. The age count still needs u <= t for an age u > 0."""
+    initial, T = INITIAL_STATES[name]
+    solution = solve_fluid(kink_model, initial, T=T)
+    ulp = np.spacing(T)
+    box = Box(0.1, 0.9, 0.2, 1.4)
+
+    def functionals(t):
+        return [f(solution, k, t) for k in range(kink_model.K)
+                for f in (fluid_queue_length, fluid_nonabandoning, fluid_abandoning,
+                          lambda s, k, t: fluid_age_count(s, k, t, 0.0),
+                          lambda s, k, t: eval_fluid(s, k, t, box))]
+
+    at_zero = functionals(0.0)
+    assert at_zero[0] == fluid_queue_length(solution, 0, 0.0)
+    for i in range(1, TIME_SLACK_ULPS):
+        assert functionals(-i * ulp) == at_zero
+        assert [v[0] for v in functionals(np.array([-i * ulp]))] == at_zero
+    with pytest.raises(FluidModelError):
+        fluid_queue_length(solution, 0, -TIME_SLACK_ULPS * ulp)
+    with pytest.raises(FluidModelError):
+        fluid_age_count(solution, 0, math.nextafter(0.5, 0.0), 0.5)
+
+
+# One class whose band is [1, 2] and whose deadlines end at 3.
+_GAPPED = FluidModelInput((FluidClass(2.0, 1.0, UniformMixture(
+    ((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))),))
+_edge = st.floats(0.0, 3.0)
+
+
+@st.composite
+def initial_states(draw):
+    kind = draw(st.sampled_from(["zero", "invariant", "boxes"]))
+    if kind == "zero":
+        return ZeroInitial()
+    if kind == "invariant":
+        return InvariantInitial(draw(st.floats(1.0, 2.0)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.tuples(_edge, _edge)))
+        c, d = sorted(draw(st.tuples(_edge, st.floats(0.0, 5.0))))
+        assume(b > a and d > c)
+        pieces.append((0, Box(a, b, c, d), draw(st.floats(0.01, 10.0))))
+    return BoxMixtureInitial(tuple(pieces))
+
+
+@given(initial=initial_states(), after=st.floats(0.0, 4.0),
+       corner=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+       size=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+       open_right=st.booleans(), open_top=st.booleans())
+@example(initial=BoxMixtureInitial(((0, Box(0.0, 3.0, 0.0, 3.0), 1.0),)), after=0.0,
+         corner=(0.0, 0.0), size=(1.0, 1.0), open_right=True, open_top=True)
+@settings(max_examples=200, deadline=None)
+def test_initial_mass_is_plus_zero_from_the_support_edge_on(initial, after, corner, size,
+                                                            open_right, open_top):
+    """At a time t >= support_edge every initial job has left: eval0 on any
+    box shifted by t, mass_nonabandoning and mass_abandoning are +0.0, the
+    floats the functionals use for the initial state's share from w0 on."""
+    initial.validate(_GAPPED)
+    t = initial.support_edge(_GAPPED) + after
+    a, c = corner
+    box = Box(a, math.inf if open_right else a + size[0],
+              c, math.inf if open_top else c + size[1])
+    for value in (initial.eval0(_GAPPED, 0, box.shifted(t)),
+                  initial.mass_nonabandoning(_GAPPED, 0, t),
+                  initial.mass_abandoning(_GAPPED, 0, t)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -22,9 +22,20 @@ def test_readme_documents_every_family():
                         "uniform_mixture", "hyperexponential"}
 
 
-@pytest.mark.parametrize("index", range(len(BLOCKS)))
-@pytest.mark.parametrize("command", ["fluid", "invariant"])
-def test_readme_config_runs(tmp_path, capsys, monkeypatch, index, command):
+# Every block runs through fluid and invariant; a block with a sim block
+# runs through simulate too, and one with a converge block through converge.
+RUNS = [(command, index) for index, block in enumerate(BLOCKS)
+        for command, key in (("fluid", "model"), ("invariant", "model"),
+                             ("simulate", "sim"), ("converge", "converge"))
+        if key in json.loads(block)]
+
+
+def test_readme_has_simulate_and_converge_blocks():
+    assert {command for command, _ in RUNS} == {"fluid", "invariant", "simulate", "converge"}
+
+
+@pytest.mark.parametrize("command,index", RUNS)
+def test_readme_config_runs(tmp_path, capsys, monkeypatch, command, index):
     monkeypatch.delenv("FLUIDQ_SEED", raising=False)
     path = tmp_path / "config.json"
     path.write_text(BLOCKS[index])

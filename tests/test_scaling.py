@@ -339,19 +339,27 @@ PARALLEL_PLANS = {
 @pytest.mark.parametrize("name", sorted(PARALLEL_PLANS))
 def test_parallel_rows_equal_one_cpu_rows(name, monkeypatch, caplog):
     """A plan's rows are the same bits whether its simulations run in one
-    process or in one share per CPU, and no child outlives run_plan."""
+    process or in one share per CPU, and no child outlives run_plan. So is
+    its log but for the timings and shares: each simulation's
+    fluidq.simulate line comes just before its run_plan line, although a
+    child ran it."""
     plan = PARALLEL_PLANS[name]
-    reports = []
+    tasks = len(plan.scales) * plan.replications
+    reports, logs = [], []
     for count in (1, 2, 3):
         use_cpus(monkeypatch, count)
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="fluidq.scaling"):
+        with caplog.at_level(logging.DEBUG, logger="fluidq"):
             reports.append(bits(run_plan(plan).rows))
         assert multiprocessing.active_children() == []
         shares = {int(r.getMessage().rsplit(" ", 1)[1]) for r in caplog.records
                   if r.name == "fluidq.scaling"}
-        assert shares == set(range(min(count, len(plan.scales) * plan.replications)))
+        assert shares == set(range(min(count, tasks)))
+        logs.append([(r.name, r.getMessage().split("; seconds")[0]) for r in caplog.records])
     assert reports[0] == reports[1] == reports[2]
+    assert logs[0] == logs[1] == logs[2]
+    names = [name for name, _ in logs[0] if name != "fluidq.fluid"]
+    assert names == ["fluidq.simulate", "fluidq.scaling"] * tasks
 
 
 def test_shares_split_heaviest_first_and_repeat():
