@@ -8,6 +8,8 @@ Commands:
 * ``invariant`` -- evaluate the invariant state at a level w; writes invariant.csv
 
 Exit codes: 0 success, 2 config error, 3 precondition violation, 4 I/O failure.
+``--log-level`` (default WARNING) sends the package's log records at that
+level and above to standard error; the artifacts do not depend on it.
 Every float lands in CSV with 17 significant digits, so emitted values
 re-parse bit-exactly.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -540,6 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"base seed (overrides {ENV_SEED} and the config)")
+        sp.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        help="log records at this level and above go to stderr "
+                             "(default: WARNING)")
         if name == "invariant":
             sp.add_argument("--w", type=float, default=None,
                             help="workload level (default: the lower band endpoint)")
@@ -548,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level)
     try:
         cfg = _load_config(args.config)
         paths = _COMMANDS[args.command](cfg, args)

@@ -54,6 +54,9 @@ EXIT_MARGIN_ULPS = 4
 # the scalar stretch run after a pass that verified few jobs.
 CHUNK_MIN, CHUNK_MAX = 64, 1 << 13
 STRETCH_MIN, STRETCH_MAX = 16, 1 << 14
+# Jobs per span of _block_exits: its temporaries take about 128 KiB whatever
+# the run's length.
+EXITS_SPAN = 8 * EXIT_BLOCK
 # Jobs per chunk of the simulation stream (``chunks``). A multiple of
 # EXIT_BLOCK, so chunk boundaries are boundaries of SimTrace's exit blocks
 # and a buffer of whole chunks sees the blocks the full trace sees.
@@ -478,12 +481,17 @@ def run(config: SimConfig) -> "SimTrace":
     joined, bit for bit. Whole-run arrays are backed by huge pages, where
     collecting a streamed run's chunks pays a page fault per 4 KiB of them
     and a copy to join them.
+
+    The merge concatenates each float column's class parts into one buffer,
+    reused for every column, and gathers the column in arrival order from
+    it; a column's parts are freed before the next column is built, so the
+    merge holds the buffer and the order beside the columns. The exit
+    bounds are built a span of exit blocks at a time (_block_exits).
     """
     t_warm = _warmup_duration(config)
     t_end = t_warm + config.horizon
     _reset_replays(config)
-    all_t, all_k, all_v, all_d = [], [], [], []
-    kind = np.min_scalar_type(len(config.classes) - 1)
+    all_t, all_v, all_d = [], [], []
     for k, spec in enumerate(config.classes):
         try:
             block = max(16, int(t_end / spec.interarrival.scaled(config.scale).mean()
@@ -495,21 +503,22 @@ def run(config: SimConfig) -> "SimTrace":
         all_t.append(t)
         all_v.append(v)
         all_d.append(d)
-        all_k.append(np.full(len(t), k, dtype=kind))
     del t, v, d
 
-    # each sorted array replaces its unsorted parts before the next is built,
-    # so the peak holds one column twice, not all four
-    t_arr = np.concatenate(all_t)
+    K = len(config.classes)
+    counts = [len(t) for t in all_t]
+    buf = np.concatenate(all_t)
     del all_t
-    order = np.argsort(t_arr, kind="stable")
-    t_arr = t_arr[order]
-    cls = np.concatenate(all_k)[order]
-    del all_k
-    v = np.concatenate(all_v)[order]
+    order = np.argsort(buf, kind="stable")
+    t_arr = buf[order]
+    cls = np.repeat(np.arange(K, dtype=np.min_scalar_type(K - 1)), counts)[order]
+    np.concatenate(all_v, out=buf)
     del all_v
-    d = np.concatenate(all_d)[order]
-    del all_d, order
+    v = buf[order]
+    np.concatenate(all_d, out=buf)
+    del all_d
+    d = buf[order]
+    del buf, order
 
     w_before, served, cum_idle, work = _lindley(t_arr, v, d)
     log.debug("simulate.run: %d jobs, %d vector passes, %d scalar steps",
@@ -572,13 +581,18 @@ def _exit_cut(raw: float) -> float:
 
 def _block_exits(t_arr, v, d, w_before, served) -> np.ndarray:
     """The latest raw exit in each block of EXIT_BLOCK jobs. The exits are
-    SimTrace._exit's sums, built in one buffer (addition commutes)."""
-    if not len(t_arr):
-        return np.empty(0)
-    t_exit = w_before + v
-    np.copyto(t_exit, d, where=~served)
-    t_exit += t_arr
-    return np.maximum.reduceat(t_exit, np.arange(0, len(t_exit), EXIT_BLOCK))
+    SimTrace._exit's sums (addition commutes), built EXITS_SPAN jobs at a
+    time."""
+    n = len(t_arr)
+    out = np.empty(-(-n // EXIT_BLOCK))
+    starts = np.arange(0, EXITS_SPAN, EXIT_BLOCK)
+    for a in range(0, n, EXITS_SPAN):
+        b = min(a + EXITS_SPAN, n)
+        t_exit = np.where(served[a:b], w_before[a:b] + v[a:b], d[a:b])
+        t_exit += t_arr[a:b]
+        blocks = out[a // EXIT_BLOCK:-(-b // EXIT_BLOCK)]
+        np.maximum.reduceat(t_exit, starts[:len(blocks)], out=blocks)
+    return out
 
 
 class SimTrace:

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fluidq
-from fluidq.cli import _time_grid, main
+from fluidq.cli import _time_grid, build_parser, main
 from fluidq.distributions import Exponential
 from fluidq.fluid import (FluidClass, FluidModelInput, equilibrium_band,
                           invariant_state)
@@ -689,18 +689,52 @@ def test_output_dir_from_config(tmp_path, capsys):
     assert (out / "jobs.csv").exists()
 
 
+def run_module(*argv):
+    """`python -m fluidq.cli` with the fluidq under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(fluidq.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("FLUIDQ_SEED", None)
+    return subprocess.run([sys.executable, "-m", "fluidq.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_log_level_shows_debug_lines_and_leaves_artifacts_alone(tmp_path):
+    """`converge --log-level DEBUG` writes its run_plan and simulate lines to
+    stderr, and the same report.csv and summary.json bytes as a run without
+    the flag, which logs nothing."""
+    cfg = write_config(tmp_path, {
+        "model": {"classes": [MARKOV_CLASS]},
+        "sim": {"horizon": 2.0, "seed": 42},
+        "converge": {"scales": [5, 25], "reps": 2, "time_grid": [0.0, 1.0, 2.0]},
+    })
+    quiet = run_module("converge", "--config", cfg, "--out", str(tmp_path / "q"))
+    loud = run_module("converge", "--config", cfg, "--out", str(tmp_path / "d"),
+                      "--log-level", "DEBUG")
+    assert quiet.returncode == 0 and loud.returncode == 0, loud.stderr
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    for n, rep in ((5, 0), (5, 1), (25, 0), (25, 1)):
+        assert sum(f"run_plan n={n} rep={rep}:" in line for line in lines) == 1
+    assert sum("fluidq.simulate" in line and "simulate:" in line for line in lines) == 4
+    for name in ("report.csv", "summary.json"):
+        assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fluid", "simulate", "converge", "invariant"])
+def test_every_command_takes_a_log_level(command):
+    args = build_parser().parse_args([command, "--config", "c.json", "--log-level", "debug"])
+    assert args.log_level == "DEBUG"
+    assert build_parser().parse_args([command, "--config", "c.json"]).log_level == "WARNING"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--config", "c.json", "--log-level", "LOUD"])
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"classes": [MARKOV_CLASS]},
         "fluid": {"horizon": 1.0},
     })
-    # The child imports the fluidq under test, installed or not.
-    src = os.path.dirname(os.path.dirname(fluidq.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fluidq.cli", "fluid", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env)
+    proc = run_module("fluid", "--config", cfg, "--out", str(tmp_path / "o"))
     assert proc.returncode == 0
     assert "band.json" in proc.stdout

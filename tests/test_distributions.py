@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fluidq.distributions import (Deterministic, DistributionError, Exponential,
-                                  HyperExponential, Replay, UniformInterval,
-                                  UniformMixture, mix_seed,
+from fluidq.distributions import (SAMPLE_BLOCK, Deterministic, DistributionError,
+                                  Exponential, HyperExponential, Replay,
+                                  UniformInterval, UniformMixture, mix_seed,
                                   require_deadline_law, stream)
 
 FAMILIES = [
@@ -159,13 +159,127 @@ def mixture_inverse_cdf_reference(law, u):
     return x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
 
 
-@given(law=laws, scale=st.sampled_from((1, 7, 100_000)), a=st.integers(0, 3000),
-       b=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def inverse_cdf_reference(law, u):
+    """Each sampled family's whole-array inverse CDF as it was before
+    sampling went by blocks in place: a new array per step, and the
+    mixtures' piece found by searchsorted and gathered by fancy indexing."""
+    if isinstance(law, Exponential):
+        return -np.log1p(-u) / law.rate
+    if isinstance(law, Deterministic):
+        return np.full_like(u, law.value)
+    if isinstance(law, UniformInterval):
+        return law.lo + u * (law.hi - law.lo)
+    if isinstance(law, UniformMixture):
+        i = np.searchsorted(law._cdf_knots[1:-1], u, side="right")
+        out = u - law._f0[i]
+        out /= law._df[i]
+        np.clip(out, 0.0, 1.0, out=out)
+        out *= law._dx[i]
+        out += law._x0[i]
+        return out
+    j = np.searchsorted(law._cum[1:-1], u, side="right")
+    out = u - law._cum[j]
+    out /= law._width[j]
+    np.minimum(out, math.nextafter(1.0, 0.0), out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= law._neg_rates[j]
+    return out
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator: random(out=block) fills the block with
+    the next of the given uniforms."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, size=None, out=None):
+        out[:] = self.u[self.pos:self.pos + len(out)]
+        self.pos += len(out)
+        return out
+
+
+def knot_uniforms(law):
+    """The uniforms at the law's CDF knots and one ulp either side of them,
+    kept in [0, 1)."""
+    knots = {UniformMixture: "_cdf_knots", HyperExponential: "_cum"}.get(type(law))
+    c = np.asarray(getattr(law, knots) if knots else [0.0, 0.5, 1.0])
+    u = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                        [0.0, math.nextafter(1.0, 0.0)]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+SAMPLED = [
+    Exponential(2.0),
+    Deterministic(1.5),
+    UniformInterval(1.0, 3.0),
+    UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0))),
+    UniformMixture(((0.2, 0.0, 1.0), (0.3, 0.5, 3.0), (0.5, 4.0, 7.0))),
+    HyperExponential(((0.5, 1.0), (0.5, 4.0))),
+    HyperExponential(((0.2, 0.1), (0.5, 1.0), (0.3, 30.0))),
+]
+SIZES = [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 17]
+
+
+@pytest.mark.parametrize("scale", [1, 7, 100_000])
+@pytest.mark.parametrize("law", SAMPLED, ids=repr)
+def test_sample_has_the_bits_of_the_whole_array_inverse_cdf(law, scale):
+    """Sampling in blocks of SAMPLE_BLOCK, each transformed in place, gives
+    the bits of the whole-array inverse CDF of one draw of uniforms, for
+    sizes around the block."""
+    law = law.scaled(scale)
+    for n in SIZES:
+        got = law.sample(stream(11, n), n)
+        want = inverse_cdf_reference(law, stream(11, n).random(n))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), n
+
+
+@given(law=laws, scale=st.sampled_from((1, 7, 100_000)))
+@settings(max_examples=100, deadline=None)
+def test_sample_at_the_cdf_knots_has_the_bits_of_the_reference(law, scale):
+    """The uniforms at the CDF knots and one ulp either side of them, placed
+    across a block boundary, map to the whole-array inverse CDF's bits."""
+    law = law.scaled(scale)
+    u = np.concatenate([stream(12).random(SAMPLE_BLOCK - 2), np.tile(knot_uniforms(law), 3)])
+    got = law.sample(ScriptedUniforms(u), len(u))
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  inverse_cdf_reference(law, u).view(np.int64))
+
+
+@pytest.mark.parametrize("law", SAMPLED, ids=repr)
+def test_sample_memory_is_its_output_and_a_few_blocks(law):
+    """Beyond its output, a draw holds a few block-sized temporaries, the
+    same at 2e5 variates as at 2e6."""
+    def transient(n):
+        law.sample(stream(3, 1), n)      # warm numpy and Python outside the count
+        rng = stream(3, 1)
+        tracemalloc.start()
+        try:
+            out = law.sample(rng, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    small, large = transient(200_000), transient(2_000_000)
+    assert small == large
+    assert large <= 4 * 8 * SAMPLE_BLOCK
+
+
+@given(law=laws, scale=st.sampled_from((1, 7, 100_000)),
+       a=st.integers(0, 2 * SAMPLE_BLOCK + 1), b=st.integers(0, 2 * SAMPLE_BLOCK + 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(law=HyperExponential(((0.5, 1.0), (0.5, 4.0))), scale=1, a=SAMPLE_BLOCK - 1, b=2,
+         seed=0)
+@example(law=UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0))), scale=7, a=3,
+         b=2 * SAMPLE_BLOCK, seed=1)
 @settings(max_examples=200, deadline=None)
 def test_draws_in_blocks_have_the_bits_of_one_draw(law, scale, a, b, seed):
     """The simulator draws each stream in blocks: a draws then b draws are
     the bits of one draw of a + b, and leave the stream where that draw
-    leaves it, for every family, scaled or not."""
+    leaves it, for every family, scaled or not, also where a + b crosses
+    SAMPLE_BLOCK."""
     law = law.scaled(scale)
     rng, one = stream(seed, 1), stream(seed, 1)
     blocks = np.concatenate([law.sample(rng, a), law.sample(rng, b)])
@@ -195,23 +309,8 @@ def test_mixture_inverse_cdf_matches_reference_bit_for_bit(components, seed):
     u = np.concatenate([stream(seed).random(500), cdfs, np.nextafter(cdfs, 0.0),
                         np.nextafter(cdfs, 1.0), [0.0, math.nextafter(1.0, 0.0)]])
     u = u[(u >= 0.0) & (u < 1.0)]
-    np.testing.assert_array_equal(law._inverse_cdf(u).view(np.int64),
+    np.testing.assert_array_equal(law._inverse_cdf(u.copy()).view(np.int64),
                                   mixture_inverse_cdf_reference(law, u).view(np.int64))
-
-
-def test_mixture_inverse_cdf_transient_memory():
-    """Beyond its output, inversion holds the piece index and one gathered
-    column (16 B/variate); the reference held about ten arrays (56)."""
-    law = UniformMixture(((0.5, 0.0, 1.0), (0.5, 2.0, 3.0)))
-    u = stream(3, 1).random(200_000)
-    law._inverse_cdf(u[:10])
-    tracemalloc.start()
-    try:
-        out = law._inverse_cdf(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - out.nbytes) / len(u) <= 24
 
 
 def test_mixture_survival_has_flat_stretch():
@@ -413,4 +512,4 @@ def test_hyperexponential_draws_are_finite_at_component_edges(components):
     x = law._inverse_cdf(u)
     assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
     # Each component's share [C_{j-1}, C_j) starts at quantile 0.
-    np.testing.assert_array_equal(law._inverse_cdf(law._cum[:-1]), 0.0)
+    np.testing.assert_array_equal(law._inverse_cdf(law._cum[:-1].copy()), 0.0)
