@@ -9,6 +9,11 @@ server and exits when its patience runs out. The simulation is therefore
 one Lindley recursion over the merged arrival stream, and every produced
 quantity is exact (no discretization anywhere).
 
+One path produces every run (``chunks``): each class's draws, merged into
+arrival order, go through the recursion and come out in chunks of jobs.
+``run`` is its whole-run case, a SimTrace over one chunk; ``run_plan``
+streams the chunks.
+
 The recursion runs in windows of jobs (``_lindley``). While the server
 stays busy, the workload each job finds is a running sum of interarrival
 decrements and the services of the served jobs, so one np.add.accumulate
@@ -95,6 +100,11 @@ class WarmStart:
 
     duration: float | None = None
 
+    def __post_init__(self):
+        if self.duration is not None and not 0 <= self.duration < math.inf:
+            raise SimulationError(
+                f"warm-up duration must be finite and nonnegative, got {self.duration}")
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -135,6 +145,9 @@ class SimConfig:
             raise SimulationError(f"horizon must be finite and nonnegative, got {self.horizon}")
         if not (isinstance(self.scale, int) and self.scale >= 1):
             raise SimulationError(f"scale must be an integer >= 1, got {self.scale}")
+        if not isinstance(self.initial, (Empty, WarmStart)):
+            raise SimulationError(
+                f"initial must be Empty() or WarmStart(duration), got {self.initial!r}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +206,6 @@ def _warmup_duration(config: SimConfig) -> float:
     if isinstance(config.initial, Empty):
         return 0.0
     if config.initial.duration is not None:
-        if not 0 <= config.initial.duration < math.inf:
-            raise SimulationError("warm-up duration must be finite and nonnegative")
         return config.initial.duration
     _, w_u = fluid_model_of(config).band
     return 4.0 * w_u
@@ -233,20 +244,14 @@ def _class_jobs(config: SimConfig, k: int, t_end: float, block: int):
             return
 
 
-def _reset_replays(config: SimConfig) -> None:
-    for spec in config.classes:
-        for law in (spec.interarrival, spec.service, spec.deadline):
-            if isinstance(law, Replay):
-                law.reset()
-
-
 class LindleyWork(NamedTuple):
-    """What one call of the simulation pass did."""
+    """What one call of the simulation pass did, and where it stopped."""
 
     passes: int         # vector passes over a window of jobs
     elements: int       # jobs in those windows, summed over the passes
     scalar_steps: int   # jobs taken by the scalar step
     window: int         # the window size the next jobs would be taken with
+    state: tuple        # (W, t_prev, idle) after the last job
 
 
 def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
@@ -306,8 +311,9 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
     window verifies. So there is at most about one pass per 32 jobs, the
     windows sum to a small multiple of the jobs, and an input where restarts
     or flips come every few jobs runs as the scalar loop. The returned
-    LindleyWork's window is the size reached, so a stream that passes it to
-    the call on its next jobs does not ramp up from CHUNK_MIN again.
+    LindleyWork's window is the size reached and its state the recursion's
+    after the last job, so a stream that passes both to the call on its next
+    jobs continues the one pass, without a ramp from CHUNK_MIN.
     """
     m = len(t_arr)
     w_before = np.empty(m)
@@ -360,7 +366,7 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
         state = _steps(t_arr, v, d, i, i + n, state, w_before, served, cum_idle)
         scalar += n
         i += n
-    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar, chunk)
+    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar, chunk, state)
 
 
 class Chunk(NamedTuple):
@@ -377,47 +383,40 @@ class Chunk(NamedTuple):
     block_exits: np.ndarray
 
 
-def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
-    """The run's jobs in arrival order, in chunks of STREAM_CHUNK jobs (the
-    last one shorter, and empty only when no job arrives); t_warm is the
-    warm-up duration, _warmup_duration(config).
+def _whole_block(config: SimConfig, k: int, t_end: float) -> int:
+    """Class k's draw block in a whole run: about 1.25 times its expected
+    arrivals by t_end, so one block almost always passes t_end (256 for a
+    scripted Replay, which has no mean)."""
+    try:
+        mean = config.classes[k].interarrival.scaled(config.scale).mean()
+    except DistributionError:
+        return 256
+    return max(16, int(t_end / mean * 1.25) + 16)
 
-    Each class draws its arrivals, services and deadlines in blocks
-    (_class_jobs). The classes are cut at a common time tau, the earliest
-    last epoch among the classes still drawing, and the jobs up to tau are
-    merged by a stable argsort of their concatenation in class order, so
-    arrival ties across classes resolve in class order. The Lindley pass
-    carries (W, t_prev, idle) and its window size from one chunk to the next,
-    and its check makes the outputs exact whatever the chunk size: the chunks
-    are those of one pass over the whole merged stream, bit for bit.
+
+def _windows(config: SimConfig, t_end: float, whole: bool) -> Iterator[list]:
+    """The run's arrivals in time order as merge windows: lists of each
+    class's (epochs, services, deadlines) in the window, in class order.
+
+    Each class draws in blocks (_class_jobs). A whole run draws each class to
+    its end in _whole_block's blocks and is one window. A stream draws
+    DRAW_BLOCK arrivals at a time and cuts the classes at a common time tau,
+    the earliest last epoch among the classes still drawing.
     """
-    t_end = t_warm + config.horizon
     K = len(config.classes)
-    kind = np.min_scalar_type(K - 1)
-    _reset_replays(config)
-    draws = [_class_jobs(config, k, t_end, DRAW_BLOCK) for k in range(K)]
+    for spec in config.classes:
+        for law in (spec.interarrival, spec.service, spec.deadline):
+            if isinstance(law, Replay):
+                law.reset()
+    draws = [_class_jobs(config, k, t_end, _whole_block(config, k, t_end) if whole
+                         else DRAW_BLOCK) for k in range(K)]
+    if whole:
+        yield [tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*draw))
+               for draw in draws]
+        return
     drawing = [True] * K
-    none = np.empty(0)
-    pending = [(none, none, none)] * K     # per class: drawn, not yet merged
-    state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
-    window = CHUNK_MIN                     # _lindley's window size after it
-    work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
-    out, fill = None, 0                    # the chunk being filled: t, cls, v, d
-
-    def simulated(t, cls, v, d) -> Chunk:
-        nonlocal state, window
-        w_before, served, cum_idle, lindley = _lindley(t, v, d, state, window)
-        window = lindley.window
-        if len(t):
-            w = float(w_before[-1])
-            state = (w + float(v[-1]) if served[-1] else w, float(t[-1]),
-                     float(cum_idle[-1]))
-        work[:] = (work[0] + 1, work[1] + len(t), work[2] + lindley.passes,
-                   work[3] + lindley.scalar_steps)
-        return Chunk(t, cls, v, d, w_before, served, cum_idle,
-                     _block_exits(t, v, d, w_before, served))
-
-    while True:
+    pending = [(np.empty(0),) * 3] * K     # per class: drawn, not yet merged
+    while any(drawing):
         for k in range(K):
             while drawing[k] and not len(pending[k][0]):
                 block = next(draws[k], None)
@@ -430,40 +429,81 @@ def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
         upto = [int(np.searchsorted(p[0], tau, side="right")) for p in pending]
         parts = [tuple(a[:m] for a in p) for p, m in zip(pending, upto)]
         pending = [tuple(a[m:] for a in p) for p, m in zip(pending, upto)]
-        if K == 1:
-            t, v, d = parts[0]
-            merged, order = (t, np.zeros(len(t), dtype=kind), v, d), None
-        else:
-            t = np.concatenate([p[0] for p in parts])
-            order = np.argsort(t, kind="stable")
-            merged = (t, np.repeat(np.arange(K, dtype=kind), [len(p[0]) for p in parts]),
-                      np.concatenate([p[1] for p in parts]),
-                      np.concatenate([p[2] for p in parts]))
-        # Copied, in merged order, into the chunk being filled, which is
-        # simulated when full.
-        m, a = len(t), 0
+        yield parts
+
+
+def _merged(parts: list) -> tuple:
+    """A merge window's columns t, cls, v, d in arrival order, by a stable
+    argsort of the classes' epochs concatenated in class order, so ties
+    resolve in class order (one class needs no sort).
+
+    Each float column's class parts go into one buffer, reused for every
+    column, and the column is gathered from it. `parts` is emptied, so each
+    column's parts are freed before the next column is built.
+    """
+    ts, vs, ds = zip(*parts)
+    parts.clear()
+    kind = np.min_scalar_type(len(ts) - 1)
+    if len(ts) == 1:
+        return ts[0], np.zeros(len(ts[0]), dtype=kind), vs[0], ds[0]
+    buf = np.concatenate(ts)
+    del ts
+    order = np.argsort(buf, kind="stable")
+    t = buf[order]
+    cls = np.repeat(np.arange(len(vs), dtype=kind), [len(x) for x in vs])[order]
+    np.concatenate(vs, out=buf)
+    del vs
+    v = buf[order]
+    np.concatenate(ds, out=buf)
+    del ds
+    return t, cls, v, buf[order]
+
+
+def chunks(config: SimConfig, t_warm: float, whole: bool = False) -> Iterator[Chunk]:
+    """The run's jobs in arrival order, in chunks of STREAM_CHUNK jobs (the
+    last one shorter, and empty only when no job arrives), or in one chunk
+    if whole; t_warm is the warm-up duration, _warmup_duration(config).
+
+    A whole run's one merge window (_windows, _merged) is simulated as it
+    is; a stream copies its windows into the chunk being filled and
+    simulates that chunk when full. The Lindley pass carries its state and
+    window size from one chunk to the next, and its check makes the outputs
+    exact whatever the chunk size: the chunks are one pass's, bit for bit.
+    """
+    state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
+    window = CHUNK_MIN                     # _lindley's window size after it
+    work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
+    out, fill = None, 0                    # the chunk being filled: t, cls, v, d
+
+    def simulated(t, cls, v, d) -> Chunk:
+        nonlocal state, window
+        w_before, served, cum_idle, lindley = _lindley(t, v, d, state, window)
+        state, window = lindley.state, lindley.window
+        work[:] = (work[0] + 1, work[1] + len(t), work[2] + lindley.passes,
+                   work[3] + lindley.scalar_steps)
+        return Chunk(t, cls, v, d, w_before, served, cum_idle,
+                     _block_exits(t, v, d, w_before, served))
+
+    for parts in _windows(config, t_warm + config.horizon, whole):
+        merged = _merged(parts)
+        if whole:
+            yield simulated(*merged)
+            continue
+        m, a = len(merged[0]), 0
         while a < m:
             if out is None:
-                out = (np.empty(STREAM_CHUNK), np.empty(STREAM_CHUNK, dtype=kind),
-                       np.empty(STREAM_CHUNK), np.empty(STREAM_CHUNK))
+                out = tuple(np.empty(STREAM_CHUNK, dtype=src.dtype) for src in merged)
             b = min(m, a + STREAM_CHUNK - fill)
             for col, src in zip(out, merged):
-                if order is None:
-                    col[fill:fill + b - a] = src[a:b]
-                else:
-                    np.take(src, order[a:b], out=col[fill:fill + b - a])
+                col[fill:fill + b - a] = src[a:b]
             fill += b - a
             a = b
             if fill == STREAM_CHUNK:
                 yield simulated(*out)
                 out, fill = None, 0
-        if not any(drawing):
-            if fill or not work[0]:
-                yield simulated(*(col[:fill] for col in out) if out is not None
-                                else (none, np.zeros(0, dtype=kind), none, none))
-            log.debug("simulate: %d chunks, %d jobs, %d vector passes, %d scalar steps",
-                      *work)
-            return
+    if fill or not work[0]:     # out is None only if no job arrived: merged is empty
+        yield simulated(*(col[:fill] for col in out or merged))
+    log.debug("simulate: %d chunks, %d jobs, %d vector passes, %d scalar steps", *work)
 
 
 def run(config: SimConfig) -> "SimTrace":
@@ -474,57 +514,14 @@ def run(config: SimConfig) -> "SimTrace":
     see pathwise-coupled primitives. Arrival ties across classes resolve
     in class order.
 
-    The whole run goes through the steps of ``chunks`` at once: each class's
-    draws in one block of about 1.25 times its expected arrivals (more if
-    the horizon is not passed), one stable argsort of the classes'
-    concatenation, one _lindley pass. The trace's columns are the chunks'
-    joined, bit for bit. Whole-run arrays are backed by huge pages, where
-    collecting a streamed run's chunks pays a page fault per 4 KiB of them
-    and a copy to join them.
-
-    The merge concatenates each float column's class parts into one buffer,
-    reused for every column, and gathers the column in arrival order from
-    it; a column's parts are freed before the next column is built, so the
-    merge holds the buffer and the order beside the columns. The exit
-    bounds are built a span of exit blocks at a time (_block_exits).
+    The trace is the one chunk of ``chunks(config, t_warm, whole=True)``,
+    so its columns are the streamed chunks' joined, bit for bit. Whole-run
+    arrays are backed by huge pages, where collecting a streamed run's
+    chunks pays a page fault per 4 KiB of them and a copy to join them.
     """
     t_warm = _warmup_duration(config)
-    t_end = t_warm + config.horizon
-    _reset_replays(config)
-    all_t, all_v, all_d = [], [], []
-    for k, spec in enumerate(config.classes):
-        try:
-            block = max(16, int(t_end / spec.interarrival.scaled(config.scale).mean()
-                                * 1.25) + 16)
-        except DistributionError:
-            block = 256
-        t, v, d = (parts[0] if len(parts) == 1 else np.concatenate(parts)
-                   for parts in zip(*_class_jobs(config, k, t_end, block)))
-        all_t.append(t)
-        all_v.append(v)
-        all_d.append(d)
-    del t, v, d
-
-    K = len(config.classes)
-    counts = [len(t) for t in all_t]
-    buf = np.concatenate(all_t)
-    del all_t
-    order = np.argsort(buf, kind="stable")
-    t_arr = buf[order]
-    cls = np.repeat(np.arange(K, dtype=np.min_scalar_type(K - 1)), counts)[order]
-    np.concatenate(all_v, out=buf)
-    del all_v
-    v = buf[order]
-    np.concatenate(all_d, out=buf)
-    del all_d
-    d = buf[order]
-    del buf, order
-
-    w_before, served, cum_idle, work = _lindley(t_arr, v, d)
-    log.debug("simulate.run: %d jobs, %d vector passes, %d scalar steps",
-              len(t_arr), work.passes, work.scalar_steps)
-    return SimTrace(config, t_warm, t_arr, cls, v, d, w_before, served, cum_idle,
-                    _block_exits(t_arr, v, d, w_before, served))
+    chunk, = chunks(config, t_warm, whole=True)
+    return SimTrace(config, t_warm, *chunk)
 
 
 def tail_counts(t_arr, cls, v, d, K: int, origin: float, raw: float, cs) -> np.ndarray:

@@ -367,6 +367,16 @@ def test_config_validation():
         ClassSpec(Exponential(1.0), Exponential(1.0), Deterministic(1.0))
 
 
+@pytest.mark.parametrize("make", (
+    lambda: SimConfig(ADVERSARIAL["overloaded_markov"], horizon=1.0, initial="warm"),
+    lambda: WarmStart(-1.0), lambda: WarmStart(math.nan), lambda: WarmStart(math.inf),
+), ids=("not_a_state", "negative_warm_up", "nan_warm_up", "infinite_warm_up"))
+def test_bad_initial_state_fails_at_construction(make):
+    """A bad initial state is rejected where it is built, not inside run."""
+    with pytest.raises(SimulationError):
+        make()
+
+
 def test_queries_past_horizon_rejected(hand_trace):
     with pytest.raises(SimulationError):
         hand_trace.workload_at(7.5)
@@ -741,8 +751,9 @@ def test_lindley_work_is_bounded_on_adversarial_inputs(name):
 def test_stream_carries_the_window_across_chunks(caplog):
     """The stream passes _lindley's window size from one chunk to the next,
     so a streamed run of the acceptance model at n = 1e5 (37 chunks) makes
-    about as many vector passes as run, not a ramp from CHUNK_MIN per chunk
-    (657 passes against run's 418 when each chunk started afresh)."""
+    about as many vector passes as run's one chunk, not a ramp from CHUNK_MIN
+    per chunk: 398 passes against run's 418 (657 when each chunk started
+    afresh)."""
     config = SimConfig(ADVERSARIAL["overloaded_markov"], horizon=6.0, scale=100_000, seed=1)
     with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
         jobs = len(run(config).t_arr)
@@ -755,9 +766,10 @@ def test_stream_carries_the_window_across_chunks(caplog):
 
 
 def test_run_logs_its_work(caplog):
+    """run logs the stream's line for its one chunk."""
     with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
         tr = run(SimConfig(ADVERSARIAL["overloaded_markov"], horizon=2.0, scale=1000))
-    assert f"{len(tr.t_arr)} jobs" in caplog.text
+    assert f"simulate: 1 chunks, {len(tr.t_arr)} jobs" in caplog.text
     assert "vector passes" in caplog.text and "scalar steps" in caplog.text
 
 
@@ -774,8 +786,10 @@ def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
     trace keeps 42 B/job. The sort used to hold every unsorted column and
     the order beside the sorted ones (99 B/job), and the exit bound two
-    full temporaries (61 B/job), then one (51 B/job). Built a span of exit
-    blocks at a time, it takes 45.3 B/job now (42.7 at scale 2e4)."""
+    full temporaries (61 B/job), then one (51 B/job). As the whole-run chunk
+    of the stream, merged through one buffer and with the exit bound built
+    a span of exit blocks at a time, it takes 45.3 B/job (42.7 at scale
+    2e4)."""
     config = SimConfig(LARGE_CLASSES, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
     run(replace(config, scale=10))   # warm numpy and the band solve outside the count
     tracemalloc.start()
@@ -923,10 +937,10 @@ COLUMNS = ("t_arr", "cls", "v", "d", "w_before", "served", "cum_idle", "exit_bou
 
 @pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
 def test_chunks_join_into_run(name):
-    """run takes the whole run through the stream's steps at once: the
-    stream's chunks, at every chunk and draw size, joined, are run's columns
-    bit for bit (the exit blocks accumulated, its exit bound), and those are
-    the scalar recursion's."""
+    """run is the stream's whole-run chunk: the stream's chunks, at every
+    chunk and draw size, joined, are run's columns bit for bit (the exit
+    blocks accumulated, its exit bound), and those are the scalar
+    recursion's."""
     config = LIVE_CONFIGS[name]
     tr = run(config)
     assert 1024 < len(tr.t_arr) < simulate.STREAM_CHUNK
@@ -936,6 +950,32 @@ def test_chunks_join_into_run(name):
             parts = list(simulate.chunks(config, tr.origin))
         *got, block_exits = (np.concatenate(field) for field in zip(*parts))
         assert_same_bits(got + [np.maximum.accumulate(block_exits)], want)
+    assert_trace_is_reference(tr)
+
+
+@pytest.mark.parametrize("name", ("markov_empty", "two_class_warm", "tied_deterministic"))
+def test_whole_run_in_several_draw_blocks(name, monkeypatch):
+    """A whole run whose classes each take many draw blocks, here of 16
+    arrivals (the 1.25x block of a real law almost never falls short), is
+    the scalar recursion's, and the default stream's chunks joined, bit
+    for bit: one class, two, and three with every epoch tied."""
+    config = LIVE_CONFIGS[name]
+    parts = list(simulate.chunks(config, simulate._warmup_duration(config)))
+    *streamed, block_exits = (np.concatenate(field) for field in zip(*parts))
+    blocks = []
+    class_jobs = simulate._class_jobs
+
+    def counted(config, k, t_end, block):
+        for drawn in class_jobs(config, k, t_end, block):
+            blocks.append(k)
+            yield drawn
+
+    monkeypatch.setattr(simulate, "_class_jobs", counted)
+    monkeypatch.setattr(simulate, "_whole_block", lambda config, k, t_end: 16)
+    tr = run(config)
+    assert all(blocks.count(k) > 16 for k in range(len(config.classes)))
+    assert_same_bits([getattr(tr, c) for c in COLUMNS],
+                     streamed + [np.maximum.accumulate(block_exits)])
     assert_trace_is_reference(tr)
 
 
