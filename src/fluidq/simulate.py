@@ -9,10 +9,9 @@ server and exits when its patience runs out. The simulation is therefore
 one Lindley recursion over the merged arrival stream, and every produced
 quantity is exact (no discretization anywhere).
 
-One path produces every run (``chunks``): each class's draws, merged into
-arrival order, go through the recursion and come out in chunks of jobs.
-``run`` is its whole-run case, a SimTrace over one chunk; ``run_plan``
-streams the chunks.
+Every run is ``chunks``, the recursion over the classes' merged draws in
+chunks of jobs: ``run`` is the SimTrace of its one whole-run chunk, and
+``run_plan`` streams it.
 
 The recursion runs in windows of jobs (``_lindley``). While the server
 stays busy, the workload each job finds is a running sum of interarrival
@@ -384,9 +383,8 @@ class Chunk(NamedTuple):
 
 
 def _whole_block(config: SimConfig, k: int, t_end: float) -> int:
-    """Class k's draw block in a whole run: about 1.25 times its expected
-    arrivals by t_end, so one block almost always passes t_end (256 for a
-    scripted Replay, which has no mean)."""
+    """Class k's whole-run draw block: 1.25 times its expected arrivals by
+    t_end plus 16, or 256 for a scripted Replay, which has no mean."""
     try:
         mean = config.classes[k].interarrival.scaled(config.scale).mean()
     except DistributionError:
@@ -420,43 +418,45 @@ def _windows(config: SimConfig, t_end: float, whole: bool) -> Iterator[list]:
         for k in range(K):
             while drawing[k] and not len(pending[k][0]):
                 block = next(draws[k], None)
-                if block is None:
-                    drawing[k] = False
-                else:
+                drawing[k] = block is not None
+                if drawing[k]:
                     pending[k] = block
-        open_ends = [pending[k][0][-1] for k in range(K) if drawing[k]]
-        tau = min(open_ends) if open_ends else math.inf
+        tau = min((pending[k][0][-1] for k in range(K) if drawing[k]), default=math.inf)
         upto = [int(np.searchsorted(p[0], tau, side="right")) for p in pending]
-        parts = [tuple(a[:m] for a in p) for p, m in zip(pending, upto)]
+        yield [tuple(a[:m] for a in p) for p, m in zip(pending, upto)]
         pending = [tuple(a[m:] for a in p) for p, m in zip(pending, upto)]
-        yield parts
 
 
-def _merged(parts: list) -> tuple:
-    """A merge window's columns t, cls, v, d in arrival order, by a stable
-    argsort of the classes' epochs concatenated in class order, so ties
-    resolve in class order (one class needs no sort).
+def _merge(parts: list, whole: bool) -> tuple:
+    """A merge window's columns t, cls, v, d, each class's jobs in turn, and
+    the stable argsort of its epochs that puts them in arrival order, so
+    ties resolve in class order (None for one class, which needs no sort).
+    A whole run's columns come in arrival order, and no order with them.
 
-    Each float column's class parts go into one buffer, reused for every
-    column, and the column is gathered from it. `parts` is emptied, so each
-    column's parts are freed before the next column is built.
+    A whole run puts its float columns, one at a time, into one buffer and
+    gathers each from it; `parts` is emptied, so each column's class parts
+    are freed before the next column is built.
     """
     ts, vs, ds = zip(*parts)
     parts.clear()
     kind = np.min_scalar_type(len(ts) - 1)
     if len(ts) == 1:
-        return ts[0], np.zeros(len(ts[0]), dtype=kind), vs[0], ds[0]
+        return (ts[0], np.zeros(len(ts[0]), dtype=kind), vs[0], ds[0]), None
+    counts = [len(x) for x in ts]
     buf = np.concatenate(ts)
     del ts
     order = np.argsort(buf, kind="stable")
+    if not whole:
+        return (buf, np.repeat(np.arange(len(counts), dtype=kind), counts),
+                np.concatenate(vs), np.concatenate(ds)), order
     t = buf[order]
-    cls = np.repeat(np.arange(len(vs), dtype=kind), [len(x) for x in vs])[order]
+    cls = np.repeat(np.arange(len(counts), dtype=kind), counts)[order]
     np.concatenate(vs, out=buf)
     del vs
     v = buf[order]
     np.concatenate(ds, out=buf)
     del ds
-    return t, cls, v, buf[order]
+    return (t, cls, v, buf[order]), None
 
 
 def chunks(config: SimConfig, t_warm: float, whole: bool = False) -> Iterator[Chunk]:
@@ -464,11 +464,11 @@ def chunks(config: SimConfig, t_warm: float, whole: bool = False) -> Iterator[Ch
     last one shorter, and empty only when no job arrives), or in one chunk
     if whole; t_warm is the warm-up duration, _warmup_duration(config).
 
-    A whole run's one merge window (_windows, _merged) is simulated as it
-    is; a stream copies its windows into the chunk being filled and
-    simulates that chunk when full. The Lindley pass carries its state and
-    window size from one chunk to the next, and its check makes the outputs
-    exact whatever the chunk size: the chunks are one pass's, bit for bit.
+    A whole run's one merge window (_windows, _merge) is simulated as it is;
+    a stream gathers each window's jobs in arrival order straight into the
+    chunk being filled, and simulates the chunk when full. The Lindley pass
+    carries its state and window size across chunks, and its check makes
+    the chunks one pass's, bit for bit, whatever the chunk size.
     """
     state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
     window = CHUNK_MIN                     # _lindley's window size after it
@@ -485,17 +485,19 @@ def chunks(config: SimConfig, t_warm: float, whole: bool = False) -> Iterator[Ch
                      _block_exits(t, v, d, w_before, served))
 
     for parts in _windows(config, t_warm + config.horizon, whole):
-        merged = _merged(parts)
+        merged, order = _merge(parts, whole)
         if whole:
             yield simulated(*merged)
             continue
         m, a = len(merged[0]), 0
         while a < m:
-            if out is None:
-                out = tuple(np.empty(STREAM_CHUNK, dtype=src.dtype) for src in merged)
+            out = out or tuple(np.empty(STREAM_CHUNK, src.dtype) for src in merged)
             b = min(m, a + STREAM_CHUNK - fill)
             for col, src in zip(out, merged):
-                col[fill:fill + b - a] = src[a:b]
+                if order is None:
+                    col[fill:fill + b - a] = src[a:b]
+                else:
+                    np.take(src, order[a:b], out=col[fill:fill + b - a])
             fill += b - a
             a = b
             if fill == STREAM_CHUNK:
