@@ -11,6 +11,12 @@ Boxes are half-open, [a, b) x [c, d), with b and/or d allowed to be
 infinite. Half-openness makes additivity over partitions exact for atomic
 measures and matches the rectangle family whose evaluations pin down a
 measure on the quadrant.
+
+The simulator's snapshots are counting measures: one unit atom per job and
+no mass array stored. Box and corner masses come from a quadrant table of
+upper-right counts on a grid of edges; a counting measure keeps its last
+table, so a second request on the same grid (the harness's rectangle grid
+after its corner probe) reads it instead of binning the atoms again.
 """
 from __future__ import annotations
 
@@ -58,10 +64,12 @@ class AtomicMeasure2D:
     """Point-mass measure on the open quadrant; immutable after construction.
 
     Atoms with w <= 0 or p <= 0 are silently dropped at construction, so the
-    measure never charges the axes.
+    measure never charges the axes. A counting measure (from_arrays with no
+    masses, as SimTrace.snapshot builds) stores no mass array: every atom
+    has mass 1, and ``mass`` is a read-only view of ones.
     """
 
-    __slots__ = ("w", "p", "mass", "class_id")
+    __slots__ = ("w", "p", "_mass", "class_id", "_table")
 
     def __init__(self, atoms: Iterable[tuple[float, float, float]] = (),
                  class_id: int | None = None):
@@ -72,24 +80,36 @@ class AtomicMeasure2D:
             raise ValueError("atom masses must be positive")
         self.w = rows[:, 0].copy()
         self.p = rows[:, 1].copy()
-        self.mass = rows[:, 2].copy()
-        for arr in (self.w, self.p, self.mass):
+        self._mass = rows[:, 2].copy()
+        for arr in (self.w, self.p, self._mass):
             arr.flags.writeable = False
         self.class_id = class_id
+        self._table = None
 
     @classmethod
-    def from_arrays(cls, w: np.ndarray, p: np.ndarray, mass: np.ndarray,
+    def from_arrays(cls, w: np.ndarray, p: np.ndarray, mass: np.ndarray | None = None,
                     class_id: int | None = None) -> "AtomicMeasure2D":
+        """The atoms (w_i, p_i, mass_i) with w_i > 0 and p_i > 0; a counting
+        measure when mass is None."""
         m = cls.__new__(cls)
         keep = w > 0
         keep &= p > 0
         # np.compress copies about twice as fast as boolean indexing
-        m.w, m.p, m.mass = (np.compress(keep, np.asarray(a, dtype=float))
-                            for a in (w, p, mass))
-        for arr in (m.w, m.p, m.mass):
-            arr.flags.writeable = False
+        m.w, m.p = (np.compress(keep, np.asarray(a, dtype=float)) for a in (w, p))
+        m._mass = None if mass is None else np.compress(keep, np.asarray(mass, dtype=float))
+        for arr in (m.w, m.p, m._mass):
+            if arr is not None:
+                arr.flags.writeable = False
         m.class_id = class_id
+        m._table = None
         return m
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Each atom's mass, read-only."""
+        if self._mass is None:
+            return np.broadcast_to(1.0, self.w.shape)
+        return self._mass
 
     def __len__(self) -> int:
         return len(self.w)
@@ -120,7 +140,7 @@ def evolve(measure: AtomicMeasure2D, h: float) -> AtomicMeasure2D:
     """Shift every atom by (-h, -h), dropping the atoms a boundary caught."""
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    return AtomicMeasure2D.from_arrays(measure.w - h, measure.p - h, measure.mass,
+    return AtomicMeasure2D.from_arrays(measure.w - h, measure.p - h, measure._mass,
                                        class_id=measure.class_id)
 
 
@@ -219,15 +239,36 @@ def _bucket_bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
-    """Mass of each half-open box [a_i, b_i) x [c_i, d_i), from one binning.
+def _distinct(*arrays) -> np.ndarray:
+    """The arrays' entries together, sorted, each value once, from one sort
+    and a mask."""
+    values = np.concatenate([np.ravel(a) for a in arrays])
+    values.sort()
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
-    The edges broadcast against each other and may be any floats, infinite
-    right edges included. Each coordinate is binned once into the sorted
-    distinct edges, a mass-weighted 2-D bincount and reverse cumulative
-    sums give the mass of every upper-right quadrant with corner on the
-    edge grid, and inclusion-exclusion turns those into box masses. With
-    integer masses every sum is exact, so each entry equals eval_box.
+
+def _on_grid(edges: np.ndarray, grid: np.ndarray) -> bool:
+    """Whether every one of the sorted distinct edges is on the sorted grid."""
+    k = np.searchsorted(grid, edges)
+    return bool(np.all(k < len(grid))) and np.array_equal(grid[k], edges)
+
+
+def _quadrant_table(measure: AtomicMeasure2D, w_edges: np.ndarray,
+                    p_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w grid, p grid, tail), the grids sorted, distinct and holding the
+    given sorted distinct edges, and tail[i, j] the mass with w >= w
+    grid[i - 1] and p >= p grid[j - 1] (row and column 0: no bound).
+
+    Each coordinate is binned once into its grid, and a 2-D bincount and
+    reverse cumulative sums give the table. A counting measure's bincount is
+    unweighted and its table exact in integers, so a table on a wider grid
+    gives the same answers: the measure keeps its last table, and a request
+    whose edges all lie on its grids reads it without binning again. A
+    weighted measure's float sums depend on the grid, so it is binned on
+    the edges asked for, every time.
 
     A snapshot's atoms come in FIFO order, so its w is nondecreasing and
     the binning searches the edges into w instead of each atom into the
@@ -235,21 +276,42 @@ def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
     in any order, so _bin checks the order first and falls back to
     searching the atoms; the bins, and so the sums, are the same.
     """
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in (a, b, c, d)))
-    w_edges = np.unique(np.concatenate([a.ravel(), b.ravel()]))
-    p_edges = np.unique(np.concatenate([c.ravel(), d.ravel()]))
+    kept = measure._table
+    if kept is not None and _on_grid(w_edges, kept[0]) and _on_grid(p_edges, kept[1]):
+        return kept
     # bin i holds the atoms with exactly i edges at or below the coordinate
     cell = _bin(measure.w, w_edges)
     shape = (len(w_edges) + 1, len(p_edges) + 1)
     cell *= shape[1]
     cell += _bin(measure.p, p_edges)
-    grid = np.bincount(cell, weights=measure.mass,
+    grid = np.bincount(cell, weights=measure._mass,
                        minlength=shape[0] * shape[1]).reshape(shape)
-    # tail[i, j]: mass with w >= w_edges[i - 1] and p >= p_edges[j - 1]
-    tail = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
-    ka, kb = (np.searchsorted(w_edges, e) + 1 for e in (a, b))
-    kc, kd = (np.searchsorted(p_edges, e) + 1 for e in (c, d))
+    tail = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].astype(float)
+    table = (w_edges, p_edges, tail)
+    if measure._mass is None:
+        measure._table = table
+    return table
+
+
+def _box_masses(measure: AtomicMeasure2D, w_edges, p_edges, a, b, c, d) -> np.ndarray:
+    """box_masses, given sorted distinct grids that hold every edge."""
+    w_grid, p_grid, tail = _quadrant_table(measure, w_edges, p_edges)
+    ka, kb = (np.searchsorted(w_grid, e) + 1 for e in (a, b))
+    kc, kd = (np.searchsorted(p_grid, e) + 1 for e in (c, d))
     return tail[ka, kc] - tail[kb, kc] - tail[ka, kd] + tail[kb, kd]
+
+
+def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
+    """Mass of each half-open box [a_i, b_i) x [c_i, d_i), from one binning.
+
+    The edges broadcast against each other and may be any floats, infinite
+    right edges included. The quadrant table (_quadrant_table) gives the
+    mass of every upper-right quadrant with corner on the edge grid, and
+    inclusion-exclusion turns those into box masses. With integer masses
+    every sum is exact, so each entry equals eval_box.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in (a, b, c, d)))
+    return _box_masses(measure, _distinct(a, b), _distinct(c, d), a, b, c, d)
 
 
 def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]],
@@ -262,13 +324,14 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
     hypot(0, s) == |s| and hypot(r, s) >= max(|r|, |s|). So the mass there
     is three box masses whose edges are the exact float cut points of
     w - x < kappa, x - w < kappa and their p twins, computed once per
-    distinct (corners, kappas). Only the atoms in the kappa_max square
-    below-left of the corner are measured, by hypot(x - w, y - p), to which
-    both branches of corner_distance reduce there. A snapshot's atoms come
-    in FIFO order, so w is nondecreasing and each corner's square lies in
-    one slice of measure.w; other measures are sorted by w first. Equal to
-    the per-corner corner_distance count when the masses are integers and
-    the atoms finite.
+    distinct (corners, kappas) with their grids (_corner_grids). Only the
+    atoms in the kappa_max square below-left of the corner are measured,
+    by hypot(x - w, y - p), to which both branches of corner_distance
+    reduce there. A snapshot's atoms come in FIFO order, so w is
+    nondecreasing and each corner's square lies in one slice of measure.w;
+    other measures are sorted by w first. Corners with no atom in that
+    slice are skipped. Equal to the per-corner corner_distance count when
+    the masses are integers and the atoms finite.
     """
     kap = np.asarray(kappas, dtype=float).reshape(1, -1)
     if not np.all((kap > 0) & np.isfinite(kap)):
@@ -278,27 +341,31 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
         raise ValueError("corners must be finite")
     if len(measure) == 0 or kap.size == 0:
         return np.zeros((len(xy), kap.size))
-    w_lo, w_hi, p_lo, p_hi = _corner_cuts(tuple(map(tuple, xy.tolist())),
-                                          tuple(kap.ravel().tolist()))
+    key = tuple(map(tuple, xy.tolist())), tuple(kap.ravel().tolist())
+    w_lo, w_hi, p_lo, p_hi = _corner_cuts(*key)
     inf = np.full_like(w_hi, np.inf)
     x, y = xy[:, :1], xy[:, 1:]
     xs, ys = np.broadcast_to(x, inf.shape), np.broadcast_to(y, inf.shape)
     # [w_lo, w_hi) x [y, inf), [w_hi, inf) x [y, p_hi) and [x, inf) x [p_lo, y)
-    masses = box_masses(measure, [w_lo, w_hi, xs], [w_hi, inf, inf],
-                        [ys, ys, p_lo], [inf, p_hi, ys]).sum(axis=0)
-    w, p, mass = measure.w, measure.p, measure.mass
+    masses = _box_masses(measure, *_corner_grids(*key), [w_lo, w_hi, xs], [w_hi, inf, inf],
+                         [ys, ys, p_lo], [inf, p_hi, ys]).sum(axis=0)
+    w, p, mass = measure.w, measure.p, measure._mass
     if not np.all(w[1:] >= w[:-1]):
         order = np.argsort(w)
-        w, p, mass = w[order], p[order], mass[order]
+        w, p = w[order], p[order]
+        mass = None if mass is None else mass[order]
     widest = int(np.argmax(kap))
     starts = np.searchsorted(w, w_lo[:, widest])
     stops = np.searchsorted(w, xy[:, 0])
-    for i, (xi, yi) in enumerate(xy):
+    for i in np.flatnonzero(starts < stops):
         strip = p[starts[i]:stops[i]]
-        near = starts[i] + np.flatnonzero((strip >= p_lo[i, widest]) & (strip < yi))
+        near = starts[i] + np.flatnonzero((strip >= p_lo[i, widest]) & (strip < xy[i, 1]))
         if len(near):
-            dist = np.hypot(xi - w[near], yi - p[near])
-            masses[i] += mass[near] @ (dist[:, None] < kap)
+            dist = np.hypot(xy[i, 0] - w[near], xy[i, 1] - p[near])
+            if mass is None:
+                masses[i] += [np.count_nonzero(dist < k) for k in kap[0]]
+            else:
+                masses[i] += mass[near] @ (dist[:, None] < kap)
     return masses
 
 
@@ -322,6 +389,22 @@ def _corner_cuts(corners: tuple[tuple[float, float], ...],
 
     return (cut(lambda e: x - e < kap, x - kap), cut(lambda e: e - x >= kap, x + kap),
             cut(lambda e: y - e < kap, y - kap), cut(lambda e: e - y >= kap, y + kap))
+
+
+@functools.lru_cache(maxsize=64)
+def _corner_grids(corners: tuple[tuple[float, float], ...],
+                  kappas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """corner_mass's sorted distinct w and p edges: the corners' x and y,
+    their cut points and inf. A rectangle grid whose boxes' edges are its
+    corners' coordinates and inf lies on them, so box_masses on such a grid
+    reads the quadrant table that corner_mass left on the measure.
+    Read-only, as they are cached."""
+    w_lo, w_hi, p_lo, p_hi = _corner_cuts(corners, kappas)
+    x, y = np.array(corners, dtype=float).reshape(-1, 2).T
+    grids = _distinct(w_lo, w_hi, x, [np.inf]), _distinct(p_lo, p_hi, y, [np.inf])
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 BoxEvaluator = Callable[[Box], float]

@@ -29,7 +29,8 @@ from .distributions import mix_seed
 from .fluid import (FluidModelInput, FluidSolution, ZeroInitial, _eval_boxes,
                     fluid_abandoning, fluid_age_count, fluid_nonabandoning,
                     fluid_queue_length, residual_deadline_limit, solve_fluid)
-from .measures import Box, box_masses, corner_mass, rect_distance, upper_right
+from .measures import (Box, _corner_grids, box_masses, corner_mass, rect_distance,
+                       upper_right)
 from .numerics import sig17
 # run is not called here; bench/workloads.py reads and patches scaling.run
 # by name, so the name stays.
@@ -375,7 +376,7 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
 
     def simulate(n, rep):
         seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
-        config = replace(plan.base, scale=n, seed=plan.seed(n, rep))
+        config = replace(plan.base, scale=n, seed=seeds[n, rep])
         live = LiveJobs(config, targets.t0)
         raws = [grid[i] + live.origin for i in order]
         counts = [None] * len(grid)     # tail_counts per time, summed over chunks
@@ -396,13 +397,15 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
                                      n, rep, trace, targets, i, t)
                 residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
                                      residual_tails(counts[i]), targets, i, t, c_grid)
-                # One snapshot per time, shared by the state and corner rows;
-                # it counts towards the state section.
+                # One snapshot per time, shared by the corner and state rows;
+                # it counts towards the state section. The corner probe bins
+                # each measure on a grid that holds the rectangle grid's
+                # edges, and box_masses then reads the table it left.
                 snaps = _timed(seconds, "state", trace.snapshot, t)
-                state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
-                                  targets, i, t, rect_grid, rect_edges, plan.ages)
                 corner[i] = _timed(seconds, "corner", _corner_rows,
                                    n, rep, snaps, t, corners, kappas)
+                state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
+                                  targets, i, t, rect_grid, rect_edges, plan.ages)
                 del trace, snaps
                 j += 1
             live.release(raws[j:])
@@ -412,6 +415,11 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
         return rows, live.jobs, live.most, seconds
 
     tasks = [(n, rep) for n in plan.scales for rep in range(plan.replications)]
+    # Seeded and gridded before any child is forked, which then inherits
+    # numpy.random and the corner grids instead of loading them again.
+    seeds = {key: plan.seed(*key) for key in tasks}
+    if kappas:
+        _corner_grids(corners, kappas)
     shares = _shares(tasks, _cpus())
     if len(shares) == 1:
         results = {key: task(*key) for key in tasks}

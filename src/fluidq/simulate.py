@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -84,6 +85,16 @@ class SimulationError(ValueError):
     """Invalid simulation configuration or query."""
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _nonnegative_finite(x) -> bool:
+    """A real number in [0, inf): not a string, NaN or infinity."""
+    return isinstance(x, numbers.Real) and 0 <= x < math.inf
+
+
 @dataclass(frozen=True)
 class Empty:
     """Start from an empty system."""
@@ -100,9 +111,9 @@ class WarmStart:
     duration: float | None = None
 
     def __post_init__(self):
-        if self.duration is not None and not 0 <= self.duration < math.inf:
+        if self.duration is not None and not _nonnegative_finite(self.duration):
             raise SimulationError(
-                f"warm-up duration must be finite and nonnegative, got {self.duration}")
+                f"warm-up duration must be finite and nonnegative, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,12 @@ class SimConfig:
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise SimulationError("need at least one class")
-        if not 0 <= self.horizon < math.inf:
-            raise SimulationError(f"horizon must be finite and nonnegative, got {self.horizon}")
-        if not (isinstance(self.scale, int) and self.scale >= 1):
-            raise SimulationError(f"scale must be an integer >= 1, got {self.scale}")
+        if not _nonnegative_finite(self.horizon):
+            raise SimulationError(f"horizon must be finite and nonnegative, got {self.horizon!r}")
+        if not (_is_integer(self.scale) and self.scale >= 1):
+            raise SimulationError(f"scale must be an integer >= 1, got {self.scale!r}")
+        if not _is_integer(self.seed):
+            raise SimulationError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.initial, (Empty, WarmStart)):
             raise SimulationError(
                 f"initial must be Empty() or WarmStart(duration), got {self.initial!r}")
@@ -735,13 +748,18 @@ class SimTrace:
         return self._last_live[1:]
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
-        """Per-class unit-atom measures at (residual sojourn, residual patience).
+        """Per-class counting measures at (residual sojourn, residual patience):
+        one unit atom per job in the system, and no mass array stored (see
+        AtomicMeasure2D), so each atom costs the 16 bytes of its w and p.
 
         The atoms keep arrival order, which is FIFO order. A job's residual
         virtual sojourn is the time left until the FIFO frontier reaches it,
         so in exact arithmetic it is nondecreasing along arrivals, and along
         each class's arrivals too. The floats can still invert by an ulp,
-        which is why measures check the order before they rely on it.
+        which is why measures check the order before they rely on it. Each
+        measure keeps the last quadrant table that box_masses or corner_mass
+        built on it, so a time's corner probe and rectangle grid bin its
+        atoms once.
 
         One pass per column: the service a job added, v * served, goes onto
         w_before and d, which for finite services are the floats of
@@ -757,13 +775,13 @@ class SimTrace:
         rp -= elapsed
         del elapsed     # freed before the atoms are copied out
         if self.K == 1:
-            return [AtomicMeasure2D.from_arrays(rw, rp, np.ones(len(rw)), class_id=0)]
+            return [AtomicMeasure2D.from_arrays(rw, rp, class_id=0)]
         cls = self.cls[win]
         out = []
         for k in range(self.K):
             sel = cls == k
-            out.append(AtomicMeasure2D.from_arrays(
-                rw.compress(sel), rp.compress(sel), np.ones(int(sel.sum())), class_id=k))
+            out.append(AtomicMeasure2D.from_arrays(rw.compress(sel), rp.compress(sel),
+                                                   class_id=k))
         return out
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:

@@ -27,6 +27,16 @@ CONFIGS = {
         "sim": {"horizon": 2.0, "seed": 42},
         "converge": {"scales": [5, 25], "reps": 2, "time_grid": [0.0, 1.0, 2.0]},
     },
+    # markov_empty at a scale whose snapshots (about 6,300 and 8,800 atoms
+    # at t = 1 and 2) exceed BUCKET_MIN_ATOMS: their unsorted p go through
+    # the bucket binning, and the corner probe's strips hold thousands of
+    # atoms, which the small scales above never reach
+    "markov_empty_large": {
+        "model": {"classes": [{"arrival": _exp(2.0), "service": _exp(1.0),
+                               "deadline": _exp(1.0)}]},
+        "sim": {"horizon": 2.0, "seed": 42},
+        "converge": {"scales": [10000], "reps": 1, "time_grid": [0.0, 1.0, 2.0]},
+    },
     # two classes from a warm start; the workload band (6/11) sits
     # below every deadline knot, so the fluid solve crosses no kink
     "two_class_warm": {
@@ -61,6 +71,12 @@ GOLDEN = {
     "markov_empty": {
         "report.csv": "49c030d40daecccd53858c66e574fa723db3f811d6e864343af1fc49d8d891d9",
         "summary.json": "6351fe54b5c2fd485008e63ce9175209b1c9e4c8972b553c3a3726f87c8d52c2",
+    },
+    # Pinned when snapshots became counting measures with a kept quadrant
+    # table; the hashes are those of the weighted measures before it.
+    "markov_empty_large": {
+        "report.csv": "8eadfa1f23d2c7fec7911c5bc8ba3b08066a05f9ff8e8a3f9c58792fea885710",
+        "summary.json": "e6c30837f4dccfe97148097f05c83190a74b6031aa5b09179f8c9a6eab604c44",
     },
     "two_class_warm": {
         "report.csv": "36f18408831d3d629cabba97f8a48b8eedbb52b87f01694fd34fe7046731ab1c",

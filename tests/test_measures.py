@@ -354,3 +354,120 @@ def test_box_partition_additivity():
 def test_measure_rows_for_export():
     m = AtomicMeasure2D([(1.0, 2.0, 1.0), (3.0, 4.0, 0.5)], class_id=1)
     assert measure_rows(m) == [(1, 1.0, 2.0, 1.0), (1, 3.0, 4.0, 0.5)]
+
+
+coordinate = dyadic | dyadic.map(lambda v: math.nextafter(v, math.inf))
+
+
+@st.composite
+def counting_atoms(draw):
+    """(w, p) of up to 30 atoms on the dyadic grid or one ulp above it, in
+    any order or in w order; w in order may step back by one ulp once, as a
+    snapshot's rounding can leave it."""
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate), max_size=30))
+    w, p = (np.array(col, dtype=float).reshape(-1) for col in zip(*pairs or [((), ())]))
+    if draw(st.booleans()):
+        order = np.argsort(w, kind="stable")
+        w, p = w[order], p[order]
+        if len(w) > 1 and draw(st.booleans()):
+            i = draw(st.integers(1, len(w) - 1))
+            w[i] = math.nextafter(w[i - 1], -math.inf)
+    return w, p
+
+
+box_edges = st.lists(st.tuples(dyadic, right_edge, dyadic, right_edge), min_size=1,
+                     max_size=6).map(
+    lambda rows: [Box(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in rows])
+
+
+def edges_of(boxes):
+    return np.array([(box.a, box.b, box.c, box.d) for box in boxes]).T
+
+
+corner_sets = st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=4)
+radii = st.lists(st.sampled_from((0.125, 0.3, 1.0)) | radius, min_size=1, max_size=3)
+
+
+@given(counting_atoms(), box_edges, corner_sets, radii, dyadic)
+@settings(max_examples=150, deadline=None)
+def test_counting_measure_equals_unit_masses(atoms, boxes, corners, kappas, h):
+    """A counting measure (no masses given) and the same atoms with explicit
+    unit masses agree exactly on every query, and evolve keeps a counting
+    measure counting."""
+    w, p = atoms
+    counting = AtomicMeasure2D.from_arrays(w, p)
+    unit = AtomicMeasure2D.from_arrays(w, p, np.ones(len(w)))
+    assert counting.atoms() == unit.atoms()
+    assert counting.total_mass == unit.total_mass
+    assert np.array_equal(counting.mass, unit.mass) and not counting.mass.flags.writeable
+    assert [eval_box(counting, box) for box in boxes] == [eval_box(unit, box) for box in boxes]
+    assert box_masses(counting, *edges_of(boxes)).tolist() == \
+        box_masses(unit, *edges_of(boxes)).tolist()
+    assert corner_mass(counting, corners, kappas).tolist() == \
+        corner_mass(unit, corners, kappas).tolist()
+    moved = evolve(counting, h)
+    assert moved._mass is None
+    assert moved.atoms() == evolve(unit, h).atoms()
+    assert moved.total_mass == evolve(unit, h).total_mass
+
+
+@given(counting_atoms(), box_edges, st.data())
+@settings(max_examples=150, deadline=None)
+def test_kept_table_answers_equal_fresh_binning(atoms, first, data):
+    """After box_masses on one set of boxes, a counting measure answers a
+    second set exactly as a fresh copy of it does: from the kept table when
+    every edge lies on its grids (subsets of the first set's edges), after
+    binning again otherwise. Empty measures and one-ulp inversions in w
+    included."""
+    w, p = atoms
+    m = AtomicMeasure2D.from_arrays(w, p)
+    box_masses(m, *edges_of(first))
+    kept = m._table
+    subset = data.draw(st.booleans())
+    if subset:
+        ws = sorted({e for box in first for e in (box.a, box.b)})
+        ps = sorted({e for box in first for e in (box.c, box.d)})
+        pick = st.tuples(st.sampled_from(ws), st.sampled_from(ws),
+                         st.sampled_from(ps), st.sampled_from(ps))
+        second = [Box(min(a, b), max(a, b), min(c, d), max(c, d))
+                  for a, b, c, d in data.draw(st.lists(pick, min_size=1, max_size=6))]
+    else:
+        second = data.draw(box_edges)
+    got = box_masses(m, *edges_of(second)).tolist()
+    assert (m._table is kept) or not subset
+    assert got == box_masses(AtomicMeasure2D.from_arrays(w, p), *edges_of(second)).tolist()
+    assert got == [eval_box(m, box) for box in second]
+
+
+@given(counting_atoms(), corner_sets, radii)
+@settings(max_examples=100, deadline=None)
+def test_corner_probe_table_serves_the_rectangle_grid(atoms, corners, kappas):
+    """The harness's order: corner_mass, then box_masses on the upper-right
+    rectangles at the corners. The rectangles' edges lie on the corner
+    probe's grid, so they are read from its table, and equal a fresh
+    binning and eval_box."""
+    w, p = atoms
+    m = AtomicMeasure2D.from_arrays(w, p)
+    assert corner_mass(m, corners, kappas).tolist() == \
+        corner_mass(AtomicMeasure2D.from_arrays(w, p), corners, kappas).tolist()
+    kept = m._table
+    boxes = [upper_right(x, y) for x, y in corners]
+    got = box_masses(m, *edges_of(boxes)).tolist()
+    if len(m):  # an empty measure's corner masses need no table
+        assert kept is not None and m._table is kept
+    assert got == box_masses(AtomicMeasure2D.from_arrays(w, p), *edges_of(boxes)).tolist()
+    assert got == [eval_box(m, box) for box in boxes]
+
+
+@given(st.lists(st.tuples(coordinate, coordinate, st.floats(0.1, 10.0)), max_size=20),
+       box_edges, box_edges)
+@settings(max_examples=100, deadline=None)
+def test_weighted_measures_are_binned_on_the_edges_asked_for(atoms, first, second):
+    """A measure with real masses keeps no table: its float sums depend on
+    the grid, so each answer is the weighted binning of its own edges,
+    whatever was asked before."""
+    m = AtomicMeasure2D(atoms)
+    box_masses(m, *edges_of(first))
+    assert m._table is None
+    want = box_masses(AtomicMeasure2D(atoms), *edges_of(second))
+    assert box_masses(m, *edges_of(second)).tobytes() == want.tobytes()

@@ -367,9 +367,14 @@ def test_config_validation():
     # a bad initial state is rejected where it is built, not inside run
     with pytest.raises(SimulationError):
         SimConfig(classes=(spec,), horizon=1.0, initial="warm")
-    for duration in (math.nan, math.inf):
+    for duration in (math.nan, math.inf, "1.0"):
         with pytest.raises(SimulationError):
             WarmStart(duration)
+    # types are checked, not left to a later TypeError or to SeedSequence
+    for bad in ({"horizon": "1"}, {"horizon": 1.0, "seed": "1"},
+                {"horizon": 1.0, "seed": 1.0}, {"horizon": 1.0, "scale": True}):
+        with pytest.raises(SimulationError):
+            SimConfig(classes=(spec,), **bad)
 
 
 def test_queries_past_horizon_rejected(hand_trace):
@@ -837,6 +842,25 @@ def test_residual_query_memory_does_not_grow_with_the_window():
     assert peak < 4 * 1024 * 1024
     assert retained < 4 * 1024
     assert len(tails) == 2
+
+
+@pytest.mark.parametrize("classes", (LARGE_CLASSES[:1], LARGE_CLASSES))
+def test_snapshot_keeps_16_bytes_per_atom(classes):
+    """A snapshot's measures are counting measures: what it leaves allocated
+    is each atom's w and p, 16 bytes, and no array of unit masses (24 bytes
+    per atom with one), for one class and for the per-class split."""
+    tr = run(SimConfig(classes, horizon=6.0, scale=2000, seed=1, initial=WarmStart()))
+    tr.snapshot(6.0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        snaps = tr.snapshot(6.0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    atoms = sum(len(s) for s in snaps)
+    assert len(snaps) == len(classes) and atoms > 1000
+    assert retained <= 16 * atoms + 2048
 
 
 def arrival_epochs_reference(law, rng, horizon):
