@@ -91,13 +91,23 @@ class AtomicMeasure2D:
                     class_id: int | None = None) -> "AtomicMeasure2D":
         """The atoms (w_i, p_i, mass_i) with w_i > 0 and p_i > 0; a counting
         measure when mass is None."""
-        m = cls.__new__(cls)
         keep = w > 0
         keep &= p > 0
         # np.compress copies about twice as fast as boolean indexing
-        m.w, m.p = (np.compress(keep, np.asarray(a, dtype=float)) for a in (w, p))
-        m._mass = None if mass is None else np.compress(keep, np.asarray(mass, dtype=float))
-        for arr in (m.w, m.p, m._mass):
+        w, p = (np.compress(keep, np.asarray(a, dtype=float)) for a in (w, p))
+        if mass is not None:
+            mass = np.compress(keep, np.asarray(mass, dtype=float))
+        return cls._wrap(w, p, mass, class_id)
+
+    @classmethod
+    def _wrap(cls, w: np.ndarray, p: np.ndarray, mass: np.ndarray | None,
+              class_id: int | None) -> "AtomicMeasure2D":
+        """The measure that takes ownership of float arrays whose every w and
+        p is already positive (no copy, no check); a counting measure when
+        mass is None."""
+        m = cls.__new__(cls)
+        m.w, m.p, m._mass = w, p, mass
+        for arr in (w, p, mass):
             if arr is not None:
                 arr.flags.writeable = False
         m.class_id = class_id

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # Panels per call of the integrand in cumulative_integral: each temporary
 # of the call then holds GL_BLOCK * 15 floats, 15 KiB. On a 2-core Xeon,
 # both class antiderivatives of a 513-node two-kink path take 2.0 ms at
@@ -35,6 +34,22 @@ def outside_horizon(t, horizon: float) -> bool:
     below 0 or above the horizon. The slack scales with the time unit."""
     slack = TIME_SLACK_ULPS * np.spacing(abs(float(horizon)))
     return bool(np.any(t <= -slack) or np.any(t >= horizon + slack))
+
+
+# The 15-point Gauss-Legendre nodes and weights of [-1, 1], the floats of
+# np.polynomial.legendre.leggauss(15) written out (tests/test_numerics.py
+# checks the bits): importing numpy.polynomial to compute them took 3-5 ms in
+# every process, simulations included, which never integrate.
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
 
 
 # No caller in fluidq since the workload path became the time-to-level

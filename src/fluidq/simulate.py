@@ -9,9 +9,10 @@ server and exits when its patience runs out. The simulation is therefore
 one Lindley recursion over the merged arrival stream, and every produced
 quantity is exact (no discretization anywhere).
 
-Every run is ``chunks``, the recursion over the classes' merged draws in
-chunks of jobs: ``run`` is the SimTrace of its one whole-run chunk, and
-``run_plan`` streams it.
+Every run is one stream, the recursion over the classes' merged draws in
+chunks of jobs: ``chunks`` gives each chunk arrays of its own, which
+``run_plan`` consumes and drops, and ``run`` writes the chunks into
+whole-run columns that become its SimTrace.
 
 The recursion runs in windows of jobs (``_lindley``). While the server
 stays busy, the workload each job finds is a running sum of interarrival
@@ -69,8 +70,10 @@ STREAM_CHUNK = 32 * EXIT_BLOCK
 # Arrivals per block of each class's draws; the blocks being merged into a
 # chunk are all that the stream holds besides the chunk itself.
 DRAW_BLOCK = 4 * EXIT_BLOCK
-# Jobs per block of residual_deadline_measures' counting pass: its buffers
-# take a few hundred KiB whatever the window, and larger blocks run no faster.
+# Jobs per block of the passes of tail_counts, snapshot and SimTrace._live
+# over a query window: their buffers take a few hundred KiB whatever the
+# window, and larger blocks run no faster. Window-sized temporaries would be
+# mapped afresh, and fault in their pages, on every query.
 RESIDUAL_BLOCK = 1 << 14
 # The c values at which residual-deadline tails are counted by default.
 DEFAULT_C_GRID = (0.0, 0.5, 1.0)
@@ -223,9 +226,9 @@ def _warmup_duration(config: SimConfig) -> float:
     return 4.0 * w_u
 
 
-def _class_jobs(config: SimConfig, k: int, t_end: float, block: int):
-    """Class k's arrivals in (0, t_end], in blocks of at most `block`: each
-    block's epochs with the services and deadlines of those arrivals.
+def _class_jobs(config: SimConfig, k: int, t_end: float):
+    """Class k's arrivals in (0, t_end], in blocks of at most DRAW_BLOCK:
+    each block's epochs with the services and deadlines of those arrivals.
 
     Each block of interarrival gaps gets the last epoch folded into its first
     gap, so np.cumsum continues where the previous block ended, with the float
@@ -240,7 +243,7 @@ def _class_jobs(config: SimConfig, k: int, t_end: float, block: int):
     service = spec.service.scaled(config.scale)
     last = 0.0
     while True:
-        size = block
+        size = DRAW_BLOCK
         if isinstance(interarrival, Replay):
             size = min(size, interarrival.remaining)
         epochs = interarrival.sample(rng_a, size)
@@ -252,7 +255,7 @@ def _class_jobs(config: SimConfig, k: int, t_end: float, block: int):
         if m < size:
             epochs = epochs[:m].copy()      # a view would keep the block
         yield epochs, service.sample(rng_v, m), spec.deadline.sample(rng_d, m)
-        if m < block:
+        if m < DRAW_BLOCK:
             return
 
 
@@ -266,9 +269,10 @@ class LindleyWork(NamedTuple):
     state: tuple        # (W, t_prev, idle) after the last job
 
 
-def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
+def _steps(t_arr, v, d, lo, hi, state, w_before, served, block_idle):
     """The scalar Lindley step over jobs lo..hi-1, from state (W, t_prev, idle)
-    after job lo-1; writes the jobs' outputs and returns the state after hi-1."""
+    after job lo-1; writes the jobs' outputs (the idleness at the first job of
+    each exit block among them) and returns the state after hi-1."""
     W, t_prev, idle = state
     ws, oks, idles = [], [], []
     for t, vi, di in zip(t_arr[lo:hi].tolist(), v[lo:hi].tolist(), d[lo:hi].tolist()):
@@ -285,19 +289,21 @@ def _steps(t_arr, v, d, lo, hi, state, w_before, served, cum_idle):
         t_prev = t
     w_before[lo:hi] = ws
     served[lo:hi] = oks
-    cum_idle[lo:hi] = idles
+    first = -(-lo // EXIT_BLOCK)        # the first exit block starting at lo or later
+    block_idle[first:-(-hi // EXIT_BLOCK)] = idles[first * EXIT_BLOCK - lo::EXIT_BLOCK]
     return W, t_prev, idle
 
 
-def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
+def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
     """The Lindley pass over the merged arrivals, in windows of jobs.
 
     For jobs in arrival order with services v and deadlines d, starting from
     state (W, t_prev, idle) after the job before them (an empty system at
     time 0 by default) with a first window of `window` jobs, returns the
-    workload each job found, whether it was served, the idleness up to its
-    arrival, and the LindleyWork done. The outputs are those of the scalar
-    recursion
+    workload each job found, whether it was served, the idleness up to the
+    arrival of the first job of each block of EXIT_BLOCK jobs, and the
+    LindleyWork done; `out`, if given, holds the three arrays to write. The
+    outputs are those of the scalar recursion
 
         found = W - (t - t_prev); if found < 0: idle += -found, found = 0
         served = d > found; W = found + v if served else found
@@ -328,9 +334,8 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
     jobs continues the one pass, without a ramp from CHUNK_MIN.
     """
     m = len(t_arr)
-    w_before = np.empty(m)
-    served = np.zeros(m, dtype=bool)
-    cum_idle = np.empty(m)
+    w_before, served, block_idle = out or (np.empty(m), np.empty(m, dtype=bool),
+                                           np.empty(-(-m // EXIT_BLOCK)))
     # state: W, t_prev, idle after the last accepted job
     i = guessed = 0
     chunk, stretch = window, STRETCH_MIN
@@ -356,7 +361,7 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
             p = b
         served[i:j] = fate
         w_before[i:i + p] = found[:p]
-        cum_idle[i:i + p] = idle
+        block_idle[-(-i // EXIT_BLOCK):-(-(i + p) // EXIT_BLOCK)] = idle
         if p:
             w = float(found[p - 1])
             state = (w + float(v[i + p - 1]) if fate[p - 1] else w,
@@ -375,15 +380,17 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN):
             n += stretch
             stretch = min(2 * stretch, STRETCH_MAX)
         n = min(n, m - i)
-        state = _steps(t_arr, v, d, i, i + n, state, w_before, served, cum_idle)
+        state = _steps(t_arr, v, d, i, i + n, state, w_before, served, block_idle)
         scalar += n
         i += n
-    return w_before, served, cum_idle, LindleyWork(passes, elements, scalar, chunk, state)
+    return w_before, served, block_idle, LindleyWork(passes, elements, scalar, chunk, state)
 
 
 class Chunk(NamedTuple):
-    """Consecutive jobs of one run in arrival order: SimTrace's seven
-    columns, and the latest exit in each block of EXIT_BLOCK of them."""
+    """Consecutive jobs of one run in arrival order, from the first job of an
+    exit block on: SimTrace's six per-job columns, then per block of
+    EXIT_BLOCK of them the idleness at its first job's arrival and its
+    latest exit."""
 
     t_arr: np.ndarray
     cls: np.ndarray
@@ -391,40 +398,62 @@ class Chunk(NamedTuple):
     d: np.ndarray
     w_before: np.ndarray
     served: np.ndarray
-    cum_idle: np.ndarray
+    block_idle: np.ndarray
     block_exits: np.ndarray
 
 
-def _whole_block(config: SimConfig, k: int, t_end: float) -> int:
-    """Class k's whole-run draw block: 1.25 times its expected arrivals by
-    t_end plus 16, or 256 for a scripted Replay, which has no mean."""
-    try:
-        mean = config.classes[k].interarrival.scaled(config.scale).mean()
-    except DistributionError:
-        return 256
-    return max(16, int(t_end / mean * 1.25) + 16)
+def _cls_kind(config: SimConfig) -> np.dtype:
+    """The narrowest integer dtype that holds the run's class indices."""
+    return np.min_scalar_type(len(config.classes) - 1)
 
 
-def _windows(config: SimConfig, t_end: float, whole: bool) -> Iterator[list]:
+def _empty_chunk(kind, jobs: int) -> Chunk:
+    """Uninitialized Chunk fields for `jobs` jobs, class indices of dtype kind."""
+    blocks = -(-jobs // EXIT_BLOCK)
+    return Chunk(np.empty(jobs), np.empty(jobs, dtype=kind), np.empty(jobs), np.empty(jobs),
+                 np.empty(jobs), np.empty(jobs, dtype=bool), np.empty(blocks),
+                 np.empty(blocks))
+
+
+def _capacity(config: SimConfig, t_end: float) -> int:
+    """The jobs run's whole-run columns are first allocated for: per class, the
+    expected arrivals by t_end plus four of their square roots and 64 (256
+    for a scripted Replay, which has no mean), summed and rounded up to
+    whole chunks. Four square roots are four standard deviations of a
+    Poisson count; tracemalloc counts the untouched rest of the columns, so
+    a wider margin would cost allocated, though not resident, memory."""
+    jobs = 0
+    for spec in config.classes:
+        try:
+            expected = t_end / spec.interarrival.scaled(config.scale).mean()
+        except DistributionError:
+            jobs += 256
+            continue
+        jobs += int(expected + 4.0 * math.sqrt(expected)) + 64
+    return -(-jobs // STREAM_CHUNK) * STREAM_CHUNK
+
+
+def _span(fields: Chunk, a: int, b: int) -> Chunk:
+    """The fields of jobs a..b-1 of a Chunk, with a the first job of an exit
+    block: views, which a write goes through."""
+    blocks = slice(a // EXIT_BLOCK, -(-b // EXIT_BLOCK))
+    return Chunk(*(col[a:b] for col in fields[:6]), *(col[blocks] for col in fields[6:]))
+
+
+def _windows(config: SimConfig, t_end: float) -> Iterator[list]:
     """The run's arrivals in time order as merge windows: lists of each
     class's (epochs, services, deadlines) in the window, in class order.
 
-    Each class draws in blocks (_class_jobs). A whole run draws each class to
-    its end in _whole_block's blocks and is one window. A stream draws
-    DRAW_BLOCK arrivals at a time and cuts the classes at a common time tau,
-    the earliest last epoch among the classes still drawing.
+    Each class draws DRAW_BLOCK arrivals at a time (_class_jobs), and the
+    classes are cut at a common time tau, the earliest last epoch among the
+    classes still drawing.
     """
     K = len(config.classes)
     for spec in config.classes:
         for law in (spec.interarrival, spec.service, spec.deadline):
             if isinstance(law, Replay):
                 law.reset()
-    draws = [_class_jobs(config, k, t_end, _whole_block(config, k, t_end) if whole
-                         else DRAW_BLOCK) for k in range(K)]
-    if whole:
-        yield [tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*draw))
-               for draw in draws]
-        return
+    draws = [_class_jobs(config, k, t_end) for k in range(K)]
     drawing = [True] * K
     pending = [(np.empty(0),) * 3] * K     # per class: drawn, not yet merged
     while any(drawing):
@@ -440,84 +469,74 @@ def _windows(config: SimConfig, t_end: float, whole: bool) -> Iterator[list]:
         pending = [tuple(a[m:] for a in p) for p, m in zip(pending, upto)]
 
 
-def _merge(parts: list, whole: bool) -> tuple:
-    """A merge window's columns t, cls, v, d, each class's jobs in turn, and
-    the stable argsort of its epochs that puts them in arrival order, so
-    ties resolve in class order (None for one class, which needs no sort).
-    A whole run's columns come in arrival order, and no order with them.
-
-    A whole run puts its float columns, one at a time, into one buffer and
-    gathers each from it; `parts` is emptied, so each column's class parts
-    are freed before the next column is built.
-    """
+def _merge(parts: list, kind) -> tuple:
+    """A merge window's columns t, cls (of dtype kind), v, d, each class's
+    jobs in turn, and the stable argsort of its epochs that puts them in
+    arrival order, so ties resolve in class order (None for one class, which
+    needs no sort)."""
     ts, vs, ds = zip(*parts)
-    parts.clear()
-    kind = np.min_scalar_type(len(ts) - 1)
     if len(ts) == 1:
         return (ts[0], np.zeros(len(ts[0]), dtype=kind), vs[0], ds[0]), None
-    counts = [len(x) for x in ts]
-    buf = np.concatenate(ts)
-    del ts
-    order = np.argsort(buf, kind="stable")
-    if not whole:
-        return (buf, np.repeat(np.arange(len(counts), dtype=kind), counts),
-                np.concatenate(vs), np.concatenate(ds)), order
-    t = buf[order]
-    cls = np.repeat(np.arange(len(counts), dtype=kind), counts)[order]
-    np.concatenate(vs, out=buf)
-    del vs
-    v = buf[order]
-    np.concatenate(ds, out=buf)
-    del ds
-    return (t, cls, v, buf[order]), None
+    t = np.concatenate(ts)
+    cls = np.repeat(np.arange(len(ts), dtype=kind), [len(x) for x in ts])
+    return (t, cls, np.concatenate(vs), np.concatenate(ds)), np.argsort(t, kind="stable")
 
 
-def chunks(config: SimConfig, t_warm: float, whole: bool = False) -> Iterator[Chunk]:
+def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
     """The run's jobs in arrival order, in chunks of STREAM_CHUNK jobs (the
-    last one shorter, and empty only when no job arrives), or in one chunk
-    if whole; t_warm is the warm-up duration, _warmup_duration(config).
+    last one shorter, and empty only when no job arrives); t_warm is the
+    warm-up duration, _warmup_duration(config). Each chunk has arrays of
+    its own."""
+    kind = _cls_kind(config)
+    return _stream(config, t_warm, lambda i: _empty_chunk(kind, STREAM_CHUNK))
 
-    A whole run's one merge window (_windows, _merge) is simulated as it is;
-    a stream gathers each window's jobs in arrival order straight into the
-    chunk being filled, and simulates the chunk when full. The Lindley pass
-    carries its state and window size across chunks, and its check makes
-    the chunks one pass's, bit for bit, whatever the chunk size.
+
+def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[Chunk]:
+    """chunks, with chunk i's fields written into buffers(i), a Chunk of
+    arrays for STREAM_CHUNK jobs.
+
+    Each merge window (_windows, _merge) is gathered in arrival order
+    straight into the chunk being filled, and a full chunk is simulated in
+    place: _lindley and _block_exits write into its buffers. The Lindley
+    pass carries its state and window size across chunks, and its check
+    makes the chunks one pass's, bit for bit, whatever the chunk size.
     """
+    kind = _cls_kind(config)
     state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
     window = CHUNK_MIN                     # _lindley's window size after it
     work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
-    out, fill = None, 0                    # the chunk being filled: t, cls, v, d
+    out, fill = None, 0                    # the chunk being filled
 
-    def simulated(t, cls, v, d) -> Chunk:
+    def simulated(fill: int) -> Chunk:
         nonlocal state, window
-        w_before, served, cum_idle, lindley = _lindley(t, v, d, state, window)
+        c = _span(out, 0, fill)
+        lindley = _lindley(c.t_arr, c.v, c.d, state, window,
+                           out=(c.w_before, c.served, c.block_idle))[-1]
+        _block_exits(c.t_arr, c.v, c.d, c.w_before, c.served, out=c.block_exits)
         state, window = lindley.state, lindley.window
-        work[:] = (work[0] + 1, work[1] + len(t), work[2] + lindley.passes,
+        work[:] = (work[0] + 1, work[1] + fill, work[2] + lindley.passes,
                    work[3] + lindley.scalar_steps)
-        return Chunk(t, cls, v, d, w_before, served, cum_idle,
-                     _block_exits(t, v, d, w_before, served))
+        return c
 
-    for parts in _windows(config, t_warm + config.horizon, whole):
-        merged, order = _merge(parts, whole)
-        if whole:
-            yield simulated(*merged)
-            continue
+    for parts in _windows(config, t_warm + config.horizon):
+        merged, order = _merge(parts, kind)
         m, a = len(merged[0]), 0
         while a < m:
-            out = out or tuple(np.empty(STREAM_CHUNK, src.dtype) for src in merged)
+            out = out or buffers(work[0])
             b = min(m, a + STREAM_CHUNK - fill)
             for col, src in zip(out, merged):
                 if order is None:
                     col[fill:fill + b - a] = src[a:b]
-                else:
-                    np.take(src, order[a:b], out=col[fill:fill + b - a])
+                else:       # mode="clip": the default buffers its output
+                    np.take(src, order[a:b], out=col[fill:fill + b - a], mode="clip")
             fill += b - a
             a = b
             if fill == STREAM_CHUNK:
-                yield simulated(*out)
+                yield simulated(fill)
                 out, fill = None, 0
-    if fill or not work[0]:     # out is None only if no job arrived: merged is empty
-        yield simulated(*(col[:fill] for col in out or merged))
+    if fill or not work[0]:
+        out = out or buffers(work[0])
+        yield simulated(fill)
     log.debug("simulate: %d chunks, %d jobs, %d vector passes, %d scalar steps", *work)
 
 
@@ -529,14 +548,29 @@ def run(config: SimConfig) -> "SimTrace":
     see pathwise-coupled primitives. Arrival ties across classes resolve
     in class order.
 
-    The trace is the one chunk of ``chunks(config, t_warm, whole=True)``,
-    so its columns are the streamed chunks' joined, bit for bit. Whole-run
-    arrays are backed by huge pages, where collecting a streamed run's
-    chunks pays a page fault per 4 KiB of them and a copy to join them.
+    The run is the stream of ``chunks``, whose chunk buffers are consecutive
+    slices of whole-run columns instead of arrays of their own, so the
+    trace's columns are the streamed chunks' joined, bit for bit, with no
+    copy to join them. The columns are allocated once, for _capacity's
+    jobs; pages that no job reaches are never touched, so they take no
+    resident memory. A stream that outgrows the columns moves the jobs so
+    far to columns of twice the size.
     """
     t_warm = _warmup_duration(config)
-    chunk, = chunks(config, t_warm, whole=True)
-    return SimTrace(config, t_warm, *chunk)
+    kind = _cls_kind(config)
+    columns = _empty_chunk(kind, _capacity(config, t_warm + config.horizon))
+
+    def buffers(i: int) -> Chunk:
+        nonlocal columns
+        a, b = i * STREAM_CHUNK, (i + 1) * STREAM_CHUNK
+        if b > len(columns.t_arr):
+            old, columns = columns, _empty_chunk(kind, max(2 * len(columns.t_arr), b))
+            for new, col, end in zip(columns, old, (a,) * 6 + (a // EXIT_BLOCK,) * 2):
+                new[:end] = col[:end]
+        return _span(columns, a, b)
+
+    jobs = sum(len(chunk.t_arr) for chunk in _stream(config, t_warm, buffers))
+    return SimTrace(config, t_warm, *_span(columns, 0, jobs))
 
 
 def tail_counts(t_arr, cls, v, d, K: int, origin: float, raw: float, cs) -> np.ndarray:
@@ -591,12 +625,13 @@ def _exit_cut(raw: float) -> float:
     return raw - EXIT_MARGIN_ULPS * np.spacing(abs(raw))
 
 
-def _block_exits(t_arr, v, d, w_before, served) -> np.ndarray:
-    """The latest raw exit in each block of EXIT_BLOCK jobs. The exits are
-    SimTrace._exit's sums (addition commutes), built EXITS_SPAN jobs at a
-    time."""
+def _block_exits(t_arr, v, d, w_before, served, out=None) -> np.ndarray:
+    """The latest raw exit in each block of EXIT_BLOCK jobs, written into
+    `out` if given. The exits are SimTrace._exit's sums (addition commutes),
+    built EXITS_SPAN jobs at a time."""
     n = len(t_arr)
-    out = np.empty(-(-n // EXIT_BLOCK))
+    if out is None:
+        out = np.empty(-(-n // EXIT_BLOCK))
     starts = np.arange(0, EXITS_SPAN, EXIT_BLOCK)
     for a in range(0, n, EXITS_SPAN):
         b = min(a + EXITS_SPAN, n)
@@ -613,18 +648,21 @@ class SimTrace:
 
     Per job, in arrival order, it stores what the simulation pass decides:
     ``t_arr``, ``cls`` (narrowest integer dtype holding K - 1), ``v``, ``d``,
-    the workload found ``w_before``, ``served``, and the idleness so far
-    ``cum_idle``. The pass is ``_lindley``: vector passes over windows of
-    jobs, each accepting only the prefix it verified against the scalar
-    recursion, so these arrays are the recursion's bit for bit. ``_virtual``,
+    the workload found ``w_before`` and ``served``; per block of EXIT_BLOCK
+    jobs, ``block_idle``, the idleness up to the arrival of its first job.
+    The pass is ``_lindley``: vector passes over windows of jobs, each
+    accepting only the prefix it verified against the scalar recursion, so
+    these arrays are the recursion's bit for bit. ``_virtual``,
     ``_patience`` and ``_exit`` derive the virtual sojourn, patience and exit
     epoch on the jobs a query reads. A job's virtual sojourn is the workload
     just after its arrival, and the path between arrivals has slope -1 while
-    positive, so these reconstruct it everywhere.
+    positive, so these reconstruct it everywhere; ``_idle_raw`` rebuilds the
+    idleness from its block's first job (``cum_idle``, like ``t_exit``, is
+    derived).
 
-    It is built from the fields of a Chunk of its jobs: the seven columns
-    and ``block_exits``, the latest exit in each block of EXIT_BLOCK jobs. A
-    trace may hold a run's jobs from job EXIT_BLOCK * b on only
+    It is built from the fields of a Chunk of its jobs: the six per-job
+    columns, ``block_idle``, and ``block_exits``, the latest exit in each
+    block. A trace may hold a run's jobs from job EXIT_BLOCK * b on only
     (``LiveJobs.trace``), given the idleness up to the origin as
     ``idle_origin``. Its queries at a time answer as the full trace's do
     when every job it lacks left by the time's exit cut (so the query window
@@ -632,7 +670,7 @@ class SimTrace:
     numbers each class's jobs from the first held.
     """
 
-    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, cum_idle,
+    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, block_idle,
                  block_exits, idle_origin=None):
         self.config = config
         self.origin = float(origin)
@@ -643,10 +681,10 @@ class SimTrace:
         self.d = d
         self.w_before = w_before
         self.served = served
-        self.cum_idle = cum_idle
+        self.block_idle = block_idle
         # exit_bound[j]: the latest exit among the jobs of blocks 0..j.
         self.exit_bound = np.maximum.accumulate(block_exits)
-        for arr in (t_arr, cls, v, d, w_before, served, cum_idle, self.exit_bound):
+        for arr in (t_arr, cls, v, d, w_before, served, block_idle, self.exit_bound):
             arr.flags.writeable = False
         self._last_live = (None,)     # (raw, window, live mask) of the last _live
         self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
@@ -662,15 +700,39 @@ class SimTrace:
         d = self.d[win]
         return np.where(self.served[win], d + self.v[win], d)
 
-    def _exit(self, win) -> np.ndarray:
-        """Raw exit epoch: arrival plus virtual sojourn if served, plus deadline if not."""
-        return self.t_arr[win] + np.where(
-            self.served[win], self.w_before[win] + self.v[win], self.d[win])
+    def _exit(self, win, out=None) -> np.ndarray:
+        """Raw exit epoch: arrival plus virtual sojourn if served, plus
+        deadline if not, written into `out` if given (addition commutes, so
+        these are the floats of t_arr + np.where(served, w_before + v, d))."""
+        out = np.add(self.w_before[win], self.v[win], out=out)
+        np.copyto(out, self.d[win], where=~self.served[win])
+        out += self.t_arr[win]
+        return out
 
     @property
     def t_exit(self) -> np.ndarray:
         """Raw exit epoch of every job (derived, not stored)."""
         return self._exit(slice(None))
+
+    def _idle_steps(self, lo: int, hi: int) -> np.ndarray:
+        """What the pass added to the idleness at the arrivals of jobs
+        lo+1..hi-1: gap - W where the workload W after the job before is
+        below the gap, and 0.0 elsewhere, which adds nothing. These are the
+        floats of _steps, the only place the idleness grows."""
+        w_after = self._virtual(slice(lo, hi - 1))
+        gap = np.diff(self.t_arr[lo:hi])
+        return np.where(w_after < gap, gap - w_after, 0.0)
+
+    @property
+    def cum_idle(self) -> np.ndarray:
+        """The idleness up to each arrival (derived, not stored): each
+        block's running sum of _idle_steps from block_idle, the pass's
+        additions in its order."""
+        n, blocks = len(self.t_arr), len(self.block_idle)
+        sums = np.zeros(blocks * EXIT_BLOCK)
+        sums[1:n] = self._idle_steps(0, n)
+        sums[::EXIT_BLOCK] = self.block_idle
+        return np.add.accumulate(sums.reshape(blocks, EXIT_BLOCK), axis=1).ravel()[:n]
 
     @property
     def K(self) -> int:
@@ -722,11 +784,19 @@ class SimTrace:
         return t - self.idle_at(t)
 
     def _idle_raw(self, raw: float) -> float:
+        """The idleness up to raw: at the last arrival i by raw, the block's
+        idleness at its first job plus _idle_steps up to i, summed in the
+        pass's order, then the idle stretch after i's workload ran out."""
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return raw
+        lo = i - i % EXIT_BLOCK
+        sums = np.empty(i - lo + 1)
+        sums[0] = self.block_idle[i // EXIT_BLOCK]
+        sums[1:] = self._idle_steps(lo, i + 1)
+        idle = np.add.accumulate(sums)[-1]
         w_after = self._virtual(slice(i, i + 1))[0]
-        return float(self.cum_idle[i]) + max(raw - self.t_arr[i] - w_after, 0.0)
+        return float(idle) + max(raw - self.t_arr[i] - w_after, 0.0)
 
     def _window(self, raw: float) -> slice:
         """Index range of every job that can be in the system at raw: later
@@ -742,7 +812,12 @@ class SimTrace:
         asked at the same time, one after the other."""
         if self._last_live[0] != raw:
             win = self._window(raw)
-            live = self._exit(win) > raw
+            live = np.empty(win.stop - win.start, dtype=bool)
+            t_exit = np.empty(min(RESIDUAL_BLOCK, len(live)))
+            for a in range(win.start, win.stop, RESIDUAL_BLOCK):
+                b = min(a + RESIDUAL_BLOCK, win.stop)
+                np.greater(self._exit(slice(a, b), t_exit[:b - a]), raw,
+                           out=live[a - win.start:b - win.start])
             live.flags.writeable = False
             self._last_live = (raw, win, live)
         return self._last_live[1:]
@@ -761,39 +836,64 @@ class SimTrace:
         built on it, so a time's corner probe and rectangle grid bin its
         atoms once.
 
-        One pass per column: the service a job added, v * served, goes onto
-        w_before and d, which for finite services are the floats of
-        _virtual's and _patience's np.where, and elapsed comes off in place.
+        The window's jobs go through in blocks of RESIDUAL_BLOCK, in buffers
+        allocated once. Per block, the service a job added, v * served, goes
+        onto w_before and d, which for finite services are the floats of
+        _virtual's and _patience's np.where, and elapsed comes off in place;
+        the block's atoms are copied into each class's w and p, allocated
+        for the whole window and shrunk in place to the atoms (realloc), so
+        that their pages past the atoms are never touched.
         """
         raw = self._raw(t)
         win = self._window(raw)
-        elapsed = np.subtract(raw, self.t_arr[win])
-        added = self.v[win] * self.served[win]
-        rw = self.w_before[win] + added
-        rw -= elapsed
-        rp = np.add(added, self.d[win], out=added)
-        rp -= elapsed
-        del elapsed     # freed before the atoms are copied out
-        if self.K == 1:
-            return [AtomicMeasure2D.from_arrays(rw, rp, class_id=0)]
-        cls = self.cls[win]
-        out = []
-        for k in range(self.K):
-            sel = cls == k
-            out.append(AtomicMeasure2D.from_arrays(rw.compress(sel), rp.compress(sel),
-                                                   class_id=k))
-        return out
+        size = min(RESIDUAL_BLOCK, win.stop - win.start)
+        elapsed, rw, rp = np.empty(size), np.empty(size), np.empty(size)
+        keep, sel = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        atoms = [(np.empty(win.stop - win.start), np.empty(win.stop - win.start))
+                 for _ in range(self.K)]
+        held = [0] * self.K
+        for a in range(win.start, win.stop, RESIDUAL_BLOCK):
+            n = min(a + RESIDUAL_BLOCK, win.stop) - a
+            e, w, p, kept, s = elapsed[:n], rw[:n], rp[:n], keep[:n], sel[:n]
+            np.subtract(raw, self.t_arr[a:a + n], out=e)
+            np.multiply(self.v[a:a + n], self.served[a:a + n], out=p)
+            np.add(self.w_before[a:a + n], p, out=w)
+            w -= e
+            p += self.d[a:a + n]
+            p -= e
+            np.greater(w, 0.0, out=kept)
+            kept &= np.greater(p, 0.0, out=s)
+            for k, (ws, ps) in enumerate(atoms):
+                mask = kept
+                if self.K > 1:
+                    mask = np.equal(self.cls[a:a + n], k, out=s)
+                    mask &= kept
+                # np.compress(..., out=) would read each page of ws before
+                # writing it, faulting it in twice
+                w_k = w.compress(mask)
+                m = held[k] + len(w_k)
+                ws[held[k]:m] = w_k
+                ps[held[k]:m] = p.compress(mask)
+                held[k] = m
+        for (ws, ps), m in zip(atoms, held):
+            ws.resize(m, refcheck=False)
+            ps.resize(m, refcheck=False)
+        return [AtomicMeasure2D._wrap(ws, ps, None, k) for k, (ws, ps) in enumerate(atoms)]
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:
-        """Per class: jobs in system at t, split by eventual fate."""
+        """Per class: jobs in system at t, split by eventual fate. The masks
+        share one buffer."""
         raw = self._raw(t)
         win, live = self._live(raw)
         cls, served = self.cls[win], self.served[win]
+        sel = np.empty(len(live), dtype=bool)
         out = []
         for k in range(self.K):
-            sel = live & (cls == k)
-            n_served = int(np.count_nonzero(sel & served))
+            np.equal(cls, k, out=sel)
+            sel &= live
             total = int(np.count_nonzero(sel))
+            sel &= served
+            n_served = int(np.count_nonzero(sel))
             out.append(ClassCounts(total, n_served, total - n_served))
         return out
 

@@ -438,8 +438,9 @@ def fluid_and_simulate_runs(tmp_path):
 def test_commands_load_no_scipy(tmp_path):
     """fluidq runs on numpy alone: importing it and running `fluid`,
     `simulate` and `converge` once each loads no scipy module, nor
-    numpy.ma (which np.unique loads, about 15 ms). The check runs in a
-    child process, since the tests' oracles load scipy here."""
+    numpy.ma (which np.unique loads, about 15 ms), nor numpy.polynomial
+    (3-5 ms; the Gauss-Legendre nodes are written out). The check runs in
+    a child process, since the tests' oracles load scipy here."""
     runs = fluid_and_simulate_runs(tmp_path) + [
         ["converge", "--config", write_config(tmp_path, {
             "model": {"classes": [MARKOV_CLASS]},
@@ -447,7 +448,8 @@ def test_commands_load_no_scipy(tmp_path):
             "converge": {"scales": [2, 4], "reps": 1, "time_grid": [0.0, 1.0, 2.0]},
         }, "converge.json")],
     ]
-    assert run_fresh(tmp_path, runs, ["scipy", "numpy.ma"]) == [[0, 0, 0], []]
+    assert run_fresh(tmp_path, runs, ["scipy", "numpy.ma", "numpy.polynomial"]) == [
+        [0, 0, 0], []]
 
 
 def test_fluid_and_simulate_load_no_process_pool(tmp_path):

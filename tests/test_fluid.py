@@ -869,7 +869,8 @@ def initial_states(draw):
     for _ in range(draw(st.integers(1, 3))):
         a, b = sorted(draw(st.tuples(_edge, _edge)))
         c, d = sorted(draw(st.tuples(_edge, st.floats(0.0, 5.0))))
-        assume(b > a and d > c)
+        # admissible boxes have a positive float area; two tiny sides can underflow
+        assume(Box(a, b, c, d).area > 0)
         pieces.append((0, Box(a, b, c, d), draw(st.floats(0.01, 10.0))))
     return BoxMixtureInitial(tuple(pieces))
 

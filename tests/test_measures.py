@@ -146,8 +146,13 @@ def test_corner_distance_is_one_hypot_below_left(x, y, dx, dy):
 def corner_case(draw):
     """Integer-mass atoms, corners and radii; each atom sits near one corner,
     on its lines x and y, at x +- kappa and y +- kappa, one ulp off them,
-    or anywhere on the dyadic grid."""
-    corners = draw(st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=4))
+    or anywhere on the dyadic grid. The corners are drawn one by one, or as
+    a grid of one or two x by two to four y, so that corners share an x
+    (as the harness's corner points do), with squares that may overlap."""
+    grid = st.builds(lambda xs, ys: [(x, y) for x in xs for y in ys],
+                     st.lists(dyadic, min_size=1, max_size=2, unique=True),
+                     st.lists(dyadic, min_size=2, max_size=4, unique=True))
+    corners = draw(st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=4) | grid)
     kappas = draw(st.lists(st.sampled_from((0.1, 0.125, 0.3, 0.5, 1.0, 2.75))
                            | radius, min_size=1, max_size=4))
 
@@ -167,10 +172,17 @@ def corner_case(draw):
 @given(corner_case())
 @settings(max_examples=200, deadline=None)
 def test_multi_corner_mass_equals_corner_distance_counts(case):
+    """Weighted, and as a counting measure of the same atoms in w order (a
+    snapshot's), each corner's mass is its corner_distance count."""
     m, corners, kappas = case
     want = [[float(m.mass[corner_distance(m.w, m.p, x, y) < k].sum()) for k in kappas]
             for x, y in corners]
     assert corner_mass(m, corners, kappas).tolist() == want
+    order = np.argsort(m.w, kind="stable")
+    counting = AtomicMeasure2D.from_arrays(m.w[order], m.p[order])
+    want = [[float(np.count_nonzero(corner_distance(counting.w, counting.p, x, y) < k))
+             for k in kappas] for x, y in corners]
+    assert corner_mass(counting, corners, kappas).tolist() == want
 
 
 def test_one_ulp_inversion_in_w_is_binned_exactly():

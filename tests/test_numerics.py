@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluidq import numerics
 from fluidq.numerics import (_float_key, _key_float, bisect_leftmost,
                              cumulative_integral, integrate, rk4_path,
                              rk4_validated, sig17)
@@ -135,3 +136,11 @@ def test_sig17_special_values():
     assert sig17(float("nan")) == "nan"
     assert float(sig17(0.1)) == 0.1
     assert float(sig17(math.log(2))) == math.log(2)
+
+
+def test_gauss_legendre_nodes_are_leggauss_bits():
+    """The written-out nodes and weights are the floats of
+    np.polynomial.legendre.leggauss(15)."""
+    for got, want in zip((numerics._GL_NODES, numerics._GL_WEIGHTS),
+                         np.polynomial.legendre.leggauss(15)):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -256,7 +256,7 @@ def test_dynamics_match_measure_evolution(markov_config):
 def test_rerun_is_bitwise_identical(markov_config):
     a = run(markov_config)
     b = run(markov_config)
-    for name in ("t_arr", "cls", "v", "d", "w_before", "served", "cum_idle",
+    for name in ("t_arr", "cls", "v", "d", "w_before", "served", "block_idle",
                  "exit_bound"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.jobs() == b.jobs()
@@ -520,7 +520,7 @@ def test_live_mask_is_computed_once_per_time(markov_config, monkeypatch):
     exits = []
     exit_pass = SimTrace._exit
     monkeypatch.setattr(SimTrace, "_exit",
-                        lambda self, win: exits.append(win) or exit_pass(self, win))
+                        lambda self, win, *out: exits.append(win) or exit_pass(self, win, *out))
     answers = []
     for t in (3.0, 14.0, 3.0):
         before = len(exits)
@@ -571,9 +571,19 @@ def assert_bounded_work(work, m):
     assert work.scalar_steps <= m
 
 
+def reference_blocks(t_arr, v, d):
+    """lindley_reference with the idleness kept at each exit block's first
+    job, as _lindley returns it."""
+    w_before, served, cum_idle = lindley_reference(t_arr, v, d)
+    return w_before, served, cum_idle[::EXIT_BLOCK]
+
+
 def assert_trace_is_reference(tr):
-    assert_same_bits((tr.w_before, tr.served, tr.cum_idle),
-                     lindley_reference(tr.t_arr, tr.v, tr.d))
+    """The stored columns, and the idleness derived from them, are the
+    scalar recursion's."""
+    want = lindley_reference(tr.t_arr, tr.v, tr.d)
+    assert_same_bits((tr.w_before, tr.served, tr.block_idle, tr.cum_idle),
+                     (*want[:2], want[2][::EXIT_BLOCK], want[2]))
 
 
 @given(m=st.sampled_from((0, 1, 2, CHUNK_MIN - 1, CHUNK_MIN, CHUNK_MIN + 1,
@@ -600,7 +610,7 @@ def test_lindley_equals_scalar_recursion(m, seed, n, rho, service, deadline, tie
          "band": lambda: rng.uniform(0.999, 1.001, m),
          "zero": lambda: np.zeros(m)}[deadline]()
     *got, work = _lindley(t_arr, v, d, window=window)
-    assert_same_bits(got, lindley_reference(t_arr, v, d))
+    assert_same_bits(got, reference_blocks(t_arr, v, d))
     assert_bounded_work(work, m)
     assert CHUNK_MIN <= work.window <= CHUNK_MAX
 
@@ -744,29 +754,30 @@ def test_lindley_work_is_bounded_on_adversarial_inputs(name):
     m = len(tr.t_arr)
     assert m > 10_000
     *got, work = _lindley(tr.t_arr, tr.v, tr.d)
-    assert_same_bits(got, lindley_reference(tr.t_arr, tr.v, tr.d))
+    assert_same_bits(got, reference_blocks(tr.t_arr, tr.v, tr.d))
     assert_bounded_work(work, m)
 
 
 def test_stream_carries_the_window_across_chunks(caplog):
     """The stream passes _lindley's window size from one chunk to the next,
     so a streamed run of the acceptance model at n = 1e5 (37 chunks) makes
-    about as many vector passes as run's one chunk, not a ramp from CHUNK_MIN
-    per chunk: 398 passes against run's 418 (657 when each chunk started
-    afresh)."""
+    about as many vector passes as one _lindley call over all its jobs, not
+    a ramp from CHUNK_MIN per chunk: 398 passes against the one call's 418
+    (657 when each chunk started afresh). run is the same stream."""
     config = SimConfig(ADVERSARIAL["overloaded_markov"], horizon=6.0, scale=100_000, seed=1)
     with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
-        jobs = len(run(config).t_arr)
+        tr = run(config)
         for _ in simulate.chunks(config, 0.0):
             pass
-    whole, streamed = (int(re.search(r"(\d+) vector passes", r.getMessage()).group(1))
-                       for r in caplog.records)
+    ran, streamed = (int(re.search(r"(\d+) vector passes", r.getMessage()).group(1))
+                     for r in caplog.records)
+    jobs = len(tr.t_arr)
     assert f"{jobs // simulate.STREAM_CHUNK + 1} chunks, {jobs} jobs" in caplog.text
-    assert streamed <= 1.05 * whole
+    assert ran == streamed <= 1.05 * _lindley(tr.t_arr, tr.v, tr.d)[-1].passes
 
 
 def test_run_logs_its_work(caplog):
-    """run logs the stream's line for its one chunk."""
+    """run logs the stream's line, here for one chunk."""
     with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
         tr = run(SimConfig(ADVERSARIAL["overloaded_markov"], horizon=2.0, scale=1000))
     assert f"simulate: 1 chunks, {len(tr.t_arr)} jobs" in caplog.text
@@ -784,12 +795,13 @@ LARGE_CLASSES = (
 
 def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
-    trace keeps 42 B/job. The sort used to hold every unsorted column and
+    trace keeps 34 B/job. The sort used to hold every unsorted column and
     the order beside the sorted ones (99 B/job), and the exit bound two
-    full temporaries (61 B/job), then one (51 B/job). As the whole-run chunk
-    of the stream, merged through one buffer and with the exit bound built
-    a span of exit blocks at a time, it takes 45.3 B/job (42.7 at scale
-    2e4)."""
+    full temporaries (61 B/job), then one (51 B/job); one whole-run merge
+    through one buffer took 45.3 B/job (42.7 at scale 2e4). Streamed into
+    whole-run columns, it takes 44.8 B/job (36.6 at scale 2e4), most of it
+    the columns' capacity, 65,536 jobs for 63,360 here: tracemalloc counts
+    their untouched end."""
     config = SimConfig(LARGE_CLASSES, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
     run(replace(config, scale=10))   # warm numpy and the band solve outside the count
     tracemalloc.start()
@@ -910,7 +922,7 @@ interarrivals = st.sampled_from((
 @settings(max_examples=60, deadline=None)
 def test_chunked_arrival_epochs_equal_one_cumsum(laws, scale, horizon, seed, draw, chunk):
     """The stream's merged epochs and classes, drawn in blocks of `draw`
-    gaps and cut into chunks, and run's, drawn in one block per class, equal
+    gaps and cut into chunks of `chunk` jobs, and run's, equal
     one cumsum per class cut at the horizon and one stable argsort of the
     classes' concatenation: horizons on an epoch of the deterministic laws
     and tied epochs across classes (two classes with one deterministic law)
@@ -951,15 +963,15 @@ LIVE_CONFIGS = {
 # (STREAM_CHUNK, DRAW_BLOCK) settings: small chunks that the stream cuts
 # anywhere, and the defaults, at which every LIVE_CONFIGS run is one chunk.
 CHUNKINGS = ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK))
-COLUMNS = ("t_arr", "cls", "v", "d", "w_before", "served", "cum_idle", "exit_bound")
+COLUMNS = ("t_arr", "cls", "v", "d", "w_before", "served", "block_idle", "exit_bound")
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
 def test_chunks_join_into_run(name):
-    """run is the stream's whole-run chunk: the stream's chunks, at every
-    chunk and draw size, joined, are run's columns bit for bit (the exit
-    blocks accumulated, its exit bound), and those are the scalar
-    recursion's."""
+    """run is the stream written into whole-run columns: the stream's
+    chunks, at every chunk and draw size, joined, are run's columns bit for
+    bit (the exit blocks accumulated, its exit bound), and those are the
+    scalar recursion's."""
     config = LIVE_CONFIGS[name]
     tr = run(config)
     assert 1024 < len(tr.t_arr) < simulate.STREAM_CHUNK
@@ -973,34 +985,34 @@ def test_chunks_join_into_run(name):
 
 
 @pytest.mark.parametrize("name", ("markov_empty", "two_class_warm", "tied_deterministic"))
-def test_whole_run_in_several_draw_blocks(name, monkeypatch):
-    """A whole run whose classes each take many draw blocks, here of 16
-    arrivals (the 1.25x block of a real law almost never falls short), is
-    the scalar recursion's, and the default stream's chunks joined, bit
-    for bit: one class, two, and three with every epoch tied."""
+def test_run_outgrows_its_columns(name, monkeypatch):
+    """A run whose columns start at one chunk of 1024 jobs, so that its
+    stream moves them to doubled columns several times, is the default
+    run's and the scalar recursion's, bit for bit: one class, two, and three
+    with every epoch tied."""
     config = LIVE_CONFIGS[name]
-    parts = list(simulate.chunks(config, simulate._warmup_duration(config)))
-    *streamed, block_exits = (np.concatenate(field) for field in zip(*parts))
-    blocks = []
-    class_jobs = simulate._class_jobs
+    want = [getattr(run(config), c) for c in COLUMNS]
+    sizes = []
+    empty_chunk = simulate._empty_chunk
 
-    def counted(config, k, t_end, block):
-        for drawn in class_jobs(config, k, t_end, block):
-            blocks.append(k)
-            yield drawn
+    def counted(kind, jobs):
+        sizes.append(jobs)
+        return empty_chunk(kind, jobs)
 
-    monkeypatch.setattr(simulate, "_class_jobs", counted)
-    monkeypatch.setattr(simulate, "_whole_block", lambda config, k, t_end: 16)
-    tr = run(config)
-    assert all(blocks.count(k) > 16 for k in range(len(config.classes)))
-    assert_same_bits([getattr(tr, c) for c in COLUMNS],
-                     streamed + [np.maximum.accumulate(block_exits)])
+    monkeypatch.setattr(simulate, "_empty_chunk", counted)
+    monkeypatch.setattr(simulate, "_capacity", lambda config, t_end: 1024)
+    with chunked(1024, 16):
+        tr = run(config)
+    assert sizes[:3] == [1024, 2048, 4096] and sizes[-1] >= len(tr.t_arr)
+    assert_same_bits([getattr(tr, c) for c in COLUMNS], want)
     assert_trace_is_reference(tr)
 
 
-def streamed_answers(config, times):
-    """Each query of run_plan at each time (ascending), answered on the jobs
-    LiveJobs holds when the stream passes it; also the most jobs held."""
+def streamed_answers(config, times, answer=None):
+    """Each query of run_plan at each time (ascending), or answer(trace, t),
+    answered on the jobs LiveJobs holds when the stream passes it; also the
+    most jobs held."""
+    answer = answer or query_answers
     t_warm = simulate._warmup_duration(config)
     live = simulate.LiveJobs(config, t_warm)
     raws = [t + live.origin for t in times]
@@ -1009,7 +1021,7 @@ def streamed_answers(config, times):
     while j < len(times):
         live.push(next(stream_, None))
         while j < len(times) and live.passed(raws[j]):
-            answers.append(query_answers(live.trace(), times[j]))
+            answers.append(answer(live.trace(), times[j]))
             j += 1
         live.release(raws[j:])
     return answers, live.most
@@ -1056,3 +1068,78 @@ def test_live_jobs_answer_as_the_full_trace(name):
         answers, most = streamed_answers(config, times)
     assert answers == [query_answers(full, t) for t in times]
     assert most < len(full.t_arr) / 2
+
+
+@pytest.fixture(scope="module")
+def reference_idleness():
+    """Per LIVE_CONFIGS run: its trace, and the scalar recursion's workload
+    after each arrival and idleness up to each arrival."""
+    out = {}
+    for name, config in LIVE_CONFIGS.items():
+        tr = run(config)
+        w_before, served, cum_idle = lindley_reference(tr.t_arr, tr.v, tr.d)
+        out[name] = tr, np.where(served, w_before + tr.v, w_before), cum_idle
+    return out
+
+
+def reference_idle(t_arr, w_after, cum_idle, raw):
+    """The scalar recursion's idleness up to raw: at the last arrival by
+    raw, then the idle stretch after its workload ran out."""
+    i = int(np.searchsorted(t_arr, raw, side="right")) - 1
+    if i < 0:
+        return raw
+    return float(cum_idle[i]) + max(raw - t_arr[i] - w_after[i], 0.0)
+
+
+def idle_times(tr, w_after):
+    """Model times on an arrival, on the first arrival of an exit block or
+    the last of the block before (in raw time, moved by 0-2 ulps either
+    way), or inside a stretch where the server idles before the next
+    arrival; all within the horizon."""
+    blocks = np.arange(EXIT_BLOCK, len(tr.t_arr), EXIT_BLOCK)
+    ends = tr.t_arr + w_after
+    gaps = np.flatnonzero(ends[:-1] < tr.t_arr[1:])
+    inside = (tr.t_arr >= tr.origin) & (tr.t_arr <= tr.origin + tr.horizon)
+    epochs = tr.t_arr[np.flatnonzero(inside)]
+    blocks = blocks[inside[blocks] & inside[blocks - 1]]
+    edges = tr.t_arr[np.concatenate([blocks, blocks - 1])]
+    gaps = gaps[inside[gaps + 1] & (ends[gaps] >= tr.origin)]
+
+    def nudged(raw, ulps, direction):
+        for _ in range(ulps):
+            raw = math.nextafter(raw, direction)
+        return raw
+
+    raws = st.builds(nudged, st.sampled_from(epochs.tolist()), st.integers(0, 2),
+                     st.sampled_from((-math.inf, math.inf)))
+    if len(edges):
+        raws |= st.builds(nudged, st.sampled_from(edges.tolist()), st.integers(0, 2),
+                          st.sampled_from((-math.inf, math.inf)))
+    if len(gaps):
+        raws |= st.builds(lambda i, f: float(ends[i] + f * (tr.t_arr[i + 1] - ends[i])),
+                          st.sampled_from(gaps.tolist()), st.floats(0.0, 1.0))
+    return raws.map(lambda raw: model_time(tr, raw)).filter(lambda t: 0.0 <= t <= tr.horizon)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_idle_at_equals_the_scalar_recursion(reference_idleness, data):
+    """idle_at and busy_at, rebuilt from each exit block's idleness, are the
+    scalar recursion's bit for bit, on run's trace and on LiveJobs' traces
+    at every chunking, at times on arrivals, on exit-block boundaries and
+    inside idle stretches."""
+    name = data.draw(st.sampled_from(sorted(LIVE_CONFIGS)))
+    tr, w_after, cum_idle = reference_idleness[name]
+    times = sorted(data.draw(st.lists(idle_times(tr, w_after), min_size=1, max_size=20)))
+    origin = reference_idle(tr.t_arr, w_after, cum_idle, tr.origin)
+    idle = [reference_idle(tr.t_arr, w_after, cum_idle, t + tr.origin) - origin for t in times]
+    want = [(i.hex(), (t - i).hex()) for t, i in zip(times, idle)]
+
+    def answer(trace, t):
+        return trace.idle_at(t).hex(), trace.busy_at(t).hex()
+
+    chunk, draw = data.draw(st.sampled_from(CHUNKINGS))
+    with chunked(chunk, draw):
+        full = run(LIVE_CONFIGS[name])
+        assert [answer(full, t) for t in times] == want
+        assert streamed_answers(LIVE_CONFIGS[name], times, answer)[0] == want
