@@ -157,6 +157,11 @@ class WorkloadPath:
             slopes = _drift(model, ws)
         self._coef = _hermite_coefficients(ts, ws, slopes)
         self._waiting: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # The last answers of tau and, per class, of waiting_integral, each
+        # with the bytes of the levels it was asked for: the functionals
+        # of one time grid ask for the same ones in turn.
+        self._last_tau: tuple = (None, None)
+        self._last_waiting: dict[int, tuple] = {}
 
     @property
     def node_count(self) -> int:
@@ -217,9 +222,24 @@ class WorkloadPath:
         phi's node values brackets each root in one cubic piece, and
         numerics.bisect_leftmost over the floats of that piece gives the
         leftmost float s with phi(s) >= x.
+
+        The last inversion is kept: levels with the shape and bytes of the
+        last ones asked for, as floats, get a copy of its answer (0.0 and
+        -0.0 differ, a NaN matches its own bits), so the functionals of one
+        time grid invert the frontier once.
         """
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
+        key = x.shape, x.tobytes()
+        if self._last_tau[0] == key:
+            log.debug("tau: %d levels from the kept inversion", x.size)
+            out = self._last_tau[1].copy()
+        else:
+            out = self._invert(x.reshape(-1))
+            self._last_tau = key, out.copy()
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+
+    def _invert(self, flat: np.ndarray) -> np.ndarray:
+        """tau at the flat levels, by bisection."""
         c, nodes = self._frontier
         out = np.where(flat > nodes[-1], math.inf, 0.0)
         inner = np.flatnonzero((flat > nodes[0]) & (flat <= nodes[-1]))
@@ -229,7 +249,7 @@ class WorkloadPath:
             coef, left = c[:, i], self.grid_t[i]
             out[inner] = numerics.bisect_leftmost(
                 lambda s: _cubic(coef, s - left) >= target, left, self.grid_t[i + 1])
-        return out.reshape(x.shape) if x.ndim else float(out[0])
+        return out
 
     def waiting_integral(self, k: int, lo, hi):
         """Integral over [lo, hi] of G_k(w(v)) dv: the class k arrivals of
@@ -240,8 +260,18 @@ class WorkloadPath:
         time, so a relative tolerance since G_k <= 1); each end adds one
         Gauss-Legendre panel from the node before it. Every knot crossing
         is a node, so every panel is smooth.
+
+        Each class keeps its last answer, as tau does: the class's next
+        call with the shapes and bytes of the same lo and hi, as floats,
+        gets a copy of it (n and a integrate over the same [tau(t), t]).
         """
-        return self._antiderivative(k, hi) - self._antiderivative(k, lo)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        key = lo.shape, lo.tobytes(), hi.shape, hi.tobytes()
+        kept = self._last_waiting.get(k)
+        if kept is None or kept[0] != key:
+            kept = self._last_waiting[k] = (
+                key, self._antiderivative(k, hi) - self._antiderivative(k, lo))
+        return kept[1].copy()
 
     def _antiderivative(self, k: int, x):
         """Integral over [0, x] of G_k(w(v)) dv."""

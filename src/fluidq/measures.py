@@ -337,11 +337,12 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
     distinct (corners, kappas) with their grids (_corner_grids). Only the
     atoms in the kappa_max square below-left of the corner are measured,
     by hypot(x - w, y - p), to which both branches of corner_distance
-    reduce there. A snapshot's atoms come in FIFO order, so w is
-    nondecreasing and each corner's square lies in one slice of measure.w;
-    other measures are sorted by w first. Corners with no atom in that
-    slice are skipped. Equal to the per-corner corner_distance count when
-    the masses are integers and the atoms finite.
+    reduce there, compared with the radii as _strip_distances does. A
+    snapshot's atoms come in FIFO order, so w is nondecreasing and each
+    corner's square lies in one slice of measure.w; other measures are
+    sorted by w first. Corners with no atom in that slice are skipped.
+    Equal to the per-corner corner_distance count when the masses are
+    integers and the atoms finite.
     """
     kap = np.asarray(kappas, dtype=float).reshape(1, -1)
     if not np.all((kap > 0) & np.isfinite(kap)):
@@ -371,12 +372,51 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
         strip = p[starts[i]:stops[i]]
         near = starts[i] + np.flatnonzero((strip >= p_lo[i, widest]) & (strip < xy[i, 1]))
         if len(near):
-            dist = np.hypot(xy[i, 0] - w[near], xy[i, 1] - p[near])
+            dist = _strip_distances(xy[i, 0], xy[i, 1], w, p, near, kap[0])
             if mass is None:
                 masses[i] += [np.count_nonzero(dist < k) for k in kap[0]]
             else:
                 masses[i] += mass[near] @ (dist[:, None] < kap)
     return masses
+
+
+# Within [2^-490, 2^490] no square overflows or loses bits that matter to
+# underflow, and sqrt(dx*dx + dy*dy) and np.hypot(dx, dy) each lie within
+# about one epsilon of the exact distance, relative to it. So where that
+# sqrt lies more than HYPOT_MARGIN times kappa from kappa, both lie on the
+# same side of it, with a factor four to spare.
+HYPOT_MARGIN = 8 * np.finfo(float).eps
+_HYPOT_RANGE = (2.0 ** -490, 2.0 ** 490)
+
+
+def _strip_distances(x: float, y: float, w: np.ndarray, p: np.ndarray, near: np.ndarray,
+                     kappas: np.ndarray) -> np.ndarray:
+    """Distances from the atoms near to (x, y) that compare with each kappa
+    as np.hypot(x - w, y - p) does, where each atom lies below-left of
+    (x, y) by less than the largest kappa in both coordinates.
+
+    When that kappa is at most the top of _HYPOT_RANGE, so no square
+    overflows, they are sqrt(dx*dx + dy*dy), about ten times cheaper, and
+    np.hypot itself at the atoms whose sqrt lies within HYPOT_MARGIN of
+    some kappa or below _HYPOT_RANGE (NaN too); otherwise np.hypot at every
+    atom. Computed in place: no more strip-sized float arrays are live at
+    once than np.hypot's two arguments and its result.
+    """
+    if not kappas.max() <= _HYPOT_RANGE[1]:
+        return np.hypot(x - w[near], y - p[near])
+    dist = np.subtract(x, w[near])
+    dist *= dist
+    dy = np.subtract(y, p[near])
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
+    unsure = ~(dist >= _HYPOT_RANGE[0])
+    for k in kappas.tolist():
+        unsure |= (dist >= k - HYPOT_MARGIN * k) & (dist <= k + HYPOT_MARGIN * k)
+    at = near[unsure]
+    dist[unsure] = np.hypot(x - w[at], y - p[at])
+    return dist
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,12 +3,14 @@
 Kept deliberately small: 15-point Gauss-Legendre panels, vectorized, which
 time the level nodes of the workload path; a cumulative antiderivative on
 given panels, checked once per panel against its halves; and one bisection
-over the floats for the leftmost float at which a monotone predicate holds.
+over the floats for the leftmost float at which a monotone predicate holds,
+which logs its passes.
 The fixed-step RK4 pair and the adaptive integrator have no caller in the
 package and stay only while the benchmark's tracer wraps them by name.
 """
 from __future__ import annotations
 
+import logging
 import math
 from typing import Callable
 
@@ -27,6 +29,8 @@ CUMULATIVE_MAX_DEPTH = 12
 # exactly; the margin covers sums such as a grid's i * step, which lands one
 # ulp past a horizon of 0.3 at 3 * 0.1.
 TIME_SLACK_ULPS = 4
+
+log = logging.getLogger(__name__)
 
 
 def outside_horizon(t, horizon: float) -> bool:
@@ -200,17 +204,20 @@ def bisect_leftmost(holds: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.nda
     result. The bracket is halved over the order-preserving int64 keys of
     the floats, in lockstep over all lanes, so a call makes at most 64
     passes of holds and none when every lane's bracket is one float wide.
-    A lane where holds never comes true returns its hi.
+    A lane where holds never comes true returns its hi. Each call logs its
+    lanes and passes at DEBUG.
     """
     lo, hi = _float_key(lo), _float_key(hi)
     gap = (hi - lo).view(np.uint64)     # exact where hi - lo overflows int64
     # A pass leaves each gap at most its half rounded up, so this many
     # passes bring every bracket down to adjacent floats.
-    for _ in range((int(gap.max()) - 1).bit_length()):
+    passes = (int(gap.max()) - 1).bit_length()
+    for _ in range(passes):
         mid = lo + (gap >> 1).view(np.int64)
         ok = holds(_key_float(mid))
         lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
         gap = (hi - lo).view(np.uint64)
+    log.debug("bisect_leftmost: %d lanes, %d passes", gap.size, passes)
     return _key_float(hi)
 
 

@@ -70,10 +70,11 @@ STREAM_CHUNK = 32 * EXIT_BLOCK
 # Arrivals per block of each class's draws; the blocks being merged into a
 # chunk are all that the stream holds besides the chunk itself.
 DRAW_BLOCK = 4 * EXIT_BLOCK
-# Jobs per block of the passes of tail_counts, snapshot and SimTrace._live
-# over a query window: their buffers take a few hundred KiB whatever the
-# window, and larger blocks run no faster. Window-sized temporaries would be
-# mapped afresh, and fault in their pages, on every query.
+# Jobs per block of the passes of tail_counts, snapshot, SimTrace._live and
+# queue_lengths over a query window: their buffers take a few hundred KiB
+# whatever the window, and larger blocks run no faster. Window-sized
+# temporaries would be mapped afresh, and fault in their pages, on every
+# query; the one window-sized mask, _live's, is kept from query to query.
 RESIDUAL_BLOCK = 1 << 14
 # The c values at which residual-deadline tails are counted by default.
 DEFAULT_C_GRID = (0.0, 0.5, 1.0)
@@ -686,7 +687,8 @@ class SimTrace:
         self.exit_bound = np.maximum.accumulate(block_exits)
         for arr in (t_arr, cls, v, d, w_before, served, block_idle, self.exit_bound):
             arr.flags.writeable = False
-        self._last_live = (None,)     # (raw, window, live mask) of the last _live
+        # (raw, window, mask buffer) of the last _live; the buffer is reused
+        self._last_live = (None, None, np.empty(0, dtype=bool))
         self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
 
     # Each derived column repeats the pass's float operations (W = w_before + v
@@ -808,19 +810,26 @@ class SimTrace:
 
     def _live(self, raw: float) -> tuple[slice, np.ndarray]:
         """The query window and which of its jobs are in the system at raw.
-        The last answer is kept, read-only: queue_lengths and age_count are
+        The last answer is kept, read-only, until the next time's mask
+        overwrites it in the same buffer: queue_lengths and age_count are
         asked at the same time, one after the other."""
-        if self._last_live[0] != raw:
+        kept, win, buffer = self._last_live
+        if kept != raw:
             win = self._window(raw)
-            live = np.empty(win.stop - win.start, dtype=bool)
-            t_exit = np.empty(min(RESIDUAL_BLOCK, len(live)))
+            size = win.stop - win.start
+            if len(buffer) < size:
+                # a quarter to spare: the windows grow as the queue fills up
+                buffer = np.empty(size + size // 4, dtype=bool)
+            self._last_live = (None, None, buffer)  # the mask is overwritten from here on
+            t_exit = np.empty(min(RESIDUAL_BLOCK, size))
             for a in range(win.start, win.stop, RESIDUAL_BLOCK):
                 b = min(a + RESIDUAL_BLOCK, win.stop)
                 np.greater(self._exit(slice(a, b), t_exit[:b - a]), raw,
-                           out=live[a - win.start:b - win.start])
-            live.flags.writeable = False
-            self._last_live = (raw, win, live)
-        return self._last_live[1:]
+                           out=buffer[a - win.start:b - win.start])
+            self._last_live = (raw, win, buffer)
+        live = buffer[:win.stop - win.start]
+        live.flags.writeable = False
+        return win, live
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class counting measures at (residual sojourn, residual patience):
@@ -881,21 +890,24 @@ class SimTrace:
         return [AtomicMeasure2D._wrap(ws, ps, None, k) for k, (ws, ps) in enumerate(atoms)]
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:
-        """Per class: jobs in system at t, split by eventual fate. The masks
-        share one buffer."""
+        """Per class: jobs in system at t, split by eventual fate, counted in
+        blocks of RESIDUAL_BLOCK jobs through one block-sized mask."""
         raw = self._raw(t)
         win, live = self._live(raw)
         cls, served = self.cls[win], self.served[win]
-        sel = np.empty(len(live), dtype=bool)
-        out = []
-        for k in range(self.K):
-            np.equal(cls, k, out=sel)
-            sel &= live
-            total = int(np.count_nonzero(sel))
-            sel &= served
-            n_served = int(np.count_nonzero(sel))
-            out.append(ClassCounts(total, n_served, total - n_served))
-        return out
+        sel = np.empty(min(RESIDUAL_BLOCK, len(live)), dtype=bool)
+        counts = np.zeros((self.K, 2), dtype=np.int64)
+        for a in range(0, len(live), RESIDUAL_BLOCK):
+            b = min(a + RESIDUAL_BLOCK, len(live))
+            block = sel[:b - a]
+            for k in range(self.K):
+                np.equal(cls[a:b], k, out=block)
+                block &= live[a:b]
+                counts[k, 0] += np.count_nonzero(block)
+                block &= served[a:b]
+                counts[k, 1] += np.count_nonzero(block)
+        return [ClassCounts(total, n_served, total - n_served)
+                for total, n_served in counts.tolist()]
 
     def residual_deadline_measures(self, t: float,
                                    cs=DEFAULT_C_GRID) -> list[ResidualTails]:

@@ -144,7 +144,9 @@ def test_simulate_outputs_match_golden_hashes(tmp_path, capsys, monkeypatch):
 # The fluid_kink model (two classes whose laws have knots at 0.5, 1, 2, 2.5
 # and 3; band {1.5}) from two initial states that hold mass: the functionals
 # at the times before w0 carry the initial state's share. The box mixture
-# starts at w0 = 0.8, so its path crosses the knot at 1.
+# starts at w0 = 0.8, so its path crosses the knot at 1. The empty start is
+# the fluid_kink benchmark's config: its path crosses the knots at 0.5 and 1
+# on the way up to the band.
 FLUID_MODEL = {"classes": [
     {"arrival": _exp(1.5), "service": _exp(1.0),
      "deadline": {"family": "uniform_mixture", "components": [
@@ -153,14 +155,18 @@ FLUID_MODEL = {"classes": [
      "deadline": {"family": "uniform", "lo": 0.5, "hi": 2.5}},
 ]}
 FLUID_CONFIGS = {
-    "invariant": {"kind": "invariant", "w": 1.5},
-    "boxes": {"kind": "boxes", "pieces": [
+    "invariant": {"horizon": 3.0, "grid_step": 0.05,
+                  "initial": {"kind": "invariant", "w": 1.5}},
+    "boxes": {"horizon": 3.0, "grid_step": 0.05, "initial": {"kind": "boxes", "pieces": [
         {"class": 0, "box": [0.0, 0.8, 0.3, 2.0], "mass": 0.7},
-        {"class": 1, "box": [0.4, 0.7, 0.0, 1.0], "mass": 0.2}]},
+        {"class": 1, "box": [0.4, 0.7, 0.0, 1.0], "mass": 0.2}]}},
+    "empty": {"w0": 0.0, "horizon": 3.0, "grid_step": 0.02},
 }
 
 # Pinned when each functional's early times (t < w0) still went through a
 # scalar evaluation of their own, and kept when they joined the array path.
+# "empty" was pinned when tau and the waiting integrals began to keep their
+# last answer, with the hashes of the code before that change.
 FLUID_GOLDEN = {
     "invariant": {
         "functionals.csv": "5b60e8eed8f7dc6730f4d08789daabdc7aa85f4352a60d69e29b8a4620b2dfd7",
@@ -170,14 +176,18 @@ FLUID_GOLDEN = {
         "functionals.csv": "7e0e00217bf8c228c4294fdccaf43e32f74b47f2713a701add4c61554b5a1a66",
         "workload.csv": "56b846a81e0458522e9f25a1e0e789f893beb857646e619dcc43a8c626d208f4",
     },
+    "empty": {
+        "functionals.csv": "0a644ea70b27d9da150e8c8156dff3b8a4684380dbfc438dffcdc185f7dd2e08",
+        "workload.csv": "e6fefd434dda03754a9b2ffb26defbb3fc44d695509018a81e1ede7aee4fdf40",
+        "band.json": "abdfec37788d93a0efadbe3e7df17a8ba2dc8dc60e2bb5f6d9c2deb443092a5b",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLUID_CONFIGS))
 def test_fluid_outputs_match_golden_hashes(tmp_path, capsys, name):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"model": FLUID_MODEL, "fluid": {
-        "horizon": 3.0, "grid_step": 0.05, "initial": FLUID_CONFIGS[name]}}))
+    cfg.write_text(json.dumps({"model": FLUID_MODEL, "fluid": FLUID_CONFIGS[name]}))
     out = tmp_path / "out"
     assert main(["fluid", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fluidq
@@ -404,6 +407,47 @@ def test_fluid_command_bisects_the_band_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_fluid_command_inverts_the_frontier_once(tmp_path, capsys, monkeypatch):
+    """One `fluidq fluid` run bisects twice: the band, and tau on the time
+    grid, which workload.csv and every class's z, n and a read from the
+    path's kept inversion."""
+    from fluidq import numerics
+
+    bisect = numerics.bisect_leftmost
+    lanes = []
+
+    def counting(holds, lo, hi):
+        out = bisect(holds, lo, hi)
+        lanes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(numerics, "bisect_leftmost", counting)
+    cfg = write_config(tmp_path, KINK_FLUID_CONFIG)
+    code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    # the band's two levels, then the grid's 31 times but t = 0, which needs none
+    assert lanes == [2, 30]
+
+
+def test_fluid_debug_log_shows_two_bisections(tmp_path, capsys, caplog):
+    """At DEBUG each bisection logs its lanes and passes, and tau each
+    answer it serves from its kept inversion: on the kink config, z, n and
+    a of both classes read the inversion that workload.csv's column made."""
+    cfg = write_config(tmp_path, KINK_FLUID_CONFIG)
+    with caplog.at_level(logging.DEBUG, logger="fluidq"):
+        code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--log-level", "DEBUG")
+    assert code == 0
+    bisections = [r.getMessage() for r in caplog.records if r.name == "fluidq.numerics"]
+    assert len(bisections) == 2
+    for line, lanes in zip(bisections, (2, 30)):
+        passes = int(re.fullmatch(rf"bisect_leftmost: {lanes} lanes, (\d+) passes", line)[1])
+        assert 0 < passes <= 64
+    kept = [r.getMessage() for r in caplog.records
+            if r.name == "fluidq.fluid" and r.getMessage().startswith("tau:")]
+    assert kept == ["tau: 31 levels from the kept inversion"] * 6
 
 
 def run_fresh(tmp_path, runs, packages):

@@ -745,6 +745,85 @@ def test_waiting_integral_matches_adaptive_quadrature(kink_solution):
                 assert abs(path.waiting_integral(k, lo, hi) - want) <= 1e-12, (k, lo, hi)
 
 
+def outcome(call, scribble=False):
+    """What a call gives, to the bit: its type, shape and bytes, or the
+    type of what it raised. With scribble, an array answer is then
+    overwritten, as a caller may."""
+    try:
+        value = call()
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        return type(exc)
+    got = type(value), np.shape(value), np.asarray(value).tobytes()
+    if scribble and isinstance(value, np.ndarray):
+        value.fill(-7.0)
+    return got
+
+
+def shaped(values):
+    """One of the values as a float or a 0-d array, or several of them as
+    a 1-d array (possibly empty) or a 2 x 2 array."""
+    one = st.sampled_from(values)
+    return st.one_of(one, one.map(np.array),
+                     st.lists(one, max_size=5).map(lambda v: np.array(v, dtype=float)),
+                     st.lists(one, min_size=4, max_size=4).map(
+                         lambda v: np.array(v).reshape(2, 2)))
+
+
+# Frontier levels (phi(3) is about 4.09 on the kink path) and times in [0, 3],
+# with both zeros and a NaN.
+LEVELS = [0.0, -0.0, math.nan, 0.2, 1.3, 2.0, 4.0, 4.5, math.inf]
+TIMES = [0.0, -0.0, math.nan, 0.25, 0.5, 1.0, 1.75, 2.9, 3.0]
+# "again" repeats the last call; "lo" repeats the last waiting integral with
+# its lower end and a new upper one, "hi" with its upper end and a new lower one.
+calls = st.one_of(
+    st.tuples(st.just("tau"), shaped(LEVELS)),
+    st.tuples(st.just("waiting"), st.integers(0, 1), shaped(TIMES), shaped(TIMES)),
+    st.tuples(st.sampled_from(["lo", "hi"]), shaped(TIMES)),
+    st.just("again"))
+
+
+def ask(path, call, scribble=False):
+    if call[0] == "tau":
+        return outcome(lambda: path.tau(call[1]), scribble)
+    return outcome(lambda: path.waiting_integral(*call[1:]), scribble)
+
+
+@given(st.lists(calls, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_kept_answers_are_a_fresh_paths_bits(kink_model, sequence):
+    """tau and waiting_integral keep their last answers; interleaved calls
+    with scalars, 0-d and n-d arrays, repeats, both zeros and NaN give the
+    bits a path that never answered before gives, and a caller writing
+    into an answer leaves the next one alone."""
+    path = solve_workload(kink_model, 0.0, 3.0)
+    last = waiting = None
+    for call in sequence:
+        if call == "again":
+            call = last
+        elif call[0] in ("lo", "hi"):
+            call = waiting and ("waiting", waiting[1], *(
+                (waiting[2], call[1]) if call[0] == "lo" else (call[1], waiting[3])))
+        if call is None:
+            continue
+        got = ask(path, call, scribble=True)
+        assert got == ask(solve_workload(kink_model, 0.0, 3.0), call), call
+        last = call
+        waiting = call if call[0] == "waiting" else waiting
+
+
+def test_writing_into_an_answer_leaves_the_next_alone(kink_solution):
+    path = kink_solution.workload
+    ts = np.linspace(0.0, 3.0, 31)
+    taus = path.tau(ts)
+    want = taus.copy()
+    taus[:] = -1.0
+    assert path.tau(ts).tobytes() == want.tobytes()
+    waits = path.waiting_integral(1, want, ts)
+    kept = waits.copy()
+    waits[:] = -1.0
+    assert path.waiting_integral(1, path.tau(ts), ts).tobytes() == kept.tobytes()
+
+
 INITIAL_STATES = {
     "zero": (ZeroInitial(), 4.0),
     "invariant": (InvariantInitial(1.5), 4.0),

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluidq.measures import (BIN_BLOCK, BUCKET_MIN_ATOMS, AtomicMeasure2D, Box,
-                             _bin, _bucket_bin, _corner_cuts, box_masses,
+                             _bin, _bucket_bin, _corner_cuts, _strip_distances, box_masses,
                              corner_distance, corner_mass, eval_box, evolve,
                              measure_rows, rect_distance, upper_right)
 
@@ -140,6 +140,80 @@ def test_corner_distance_is_one_hypot_below_left(x, y, dx, dy):
     assume(w < x and p < y)
     want = corner_distance(np.array([w]), np.array([p]), x, y)
     assert np.hypot(x - w, y - p).view(np.int64) == want.view(np.int64)[0]
+
+
+def ulps(v, n):
+    """The float n ulps above v (below for n < 0)."""
+    for _ in range(abs(n)):
+        v = math.nextafter(v, math.copysign(math.inf, n))
+    return v
+
+
+@given(st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]),
+       st.sampled_from([-20, 0, 20]) | st.integers(-24, 24),
+       st.integers(0, 8), st.integers(0, 8), st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_corner_mass_at_kappa_and_a_few_ulps_off_it(triple, e, a, b, shifts, nudges):
+    """Atoms below-left of a corner at distance exactly kappa (a Pythagorean
+    triple scaled by 2^e, so 2^-20 to 2^20 covers time units of 1e-6 to
+    1e6), and moved by up to 4 ulps in w and p; radii at kappa and up to 4
+    ulps off it. Each corner count equals np.hypot's, weighted and counting."""
+    sx, sy, sk = triple
+    s = 2.0 ** e
+    x, y = (a + sx) * s, (b + sy) * s
+    w0, p0 = a * s, b * s
+    assert np.hypot(x - w0, y - p0) == sk * s
+    atoms = [(w0, p0)] + [(ulps(w0, i), ulps(p0, j)) for i, j in nudges]
+    atoms = [(w, p) for w, p in atoms if 0 < w < x and 0 < p < y]
+    assume(atoms)
+    kappas = [ulps(sk * s, n) for n in shifts]
+    m = AtomicMeasure2D([(w, p, 1.0 + (i % 3)) for i, (w, p) in enumerate(atoms)])
+    dist = corner_distance(m.w, m.p, x, y)
+    assert corner_mass(m, [(x, y)], kappas).tolist() == [
+        [float(m.mass[dist < k].sum()) for k in kappas]]
+    order = np.argsort(m.w, kind="stable")
+    counting = AtomicMeasure2D.from_arrays(m.w[order], m.p[order])
+    assert corner_mass(counting, [(x, y)], kappas).tolist() == [
+        [float(np.count_nonzero(dist < k)) for k in kappas]]
+
+
+@given(st.floats(1e-320, 1e300), st.floats(0.0, 1e300), st.integers(-6, 6),
+       st.sampled_from([1.0, 1e-6, 1e6, 1e-160, 1e160, 1e200]))
+@settings(max_examples=300, deadline=None)
+def test_strip_distances_compare_as_hypot(dx, ratio, n, other):
+    """Over the whole float range, subnormal squares and radii too large to
+    square included, the distances _strip_distances returns fall on the side
+    of each radius that np.hypot's do; some radii sit within 6 ulps of
+    np.hypot. Atoms at (-dx, -dy) put the corner (0, 0) at (dx, dy) from
+    them, exactly, and every atom is within the largest radius of it in
+    both coordinates, as in corner_mass's strips."""
+    dy = np.array([dx * ratio if math.isfinite(dx * ratio) else dx, dx, 0.0, dx / 3])
+    dx = np.full(4, dx)
+    exact = np.hypot(dx, dy)
+    kappas = np.array([ulps(float(exact[0]), n), ulps(float(exact[3]), -n), other])
+    kappas = kappas[(kappas > 0) & np.isfinite(kappas)]
+    near = np.flatnonzero(np.maximum(dx, dy) < kappas.max())
+    got = _strip_distances(0.0, 0.0, -dx, -dy, near, kappas)
+    assert np.array_equal(got[:, None] < kappas, exact[near, None] < kappas)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-6, 1.0, 1e6]))
+@settings(max_examples=50, deadline=None)
+def test_strip_distances_where_sqrt_and_hypot_differ(seed, scale):
+    """Radii at the atoms' own np.hypot values where sqrt(dx*dx + dy*dy)
+    differs from it, and at a few such sqrts: each atom is counted on
+    np.hypot's side of every radius."""
+    rng = np.random.default_rng(seed)
+    dx, dy = rng.random(256) * scale, rng.random(256) * scale
+    exact = np.hypot(dx, dy)
+    squares = np.sqrt(dx * dx + dy * dy)
+    differ = np.flatnonzero(squares != exact)[:4]
+    assume(len(differ))
+    kappas = np.concatenate([exact[differ], squares[differ[:1]]])
+    near = np.flatnonzero(np.maximum(dx, dy) < kappas.max())
+    got = _strip_distances(0.0, 0.0, -dx, -dy, near, kappas)
+    assert np.array_equal(got[:, None] < kappas, exact[near, None] < kappas)
 
 
 @st.composite

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidq import scaling, simulate
+from fluidq import measures, scaling, simulate
 from fluidq.distributions import Exponential, UniformInterval, mix_seed
-from fluidq.fluid import (FluidClass, FluidModelInput, ZeroInitial,
+from fluidq.fluid import (FluidClass, FluidModelInput, WorkloadPath, ZeroInitial,
                           fluid_queue_length, solve_fluid, solve_workload)
 from fluidq.scaling import (CSV_COLUMNS, DEFAULT_C_GRID, DEFAULT_KAPPAS,
                             ScalingError, ScalingPlan, corner_points,
@@ -291,6 +291,33 @@ def bits(rows):
              r.fluid_value.hex(), r.abs_err.hex()) for r in rows]
 
 
+def test_fluid_targets_invert_the_grid_once(monkeypatch):
+    """The fluid targets ask for z, n and a (and the age count at u = 0) on
+    one time grid: tau inverts the grid once and serves the rest from the
+    path's kept inversion, and each class's waiting integral over
+    [tau(t), t] is taken once, for n, and kept for a."""
+    inverted, ends = [], []
+    invert, antiderivative = WorkloadPath._invert, WorkloadPath._antiderivative
+
+    def counting_invert(self, flat):
+        inverted.append(flat.tobytes())
+        return invert(self, flat)
+
+    def counting_antiderivative(self, k, x):
+        ends.append(k)
+        return antiderivative(self, k, x)
+
+    monkeypatch.setattr(WorkloadPath, "_invert", counting_invert)
+    monkeypatch.setattr(WorkloadPath, "_antiderivative", counting_antiderivative)
+    plan = replace(CHUNK_PLANS["two_class_warm"], ages=(0.0, 0.25))
+    grid = plan.resolved_time_grid()
+    targets = scaling._FluidTargets(plan, grid, plan.resolved_rect_grid(), DEFAULT_C_GRID)
+    assert inverted.count((targets.t0 + np.array(grid)).tobytes()) == 1
+    # every other inversion is of other levels: the later ages' times, the boxes
+    assert len(inverted) == 3
+    assert sorted(ends) == [0, 0, 1, 1]     # hi and lo, once per class
+
+
 def test_run_plan_logs_jobs_and_section_times(caplog, monkeypatch):
     """One line per (n, rep), in plan order, all from this process, although
     a child ran the second share."""
@@ -342,11 +369,16 @@ def test_parallel_rows_equal_one_cpu_rows(name, monkeypatch, caplog):
     process or in one share per CPU, and no child outlives run_plan. So is
     its log but for the timings and shares: each simulation's
     fluidq.simulate line comes just before its run_plan line, although a
-    child ran it."""
-    plan = PARALLEL_PLANS[name]
-    tasks = len(plan.scales) * plan.replications
+    child ran it, and the bisections (the band, the fluid targets' tau and
+    the corner cuts) are all made and logged here, before any fork. Each
+    CPU count starts from a fresh plan and empty corner caches, so each
+    does the same bisections."""
+    tasks = len(PARALLEL_PLANS[name].scales) * PARALLEL_PLANS[name].replications
     reports, logs = [], []
     for count in (1, 2, 3):
+        plan = replace(PARALLEL_PLANS[name])
+        measures._corner_cuts.cache_clear()
+        measures._corner_grids.cache_clear()
         use_cpus(monkeypatch, count)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="fluidq"):
@@ -358,8 +390,10 @@ def test_parallel_rows_equal_one_cpu_rows(name, monkeypatch, caplog):
         logs.append([(r.name, r.getMessage().split("; seconds")[0]) for r in caplog.records])
     assert reports[0] == reports[1] == reports[2]
     assert logs[0] == logs[1] == logs[2]
-    names = [name for name, _ in logs[0] if name != "fluidq.fluid"]
-    assert names == ["fluidq.simulate", "fluidq.scaling"] * tasks
+    names = [name for name, _ in logs[0]]
+    first = names.index("fluidq.simulate")
+    assert set(names[:first]) == {"fluidq.fluid", "fluidq.numerics"}
+    assert names[first:] == ["fluidq.simulate", "fluidq.scaling"] * tasks
 
 
 def test_shares_split_heaviest_first_and_repeat():

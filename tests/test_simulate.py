@@ -504,6 +504,26 @@ def test_residual_tails_across_block_edges():
         assert tr.residual_deadline_measures(raw, cs) == want
 
 
+def test_queue_lengths_across_block_edges_and_kept_mask():
+    """queue_lengths and age_count on windows of several RESIDUAL_BLOCKs,
+    asked on one trace at times whose windows grow, shrink and repeat (so
+    _live's kept mask buffer is grown, cut and overwritten), equal the
+    whole-trace count."""
+    classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
+               ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
+                         UniformInterval(0.0, 2.0)))
+    tr = run(SimConfig(classes, horizon=3.0, scale=20000, seed=5))
+    sizes = []
+    for t in (0.5, 3.0, 1.0, 3.0, 0.0, 2.0, 0.5):
+        raw = t + tr.origin
+        win = tr._window(raw)
+        sizes.append(win.stop - win.start)
+        _, counts, _, ages = full_scan_queries(tr, raw, 0.25, [0.0])
+        assert [tuple(c) for c in tr.queue_lengths(t)] == counts
+        assert tr.age_count(t, 0.25) == ages
+    assert max(sizes) > 2 * RESIDUAL_BLOCK and 0 in sizes
+
+
 def test_trace_window_skips_departed_blocks(query_traces):
     tr = query_traces[0]
     win = tr._window(tr.horizon + tr.origin)
