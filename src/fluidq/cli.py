@@ -46,6 +46,10 @@ EXIT_IO = 4
 
 _TOP_KEYS = {"model", "fluid", "sim", "converge", "output"}
 
+# fluid's time grid may hold at most this many multiples of grid_step up to
+# the horizon (the horizon itself is added where it falls between two)
+MAX_GRID_POINTS = 10 ** 6
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -253,7 +257,11 @@ def _write_json(path: str, payload) -> None:
 
 
 def _time_grid(horizon: float, step: float) -> list[float]:
-    count = int(math.floor(horizon / step + 1e-9)) if step > 0 else 0
+    count = horizon / step + 1e-9
+    if count >= MAX_GRID_POINTS:    # checked before a point is built
+        raise _config_error("fluid.grid_step", f"{step} puts more than {MAX_GRID_POINTS} "
+                            f"grid points on the horizon {horizon}")
+    count = int(count)
     ts = [min(i * step, horizon) for i in range(count + 1)]
     if not ts or ts[-1] < horizon - 1e-12 * horizon:
         ts.append(horizon)
@@ -268,6 +276,7 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     tol = _number(fl.get("tol", 1e-10), "fluid.tol", positive=True)
     step = _number(fl.get("grid_step", horizon / 100 if horizon > 0 else 1.0),
                    "fluid.grid_step", positive=True)
+    grid = _time_grid(horizon, step)
 
     sim_cfg = SimConfig(specs, horizon=horizon)
     try:
@@ -283,7 +292,6 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     except (FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    grid = _time_grid(horizon, step)
     path = solution.workload
     ts = np.array(grid)
     workload_rows = [(sig17(t), sig17(w), sig17(s))

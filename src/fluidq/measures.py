@@ -12,11 +12,13 @@ infinite. Half-openness makes additivity over partitions exact for atomic
 measures and matches the rectangle family whose evaluations pin down a
 measure on the quadrant.
 
-The simulator's snapshots are counting measures: one unit atom per job and
-no mass array stored. Box and corner masses come from a quadrant table of
-upper-right counts on a grid of edges; a counting measure keeps its last
-table, so a second request on the same grid (the harness's rectangle grid
-after its corner probe) reads it instead of binning the atoms again.
+Every measure is a counting measure: one unit atom per job, so the mass of
+a set is the number of atoms in it, and only w and p are stored. Coincident
+atoms are allowed, so an integer mass m is m atoms at one point. Box and
+corner masses come from a quadrant table of upper-right counts on a grid of
+edges; a measure keeps its last table, so a second request on the same grid
+(the harness's rectangle grid after its corner probe) reads it instead of
+binning the atoms again.
 """
 from __future__ import annotations
 
@@ -61,65 +63,49 @@ def upper_right(x: float, y: float) -> Box:
 
 
 class AtomicMeasure2D:
-    """Point-mass measure on the open quadrant; immutable after construction.
+    """Counting measure on the open quadrant, one unit atom per (w, p) pair;
+    immutable after construction.
 
     Atoms with w <= 0 or p <= 0 are silently dropped at construction, so the
-    measure never charges the axes. A counting measure (from_arrays with no
-    masses, as SimTrace.snapshot builds) stores no mass array: every atom
-    has mass 1, and ``mass`` is a read-only view of ones.
+    measure never charges the axes.
     """
 
-    __slots__ = ("w", "p", "_mass", "class_id", "_table")
+    __slots__ = ("w", "p", "class_id", "_table")
 
-    def __init__(self, atoms: Iterable[tuple[float, float, float]] = (),
+    def __init__(self, atoms: Iterable[tuple[float, float]] = (),
                  class_id: int | None = None):
-        rows = np.asarray(list(atoms), dtype=float).reshape(-1, 3)
+        rows = np.asarray(list(atoms), dtype=float)
+        if rows.size and rows.shape[1:] != (2,):
+            raise ValueError(f"atoms must be (w, p) pairs, got an array of shape {rows.shape}")
+        rows = rows.reshape(-1, 2)
         keep = (rows[:, 0] > 0) & (rows[:, 1] > 0)
-        rows = rows[keep]
-        if np.any(rows[:, 2] <= 0):
-            raise ValueError("atom masses must be positive")
-        self.w = rows[:, 0].copy()
-        self.p = rows[:, 1].copy()
-        self._mass = rows[:, 2].copy()
-        for arr in (self.w, self.p, self._mass):
+        self.w, self.p = rows[keep, 0], rows[keep, 1]
+        for arr in (self.w, self.p):
             arr.flags.writeable = False
         self.class_id = class_id
         self._table = None
 
     @classmethod
-    def from_arrays(cls, w: np.ndarray, p: np.ndarray, mass: np.ndarray | None = None,
+    def from_arrays(cls, w: np.ndarray, p: np.ndarray,
                     class_id: int | None = None) -> "AtomicMeasure2D":
-        """The atoms (w_i, p_i, mass_i) with w_i > 0 and p_i > 0; a counting
-        measure when mass is None."""
+        """A unit atom at each (w_i, p_i) with w_i > 0 and p_i > 0."""
         keep = w > 0
         keep &= p > 0
         # np.compress copies about twice as fast as boolean indexing
         w, p = (np.compress(keep, np.asarray(a, dtype=float)) for a in (w, p))
-        if mass is not None:
-            mass = np.compress(keep, np.asarray(mass, dtype=float))
-        return cls._wrap(w, p, mass, class_id)
+        return cls._wrap(w, p, class_id)
 
     @classmethod
-    def _wrap(cls, w: np.ndarray, p: np.ndarray, mass: np.ndarray | None,
-              class_id: int | None) -> "AtomicMeasure2D":
+    def _wrap(cls, w: np.ndarray, p: np.ndarray, class_id: int | None) -> "AtomicMeasure2D":
         """The measure that takes ownership of float arrays whose every w and
-        p is already positive (no copy, no check); a counting measure when
-        mass is None."""
+        p is already positive (no copy, no check)."""
         m = cls.__new__(cls)
-        m.w, m.p, m._mass = w, p, mass
-        for arr in (w, p, mass):
-            if arr is not None:
-                arr.flags.writeable = False
+        m.w, m.p = w, p
+        w.flags.writeable = False
+        p.flags.writeable = False
         m.class_id = class_id
         m._table = None
         return m
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Each atom's mass, read-only."""
-        if self._mass is None:
-            return np.broadcast_to(1.0, self.w.shape)
-        return self._mass
 
     def __len__(self) -> int:
         return len(self.w)
@@ -127,12 +113,12 @@ class AtomicMeasure2D:
     def __call__(self, box: Box) -> float:
         return eval_box(self, box)
 
-    def atoms(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.w.tolist(), self.p.tolist(), self.mass.tolist()))
+    def atoms(self) -> list[tuple[float, float]]:
+        return list(zip(self.w.tolist(), self.p.tolist()))
 
     @property
     def total_mass(self) -> float:
-        return float(self.mass.sum())
+        return float(len(self.w))
 
     def __repr__(self) -> str:
         tag = f", class_id={self.class_id}" if self.class_id is not None else ""
@@ -140,18 +126,17 @@ class AtomicMeasure2D:
 
 
 def eval_box(measure: AtomicMeasure2D, box: Box) -> float:
-    """Mass inside the half-open box."""
+    """Mass inside the half-open box: its number of atoms."""
     inside = ((measure.w >= box.a) & (measure.w < box.b)
               & (measure.p >= box.c) & (measure.p < box.d))
-    return float(measure.mass[inside].sum())
+    return float(np.count_nonzero(inside))
 
 
 def evolve(measure: AtomicMeasure2D, h: float) -> AtomicMeasure2D:
     """Shift every atom by (-h, -h), dropping the atoms a boundary caught."""
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    return AtomicMeasure2D.from_arrays(measure.w - h, measure.p - h, measure._mass,
-                                       class_id=measure.class_id)
+    return AtomicMeasure2D.from_arrays(measure.w - h, measure.p - h, measure.class_id)
 
 
 def corner_distance(w, p, x: float, y: float):
@@ -269,16 +254,14 @@ def _on_grid(edges: np.ndarray, grid: np.ndarray) -> bool:
 def _quadrant_table(measure: AtomicMeasure2D, w_edges: np.ndarray,
                     p_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w grid, p grid, tail), the grids sorted, distinct and holding the
-    given sorted distinct edges, and tail[i, j] the mass with w >= w
-    grid[i - 1] and p >= p grid[j - 1] (row and column 0: no bound).
+    given sorted distinct edges, and tail[i, j] the number of atoms with
+    w >= w grid[i - 1] and p >= p grid[j - 1] (row and column 0: no bound).
 
     Each coordinate is binned once into its grid, and a 2-D bincount and
-    reverse cumulative sums give the table. A counting measure's bincount is
-    unweighted and its table exact in integers, so a table on a wider grid
-    gives the same answers: the measure keeps its last table, and a request
-    whose edges all lie on its grids reads it without binning again. A
-    weighted measure's float sums depend on the grid, so it is binned on
-    the edges asked for, every time.
+    reverse cumulative sums give the table. Its counts are exact integers,
+    so a table on a wider grid gives the same answers: the measure keeps its
+    last table, and a request whose edges all lie on its grids reads it
+    without binning again.
 
     A snapshot's atoms come in FIFO order, so its w is nondecreasing and
     the binning searches the edges into w instead of each atom into the
@@ -294,13 +277,10 @@ def _quadrant_table(measure: AtomicMeasure2D, w_edges: np.ndarray,
     shape = (len(w_edges) + 1, len(p_edges) + 1)
     cell *= shape[1]
     cell += _bin(measure.p, p_edges)
-    grid = np.bincount(cell, weights=measure._mass,
-                       minlength=shape[0] * shape[1]).reshape(shape)
+    grid = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
     tail = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].astype(float)
-    table = (w_edges, p_edges, tail)
-    if measure._mass is None:
-        measure._table = table
-    return table
+    measure._table = w_edges, p_edges, tail
+    return measure._table
 
 
 def _box_masses(measure: AtomicMeasure2D, w_edges, p_edges, a, b, c, d) -> np.ndarray:
@@ -317,8 +297,8 @@ def box_masses(measure: AtomicMeasure2D, a, b, c, d) -> np.ndarray:
     The edges broadcast against each other and may be any floats, infinite
     right edges included. The quadrant table (_quadrant_table) gives the
     mass of every upper-right quadrant with corner on the edge grid, and
-    inclusion-exclusion turns those into box masses. With integer masses
-    every sum is exact, so each entry equals eval_box.
+    inclusion-exclusion turns those into box masses. Every count is exact,
+    so each entry equals eval_box.
     """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in (a, b, c, d)))
     return _box_masses(measure, _distinct(a, b), _distinct(c, d), a, b, c, d)
@@ -341,8 +321,7 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
     snapshot's atoms come in FIFO order, so w is nondecreasing and each
     corner's square lies in one slice of measure.w; other measures are
     sorted by w first. Corners with no atom in that slice are skipped.
-    Equal to the per-corner corner_distance count when the masses are
-    integers and the atoms finite.
+    Equal to the per-corner corner_distance count when the atoms are finite.
     """
     kap = np.asarray(kappas, dtype=float).reshape(1, -1)
     if not np.all((kap > 0) & np.isfinite(kap)):
@@ -360,11 +339,10 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
     # [w_lo, w_hi) x [y, inf), [w_hi, inf) x [y, p_hi) and [x, inf) x [p_lo, y)
     masses = _box_masses(measure, *_corner_grids(*key), [w_lo, w_hi, xs], [w_hi, inf, inf],
                          [ys, ys, p_lo], [inf, p_hi, ys]).sum(axis=0)
-    w, p, mass = measure.w, measure.p, measure._mass
+    w, p = measure.w, measure.p
     if not np.all(w[1:] >= w[:-1]):
         order = np.argsort(w)
         w, p = w[order], p[order]
-        mass = None if mass is None else mass[order]
     widest = int(np.argmax(kap))
     starts = np.searchsorted(w, w_lo[:, widest])
     stops = np.searchsorted(w, xy[:, 0])
@@ -373,10 +351,7 @@ def corner_mass(measure: AtomicMeasure2D, corners: Sequence[tuple[float, float]]
         near = starts[i] + np.flatnonzero((strip >= p_lo[i, widest]) & (strip < xy[i, 1]))
         if len(near):
             dist = _strip_distances(xy[i, 0], xy[i, 1], w, p, near, kap[0])
-            if mass is None:
-                masses[i] += [np.count_nonzero(dist < k) for k in kap[0]]
-            else:
-                masses[i] += mass[near] @ (dist[:, None] < kap)
+            masses[i] += [np.count_nonzero(dist < k) for k in kap[0]]
     return masses
 
 
@@ -476,6 +451,6 @@ def rect_distance(a: AtomicMeasure2D | BoxEvaluator,
 
 
 def measure_rows(measure: AtomicMeasure2D) -> list[tuple[int | None, float, float, float]]:
-    """(class_id, w, p, mass) rows for CSV export."""
+    """(class_id, w, p, mass) rows for CSV export; every mass is 1.0."""
     cid = measure.class_id
-    return [(cid, w, p, m) for w, p, m in measure.atoms()]
+    return [(cid, w, p, 1.0) for w, p in measure.atoms()]

@@ -159,8 +159,8 @@ class SimConfig:
             raise SimulationError(f"horizon must be finite and nonnegative, got {self.horizon!r}")
         if not (_is_integer(self.scale) and self.scale >= 1):
             raise SimulationError(f"scale must be an integer >= 1, got {self.scale!r}")
-        if not _is_integer(self.seed):
-            raise SimulationError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise SimulationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.initial, (Empty, WarmStart)):
             raise SimulationError(
                 f"initial must be Empty() or WarmStart(duration), got {self.initial!r}")
@@ -833,8 +833,8 @@ class SimTrace:
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class counting measures at (residual sojourn, residual patience):
-        one unit atom per job in the system, and no mass array stored (see
-        AtomicMeasure2D), so each atom costs the 16 bytes of its w and p.
+        one unit atom per job in the system, so each atom costs the 16 bytes
+        of its w and p.
 
         The atoms keep arrival order, which is FIFO order. A job's residual
         virtual sojourn is the time left until the FIFO frontier reaches it,
@@ -887,7 +887,7 @@ class SimTrace:
         for (ws, ps), m in zip(atoms, held):
             ws.resize(m, refcheck=False)
             ps.resize(m, refcheck=False)
-        return [AtomicMeasure2D._wrap(ws, ps, None, k) for k, (ws, ps) in enumerate(atoms)]
+        return [AtomicMeasure2D._wrap(ws, ps, k) for k, (ws, ps) in enumerate(atoms)]
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:
         """Per class: jobs in system at t, split by eventual fate, counted in

@@ -144,7 +144,7 @@ def test_07_simulator_reproduces_hand_trace():
     # residual coordinates follow the job records: the abandoning job that
     # found 4 units of work ahead sits at (4 - 1.5, 2 - 1.5) = (2.5, 0.5)
     atoms = sorted(trace.snapshot(3.5)[0].atoms())
-    assert atoms == [(2.5, 0.5, 1.0), (2.5, 2.5, 1.0), (2.5, 12.5, 1.0)]
+    assert atoms == [(2.5, 0.5), (2.5, 2.5), (2.5, 12.5)]
 
 
 def test_08_snapshot_dynamics_match_measure_evolution():

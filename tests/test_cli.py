@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fluidq
-from fluidq.cli import _time_grid, build_parser, main
+from fluidq.cli import MAX_GRID_POINTS, CliError, _time_grid, build_parser, main
 from fluidq.distributions import Exponential
 from fluidq.fluid import (FluidClass, FluidModelInput, equilibrium_band,
                           invariant_state)
@@ -286,6 +286,50 @@ def test_bad_seed_env_rejected(tmp_path, capsys, monkeypatch):
                            "--out", str(tmp_path / "o"))
     assert code == 2
     assert "FLUIDQ_SEED" in err
+
+
+@pytest.mark.parametrize("command", ("simulate", "converge"))
+@pytest.mark.parametrize("source", ("flag", "env", "config"))
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, command, source):
+    """A negative seed from --seed or FLUIDQ_SEED reached numpy's
+    SeedSequence and died with a ValueError traceback (exit 1)."""
+    cfg = {"model": {"classes": [MARKOV_CLASS]}, "sim": {"horizon": 1.0}}
+    if source == "config":
+        cfg["sim"]["seed"] = -2
+    if command == "converge":
+        cfg["converge"] = {"scales": [2], "reps": 1}
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("FLUIDQ_SEED", "-3")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config error at sim" in err and ">= 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("step", ("5e-324", "1e-9", "2.9999e-6"))
+def test_fluid_grid_with_too_many_points_is_a_config_error(tmp_path, capsys, step):
+    """A subnormal step overflowed _time_grid's point count (OverflowError,
+    exit 1), and a step of 1e-9 would have built 3e9 floats; both are
+    refused before the grid or the solve is built."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "model": {"classes": [MARKOV_CLASS]}, "fluid": {"horizon": 3.0, "grid_step": "STEP"},
+    }).replace('"STEP"', step))
+    code, _, err = run_cli(capsys, "fluid", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "config error at fluid.grid_step" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_time_grid_point_limit():
+    """MAX_GRID_POINTS multiples of the step fit; one more is refused."""
+    grid = _time_grid(MAX_GRID_POINTS - 1.0, 1.0)
+    assert len(grid) == MAX_GRID_POINTS and grid[-1] == MAX_GRID_POINTS - 1
+    with pytest.raises(CliError, match="fluid.grid_step"):
+        _time_grid(float(MAX_GRID_POINTS), 1.0)
 
 
 def test_converge_command(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_hand_trace_queue_lengths(hand_trace):
 
 def test_hand_trace_snapshot(hand_trace):
     atoms = hand_trace.snapshot(3.5)[0].atoms()
-    assert sorted(atoms) == [(2.5, 0.5, 1.0), (2.5, 2.5, 1.0), (2.5, 12.5, 1.0)]
+    assert sorted(atoms) == [(2.5, 0.5), (2.5, 2.5), (2.5, 12.5)]
     assert hand_trace.snapshot(0.0)[0].atoms() == []
     # at t=4 job 2's residual patience reaches zero and the atom is gone
     assert len(hand_trace.snapshot(4.0)[0]) == 2
@@ -372,7 +372,8 @@ def test_config_validation():
             WarmStart(duration)
     # types are checked, not left to a later TypeError or to SeedSequence
     for bad in ({"horizon": "1"}, {"horizon": 1.0, "seed": "1"},
-                {"horizon": 1.0, "seed": 1.0}, {"horizon": 1.0, "scale": True}):
+                {"horizon": 1.0, "seed": 1.0}, {"horizon": 1.0, "scale": True},
+                {"horizon": 1.0, "seed": -1}, {"horizon": 1.0, "seed": np.int64(-3)}):
         with pytest.raises(SimulationError):
             SimConfig(classes=(spec,), **bad)
 
@@ -417,7 +418,7 @@ def full_scan_queries(tr, raw, u, cs):
     for k in range(tr.K):
         cls = tr.cls == k
         sel = arrived & cls
-        snap.append(AtomicMeasure2D.from_arrays(rw[sel], rp[sel], np.ones(int(sel.sum()))))
+        snap.append(AtomicMeasure2D.from_arrays(rw[sel], rp[sel]))
         total = int(np.count_nonzero(live & cls))
         served = int(np.count_nonzero(live & cls & tr.served))
         counts.append((total, served, total - served))
@@ -477,7 +478,6 @@ def test_trace_queries_equal_full_scan(query_traces, data):
     snap, counts, resid, ages = full_scan_queries(tr, raw, u, cs)
     for got, want in zip(tr.snapshot(t), snap):
         assert np.array_equal(got.w, want.w) and np.array_equal(got.p, want.p)
-        assert np.array_equal(got.mass, want.mass)
     assert [tuple(c) for c in tr.queue_lengths(t)] == counts
     assert tr.residual_deadline_measures(t, cs) == resid
     assert tr.age_count(t, u) == ages
