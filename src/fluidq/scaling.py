@@ -261,12 +261,12 @@ def _row(n, rep, t, metric, cls, sim_value, fluid_value) -> ReportRow:
                      float(fluid_value), abs(float(sim_value) - float(fluid_value)))
 
 
-def _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid, rect_edges,
-                ages) -> list[ReportRow]:
+def _state_rows(n, rep, now, targets, i, t, rect_grid, rect_edges, ages) -> list[ReportRow]:
+    """Queue lengths, fate splits, rectangle distances and age counts from
+    now, the trace's state at t with the plan's ages."""
     rows = []
-    counts = trace.queue_lengths(t)
     for k in range(targets.K):
-        z, nn, aa = counts[k]
+        z, nn, aa = now.counts[k]
         rows.append(_row(n, rep, t, "queue_length", k, z / n,
                          targets.queue_length[k][i]))
         rows.append(_row(n, rep, t, "nonabandoning", k, nn / n,
@@ -274,14 +274,13 @@ def _state_rows(n, rep, trace, snaps, targets, i, t, rect_grid, rect_edges,
         rows.append(_row(n, rep, t, "abandoning", k, aa / n,
                          targets.abandoning[k][i]))
         fluid_boxes = targets.boxes[k][i]
-        sim_boxes = dict(zip(rect_grid, box_masses(snaps[k], *rect_edges).tolist()))
+        sim_boxes = dict(zip(rect_grid, box_masses(now.measures[k], *rect_edges).tolist()))
         dist = rect_distance(lambda box: sim_boxes[box] / n,
                              fluid_boxes.__getitem__, rect_grid)
         rows.append(_row(n, rep, t, "rect_measure", k, dist, 0.0))
-    for u in ages:
+    for u, old in zip(ages, now.old):
         if u > t:
             continue
-        old = trace.age_count(t, u)
         for k in range(targets.K):
             rows.append(_row(n, rep, t, f"age_count@{u:g}", k, old[k] / n,
                              targets.age_count[k, u][i]))
@@ -397,16 +396,17 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
                                      n, rep, trace, targets, i, t)
                 residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
                                      residual_tails(counts[i]), targets, i, t, c_grid)
-                # One snapshot per time, shared by the corner and state rows;
-                # it counts towards the state section. The corner probe bins
+                # One walk over the window per time: its measures serve the
+                # corner and state rows, its counts the state rows, and it
+                # counts towards the state section. The corner probe bins
                 # each measure on a grid that holds the rectangle grid's
                 # edges, and box_masses then reads the table it left.
-                snaps = _timed(seconds, "state", trace.snapshot, t)
+                now = _timed(seconds, "state", trace.state, t, plan.ages)
                 corner[i] = _timed(seconds, "corner", _corner_rows,
-                                   n, rep, snaps, t, corners, kappas)
-                state[i] = _timed(seconds, "state", _state_rows, n, rep, trace, snaps,
+                                   n, rep, now.measures, t, corners, kappas)
+                state[i] = _timed(seconds, "state", _state_rows, n, rep, now,
                                   targets, i, t, rect_grid, rect_edges, plan.ages)
-                del trace, snaps
+                del trace, now
                 j += 1
             live.release(raws[j:])
         stream.close()

@@ -70,11 +70,10 @@ STREAM_CHUNK = 32 * EXIT_BLOCK
 # Arrivals per block of each class's draws; the blocks being merged into a
 # chunk are all that the stream holds besides the chunk itself.
 DRAW_BLOCK = 4 * EXIT_BLOCK
-# Jobs per block of the passes of tail_counts, snapshot, SimTrace._live and
-# queue_lengths over a query window: their buffers take a few hundred KiB
-# whatever the window, and larger blocks run no faster. Window-sized
-# temporaries would be mapped afresh, and fault in their pages, on every
-# query; the one window-sized mask, _live's, is kept from query to query.
+# Jobs per block of the passes of tail_counts and SimTrace.state over a query
+# window: their buffers take a few hundred KiB whatever the window, and
+# larger blocks run no faster. Window-sized temporaries would be mapped
+# afresh, and fault in their pages, on every query.
 RESIDUAL_BLOCK = 1 << 14
 # The c values at which residual-deadline tails are counted by default.
 DEFAULT_C_GRID = (0.0, 0.5, 1.0)
@@ -194,6 +193,16 @@ class ClassCounts(NamedTuple):
     total: int
     nonabandoning: int
     abandoning: int
+
+
+class TraceState(NamedTuple):
+    """The jobs in the system at one time (SimTrace.state): per class their
+    counting measure, their counts by fate, and, per age asked, how many
+    arrived at or before the time minus that age (old[age index][class])."""
+
+    measures: list[AtomicMeasure2D]
+    counts: list[ClassCounts]
+    old: list[list[int]]
 
 
 class ResidualTails(NamedTuple):
@@ -628,7 +637,7 @@ def _exit_cut(raw: float) -> float:
 
 def _block_exits(t_arr, v, d, w_before, served, out=None) -> np.ndarray:
     """The latest raw exit in each block of EXIT_BLOCK jobs, written into
-    `out` if given. The exits are SimTrace._exit's sums (addition commutes),
+    `out` if given. The exits are SimTrace.t_exit's sums (addition commutes),
     built EXITS_SPAN jobs at a time."""
     n = len(t_arr)
     if out is None:
@@ -653,13 +662,14 @@ class SimTrace:
     jobs, ``block_idle``, the idleness up to the arrival of its first job.
     The pass is ``_lindley``: vector passes over windows of jobs, each
     accepting only the prefix it verified against the scalar recursion, so
-    these arrays are the recursion's bit for bit. ``_virtual``,
-    ``_patience`` and ``_exit`` derive the virtual sojourn, patience and exit
-    epoch on the jobs a query reads. A job's virtual sojourn is the workload
-    just after its arrival, and the path between arrivals has slope -1 while
-    positive, so these reconstruct it everywhere; ``_idle_raw`` rebuilds the
-    idleness from its block's first job (``cum_idle``, like ``t_exit``, is
-    derived).
+    these arrays are the recursion's bit for bit. ``_virtual`` and
+    ``_patience`` derive the virtual sojourn and patience on the jobs a query
+    reads. A job's virtual sojourn is the workload just after its arrival,
+    and the path between arrivals has slope -1 while positive, so these
+    reconstruct it everywhere; ``_idle_raw`` rebuilds the idleness from its
+    block's first job (``cum_idle``, like ``t_exit``, is derived). One walk
+    over a time's query window, ``state``, decides which jobs are in the
+    system and gives their measures and every count of them.
 
     It is built from the fields of a Chunk of its jobs: the six per-job
     columns, ``block_idle``, and ``block_exits``, the latest exit in each
@@ -687,8 +697,7 @@ class SimTrace:
         self.exit_bound = np.maximum.accumulate(block_exits)
         for arr in (t_arr, cls, v, d, w_before, served, block_idle, self.exit_bound):
             arr.flags.writeable = False
-        # (raw, window, mask buffer) of the last _live; the buffer is reused
-        self._last_live = (None, None, np.empty(0, dtype=bool))
+        self._kept = None       # (raw, counts) of the last state walk
         self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
 
     # Each derived column repeats the pass's float operations (W = w_before + v
@@ -702,19 +711,15 @@ class SimTrace:
         d = self.d[win]
         return np.where(self.served[win], d + self.v[win], d)
 
-    def _exit(self, win, out=None) -> np.ndarray:
-        """Raw exit epoch: arrival plus virtual sojourn if served, plus
-        deadline if not, written into `out` if given (addition commutes, so
-        these are the floats of t_arr + np.where(served, w_before + v, d))."""
-        out = np.add(self.w_before[win], self.v[win], out=out)
-        np.copyto(out, self.d[win], where=~self.served[win])
-        out += self.t_arr[win]
-        return out
-
     @property
     def t_exit(self) -> np.ndarray:
-        """Raw exit epoch of every job (derived, not stored)."""
-        return self._exit(slice(None))
+        """Raw exit epoch of every job (derived, not stored): arrival plus
+        virtual sojourn if served, plus deadline if not (addition commutes,
+        so these are the floats of t_arr + np.where(served, w_before + v, d))."""
+        out = self.w_before + self.v
+        np.copyto(out, self.d, where=~self.served)
+        out += self.t_arr
+        return out
 
     def _idle_steps(self, lo: int, hi: int) -> np.ndarray:
         """What the pass added to the idleness at the arrivals of jobs
@@ -808,33 +813,13 @@ class SimTrace:
         lo = EXIT_BLOCK * int(np.searchsorted(self.exit_bound, _exit_cut(raw), side="right"))
         return slice(min(lo, hi), hi)
 
-    def _live(self, raw: float) -> tuple[slice, np.ndarray]:
-        """The query window and which of its jobs are in the system at raw.
-        The last answer is kept, read-only, until the next time's mask
-        overwrites it in the same buffer: queue_lengths and age_count are
-        asked at the same time, one after the other."""
-        kept, win, buffer = self._last_live
-        if kept != raw:
-            win = self._window(raw)
-            size = win.stop - win.start
-            if len(buffer) < size:
-                # a quarter to spare: the windows grow as the queue fills up
-                buffer = np.empty(size + size // 4, dtype=bool)
-            self._last_live = (None, None, buffer)  # the mask is overwritten from here on
-            t_exit = np.empty(min(RESIDUAL_BLOCK, size))
-            for a in range(win.start, win.stop, RESIDUAL_BLOCK):
-                b = min(a + RESIDUAL_BLOCK, win.stop)
-                np.greater(self._exit(slice(a, b), t_exit[:b - a]), raw,
-                           out=buffer[a - win.start:b - win.start])
-            self._last_live = (raw, win, buffer)
-        live = buffer[:win.stop - win.start]
-        live.flags.writeable = False
-        return win, live
-
-    def snapshot(self, t: float) -> list[AtomicMeasure2D]:
-        """Per-class counting measures at (residual sojourn, residual patience):
-        one unit atom per job in the system, so each atom costs the 16 bytes
-        of its w and p.
+    def state(self, t: float, ages=()) -> TraceState:
+        """The jobs in the system at t, from one walk over the query window:
+        those whose residual virtual sojourn w and residual patience p are
+        both positive. Per class they are the unit atoms of a counting
+        measure at (w, p), 16 bytes each; its counts split them by fate
+        (``served``), so queue lengths are the measures' masses at every t;
+        and old[j][k] counts those that arrived at or before t - ages[j].
 
         The atoms keep arrival order, which is FIFO order. A job's residual
         virtual sojourn is the time left until the FIFO frontier reaches it,
@@ -845,25 +830,32 @@ class SimTrace:
         built on it, so a time's corner probe and rectangle grid bin its
         atoms once.
 
-        The window's jobs go through in blocks of RESIDUAL_BLOCK, in buffers
-        allocated once. Per block, the service a job added, v * served, goes
-        onto w_before and d, which for finite services are the floats of
-        _virtual's and _patience's np.where, and elapsed comes off in place;
-        the block's atoms are copied into each class's w and p, allocated
-        for the whole window and shrunk in place to the atoms (realloc), so
-        that their pages past the atoms are never touched.
+        The window goes through in blocks of RESIDUAL_BLOCK, in buffers
+        allocated once. Per block, v * served goes onto w_before and d (for
+        finite services, the floats of _virtual's and _patience's np.where)
+        and elapsed comes off in place; each class's mask picks its atoms
+        into w and p arrays allocated for the whole window and shrunk in
+        place (realloc), so that their pages past the atoms are never
+        touched, and counts its served and old jobs. The walk keeps its raw
+        time and counts for queue_lengths at that time.
         """
+        if any(u < 0 for u in ages):
+            raise SimulationError(f"age must be nonnegative, got {min(ages)}")
         raw = self._raw(t)
+        self._kept = None
         win = self._window(raw)
-        size = min(RESIDUAL_BLOCK, win.stop - win.start)
+        jobs = win.stop - win.start
+        size = min(RESIDUAL_BLOCK, jobs)
         elapsed, rw, rp = np.empty(size), np.empty(size), np.empty(size)
-        keep, sel = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        atoms = [(np.empty(win.stop - win.start), np.empty(win.stop - win.start))
-                 for _ in range(self.K)]
-        held = [0] * self.K
+        keep, sel, hit = (np.empty(size, dtype=bool) for _ in range(3))
+        aged = np.empty((len(ages), size), dtype=bool)
+        cuts = [raw - u for u in ages]
+        atoms = [(np.empty(jobs), np.empty(jobs)) for _ in range(self.K)]
+        held, served = [0] * self.K, [0] * self.K
+        old = [[0] * self.K for _ in ages]
         for a in range(win.start, win.stop, RESIDUAL_BLOCK):
             n = min(a + RESIDUAL_BLOCK, win.stop) - a
-            e, w, p, kept, s = elapsed[:n], rw[:n], rp[:n], keep[:n], sel[:n]
+            e, w, p, kept, s, h = elapsed[:n], rw[:n], rp[:n], keep[:n], sel[:n], hit[:n]
             np.subtract(raw, self.t_arr[a:a + n], out=e)
             np.multiply(self.v[a:a + n], self.served[a:a + n], out=p)
             np.add(self.w_before[a:a + n], p, out=w)
@@ -872,6 +864,8 @@ class SimTrace:
             p -= e
             np.greater(w, 0.0, out=kept)
             kept &= np.greater(p, 0.0, out=s)
+            olds = [np.less_equal(self.t_arr[a:a + n], cut, out=row[:n])
+                    for cut, row in zip(cuts, aged)]
             for k, (ws, ps) in enumerate(atoms):
                 mask = kept
                 if self.K > 1:
@@ -884,30 +878,29 @@ class SimTrace:
                 ws[held[k]:m] = w_k
                 ps[held[k]:m] = p.compress(mask)
                 held[k] = m
+                served[k] += np.count_nonzero(np.logical_and(mask, self.served[a:a + n], out=h))
+                for per_class, o in zip(old, olds):
+                    per_class[k] += np.count_nonzero(np.logical_and(mask, o, out=h))
         for (ws, ps), m in zip(atoms, held):
             ws.resize(m, refcheck=False)
             ps.resize(m, refcheck=False)
-        return [AtomicMeasure2D._wrap(ws, ps, k) for k, (ws, ps) in enumerate(atoms)]
+        counts = [ClassCounts(m, n_served, m - n_served) for m, n_served in zip(held, served)]
+        self._kept = (raw, tuple(counts))
+        return TraceState([AtomicMeasure2D._wrap(ws, ps, k) for k, (ws, ps) in enumerate(atoms)],
+                          counts, old)
+
+    def snapshot(self, t: float) -> list[AtomicMeasure2D]:
+        """Per-class counting measures at (residual sojourn, residual patience),
+        one unit atom per job in the system: state(t)'s measures."""
+        return self.state(t).measures
 
     def queue_lengths(self, t: float) -> list[ClassCounts]:
-        """Per class: jobs in system at t, split by eventual fate, counted in
-        blocks of RESIDUAL_BLOCK jobs through one block-sized mask."""
-        raw = self._raw(t)
-        win, live = self._live(raw)
-        cls, served = self.cls[win], self.served[win]
-        sel = np.empty(min(RESIDUAL_BLOCK, len(live)), dtype=bool)
-        counts = np.zeros((self.K, 2), dtype=np.int64)
-        for a in range(0, len(live), RESIDUAL_BLOCK):
-            b = min(a + RESIDUAL_BLOCK, len(live))
-            block = sel[:b - a]
-            for k in range(self.K):
-                np.equal(cls[a:b], k, out=block)
-                block &= live[a:b]
-                counts[k, 0] += np.count_nonzero(block)
-                block &= served[a:b]
-                counts[k, 1] += np.count_nonzero(block)
-        return [ClassCounts(total, n_served, total - n_served)
-                for total, n_served in counts.tolist()]
+        """Per class: jobs in system at t, split by eventual fate: state(t)'s
+        counts, read from the last walk when it was at t."""
+        kept = self._kept
+        if kept is not None and kept[0] == self._raw(t):
+            return list(kept[1])
+        return self.state(t).counts
 
     def residual_deadline_measures(self, t: float,
                                    cs=DEFAULT_C_GRID) -> list[ResidualTails]:
@@ -919,14 +912,9 @@ class SimTrace:
                                           self.origin, self._raw(t), cs))
 
     def age_count(self, t: float, u: float) -> list[int]:
-        """Per class: jobs in system at t that arrived at or before t - u."""
-        if u < 0:
-            raise SimulationError(f"age must be nonnegative, got {u}")
-        raw = self._raw(t)
-        win, live = self._live(raw)
-        old = live & (self.t_arr[win] <= raw - u)
-        cls = self.cls[win]
-        return [int(np.count_nonzero(old & (cls == k))) for k in range(self.K)]
+        """Per class: jobs in system at t that arrived at or before t - u,
+        from state(t, (u,))."""
+        return self.state(t, (u,)).old[0]
 
 
 class LiveJobs:

@@ -1,7 +1,10 @@
-"""Every JSON config block in the README runs through the CLI."""
+"""Every JSON config block in the README runs through the CLI, and its
+Python example runs as written."""
 from __future__ import annotations
 
+import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from fluidq.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+PYTHON = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
 def test_readme_documents_every_family():
@@ -41,3 +45,11 @@ def test_readme_config_runs(tmp_path, capsys, monkeypatch, command, index):
     path.write_text(BLOCKS[index])
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
+
+
+def test_readme_python_example_runs(capsys):
+    """The library example runs and prints the M/M/1+M band (ln 2, ln 2) first."""
+    assert len(PYTHON) == 1
+    exec(compile(PYTHON[0], str(README), "exec"), {})
+    band = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
+    assert band == pytest.approx((math.log(2.0), math.log(2.0)))

@@ -223,15 +223,29 @@ def test_fifo_exit_order_among_served():
     assert np.all(np.diff(served_exits) >= 0)
 
 
-def test_snapshot_matches_queue_lengths(markov_config):
-    trace = run(markov_config)
-    for t in (3.0, 7.5, 14.0, 22.0, 30.0):
-        for k, (measure, counts) in enumerate(
-                zip(trace.snapshot(t), trace.queue_lengths(t))):
-            assert len(measure) == counts.total
-            served_atoms = int(np.count_nonzero(measure.w < measure.p))
-            assert served_atoms == counts.nonabandoning
-            assert counts.total == counts.nonabandoning + counts.abandoning
+def test_snapshot_matches_queue_lengths(markov_config, query_traces):
+    """A class's queue length is its snapshot's atom count, and so is
+    age_count at age 0: at fixed times, and at exit epochs moved by 0-2
+    ulps either way, where an exit > raw test disagrees with the atoms'
+    w > 0 and p > 0 in about a third of the epochs."""
+    cases = [(run(markov_config), (3.0, 7.5, 14.0, 22.0, 30.0))]
+    cases += [(trace, (0.5, 3.0)) for trace in query_traces]
+    for trace, fixed in cases:
+        exits = np.sort(stored_fate(trace)[2])
+        exits = exits[(exits > trace.origin) & (exits < trace.origin + trace.horizon)]
+        times = list(fixed)
+        for raw in exits[::max(1, len(exits) // 120)].tolist():
+            for direction in (-math.inf, math.inf):
+                for _ in range(3):
+                    times.append(model_time(trace, raw))
+                    raw = math.nextafter(raw, direction)
+        for t in times:
+            snap, counts = trace.snapshot(t), trace.queue_lengths(t)
+            assert trace.age_count(t, 0.0) == [c.total for c in counts]
+            for measure, c in zip(snap, counts):
+                assert len(measure) == c.total
+                assert c.total == c.nonabandoning + c.abandoning
+                assert int(np.count_nonzero(measure.w < measure.p)) == c.nonabandoning
 
 
 def test_dynamics_match_measure_evolution(markov_config):
@@ -406,18 +420,19 @@ def query_traces():
 
 def full_scan_queries(tr, raw, u, cs):
     """Every windowed SimTrace query at raw time, by masks over the whole trace.
-    A residual tail counts the residuals x with x > 0 and x >= c."""
-    virtual, patience, t_exit = stored_fate(tr)
+    A job is in the system when its residual sojourn and patience are both
+    positive. A residual tail counts the residuals x with x > 0 and x >= c."""
+    virtual, patience, _ = stored_fate(tr)
     arrived = tr.t_arr <= raw
-    live = arrived & (t_exit > raw)
     rw = virtual - (raw - tr.t_arr)
     rp = patience - (raw - tr.t_arr)
+    live = arrived & (rw > 0) & (rp > 0)
     window = (tr.t_arr > tr.origin) & arrived
     elapsed = raw - tr.t_arr
     snap, counts, resid, ages = [], [], [], []
     for k in range(tr.K):
         cls = tr.cls == k
-        sel = arrived & cls
+        sel = live & cls
         snap.append(AtomicMeasure2D.from_arrays(rw[sel], rp[sel]))
         total = int(np.count_nonzero(live & cls))
         served = int(np.count_nonzero(live & cls & tr.served))
@@ -504,11 +519,10 @@ def test_residual_tails_across_block_edges():
         assert tr.residual_deadline_measures(raw, cs) == want
 
 
-def test_queue_lengths_across_block_edges_and_kept_mask():
+def test_queue_lengths_across_block_edges():
     """queue_lengths and age_count on windows of several RESIDUAL_BLOCKs,
-    asked on one trace at times whose windows grow, shrink and repeat (so
-    _live's kept mask buffer is grown, cut and overwritten), equal the
-    whole-trace count."""
+    asked on one trace at times whose windows grow, shrink and repeat, equal
+    the whole-trace count."""
     classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
                ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
                          UniformInterval(0.0, 2.0)))
@@ -530,25 +544,33 @@ def test_trace_window_skips_departed_blocks(query_traces):
     assert win.start >= EXIT_BLOCK and win.start % EXIT_BLOCK == 0
 
 
-def test_live_mask_is_computed_once_per_time(markov_config, monkeypatch):
-    """queue_lengths and age_count at one time share one _exit pass over the
-    query window, as the harness's state rows ask them; a new time takes a
-    new pass, and a time asked again after another gets the same answers."""
+def test_one_window_walk_per_time(markov_config, monkeypatch):
+    """snapshot then queue_lengths at one time walk the query window once, as
+    run_plan does once per (n, rep, grid time); a time asked again after
+    another gets the same answers."""
+    from fluidq import scaling
     from fluidq.simulate import SimTrace
 
+    walks = []
+    window = SimTrace._window
+    monkeypatch.setattr(SimTrace, "_window",
+                        lambda self, raw: walks.append(raw) or window(self, raw))
     trace = run(markov_config)
-    exits = []
-    exit_pass = SimTrace._exit
-    monkeypatch.setattr(SimTrace, "_exit",
-                        lambda self, win, *out: exits.append(win) or exit_pass(self, win, *out))
     answers = []
     for t in (3.0, 14.0, 3.0):
-        before = len(exits)
-        answers.append((trace.queue_lengths(t), trace.age_count(t, 0.5),
-                        trace.age_count(t, 2.0), trace.queue_lengths(t)))
-        assert len(exits) - before == 1
+        before = len(walks)
+        snap, counts = trace.snapshot(t), trace.queue_lengths(t)
+        assert len(walks) - before == 1
+        answers.append(([m.atoms() for m in snap], counts, trace.age_count(t, 0.5),
+                         trace.queue_lengths(t)))
     assert answers[0] == answers[2]
-    assert answers[0][0] == answers[0][3]
+    assert answers[0][1] == answers[0][3]
+
+    monkeypatch.setattr(scaling, "_cpus", lambda: 1)    # every walk in this process
+    walks.clear()
+    plan = scaling.ScalingPlan(replace(markov_config, horizon=6.0), (10, 20), 2)
+    scaling.run_plan(plan)
+    assert len(walks) == 2 * 2 * len(plan.resolved_time_grid())
 
 
 def lindley_reference(t_arr, v, d):
