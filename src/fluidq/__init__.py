@@ -11,8 +11,8 @@ from .distributions import (Deterministic, Distribution, DistributionError,
 from .fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                     FluidModelInput, FluidSolution, InvariantInitial,
                     InvariantState, ZeroInitial, equilibrium_band, eval_fluid,
-                    fluid_abandoning, fluid_age_count, fluid_nonabandoning,
-                    fluid_queue_length, invariant_state,
+                    fluid_abandoning, fluid_age_count, fluid_grid,
+                    fluid_nonabandoning, fluid_queue_length, invariant_state,
                     residual_deadline_limit, solve_fluid, solve_workload)
 from .measures import (AtomicMeasure2D, Box, box_masses, corner_distance,
                        corner_mass, eval_box, evolve, rect_distance,
@@ -35,7 +35,7 @@ __all__ = [
     "ZeroInitial", "box_masses", "corner_distance", "corner_mass",
     "corner_regularity_probe", "default_rect_grid", "equilibrium_band",
     "eval_box", "eval_fluid", "evolve", "fluid_abandoning", "fluid_age_count",
-    "fluid_model_of", "fluid_nonabandoning", "fluid_queue_length",
+    "fluid_grid", "fluid_model_of", "fluid_nonabandoning", "fluid_queue_length",
     "invariant_state", "mix_seed", "rect_distance", "residual_deadline_limit",
     "run", "run_plan", "solve_fluid", "solve_workload", "stream",
     "upper_right",

@@ -29,8 +29,7 @@ from .distributions import (Deterministic, Distribution, DistributionError,
                             Exponential, HyperExponential, Replay,
                             UniformInterval, UniformMixture)
 from .fluid import (BoxMixtureInitial, FluidModelError, InvariantInitial,
-                    ZeroInitial, invariant_state, solve_fluid,
-                    fluid_abandoning, fluid_nonabandoning, fluid_queue_length)
+                    ZeroInitial, fluid_grid, invariant_state, solve_fluid)
 from .measures import Box, measure_rows
 from .numerics import sig17
 from .scaling import ScalingError, ScalingPlan, run_plan
@@ -292,14 +291,12 @@ def cmd_fluid(cfg: dict, args) -> list[str]:
     except (FluidModelError, DistributionError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
 
-    path = solution.workload
     ts = np.array(grid)
+    values = fluid_grid(solution, ts)
     workload_rows = [(sig17(t), sig17(w), sig17(s))
-                     for t, w, s in zip(grid, path.at(ts), path.tau(ts))]
-    columns = [[f(solution, k, ts) for f in (fluid_queue_length, fluid_nonabandoning,
-                                              fluid_abandoning)]
-               for k in range(len(model.classes))]
-    func_rows = [(sig17(t), k, *(sig17(col[i]) for col in columns[k]))
+                     for t, w, s in zip(grid, solution.workload.at(ts), values.tau)]
+    columns = values.queue_length, values.nonabandoning, values.abandoning
+    func_rows = [(sig17(t), k, *(sig17(col[k, i]) for col in columns))
                  for i, t in enumerate(grid) for k in range(len(model.classes))]
 
     band = {"w_l": w_l, "w_u": w_u, "d_max": model.d_max}

@@ -26,6 +26,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,11 +158,6 @@ class WorkloadPath:
             slopes = _drift(model, ws)
         self._coef = _hermite_coefficients(ts, ws, slopes)
         self._waiting: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # The last answers of tau and, per class, of waiting_integral, each
-        # with the bytes of the levels it was asked for: the functionals
-        # of one time grid ask for the same ones in turn.
-        self._last_tau: tuple = (None, None)
-        self._last_waiting: dict[int, tuple] = {}
 
     @property
     def node_count(self) -> int:
@@ -221,25 +217,11 @@ class WorkloadPath:
         whose frontier has reached x by then. One searchsorted of x among
         phi's node values brackets each root in one cubic piece, and
         numerics.bisect_leftmost over the floats of that piece gives the
-        leftmost float s with phi(s) >= x.
-
-        The last inversion is kept: levels with the shape and bytes of the
-        last ones asked for, as floats, get a copy of its answer (0.0 and
-        -0.0 differ, a NaN matches its own bits), so the functionals of one
-        time grid invert the frontier once.
+        leftmost float s with phi(s) >= x. The functionals of one time
+        grid share one call: fluid_grid passes its answer to each of them.
         """
         x = np.asarray(x, dtype=float)
-        key = x.shape, x.tobytes()
-        if self._last_tau[0] == key:
-            log.debug("tau: %d levels from the kept inversion", x.size)
-            out = self._last_tau[1].copy()
-        else:
-            out = self._invert(x.reshape(-1))
-            self._last_tau = key, out.copy()
-        return out.reshape(x.shape) if x.ndim else float(out[0])
-
-    def _invert(self, flat: np.ndarray) -> np.ndarray:
-        """tau at the flat levels, by bisection."""
+        flat = x.reshape(-1)
         c, nodes = self._frontier
         out = np.where(flat > nodes[-1], math.inf, 0.0)
         inner = np.flatnonzero((flat > nodes[0]) & (flat <= nodes[-1]))
@@ -249,7 +231,7 @@ class WorkloadPath:
             coef, left = c[:, i], self.grid_t[i]
             out[inner] = numerics.bisect_leftmost(
                 lambda s: _cubic(coef, s - left) >= target, left, self.grid_t[i + 1])
-        return out
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def waiting_integral(self, k: int, lo, hi):
         """Integral over [lo, hi] of G_k(w(v)) dv: the class k arrivals of
@@ -259,19 +241,10 @@ class WorkloadPath:
         path's nodes with numerics.cumulative_integral (QUAD_TOL per unit of
         time, so a relative tolerance since G_k <= 1); each end adds one
         Gauss-Legendre panel from the node before it. Every knot crossing
-        is a node, so every panel is smooth.
-
-        Each class keeps its last answer, as tau does: the class's next
-        call with the shapes and bytes of the same lo and hi, as floats,
-        gets a copy of it (n and a integrate over the same [tau(t), t]).
+        is a node, so every panel is smooth. n and a integrate over the
+        same [tau(t), t], so fluid_grid takes it once per class for both.
         """
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        key = lo.shape, lo.tobytes(), hi.shape, hi.tobytes()
-        kept = self._last_waiting.get(k)
-        if kept is None or kept[0] != key:
-            kept = self._last_waiting[k] = (
-                key, self._antiderivative(k, hi) - self._antiderivative(k, lo))
-        return kept[1].copy()
+        return self._antiderivative(k, hi) - self._antiderivative(k, lo)
 
     def _antiderivative(self, k: int, x):
         """Integral over [0, x] of G_k(w(v)) dv."""
@@ -660,14 +633,14 @@ def _survival_integrals(law: Distribution, a, b) -> np.ndarray:
     return np.array([law.integrate_survival(x, y) for x, y in zip(a.tolist(), b.tolist())])
 
 
-def _initial_share(solution: FluidSolution, ts: np.ndarray, mass) -> np.ndarray:
-    """The initial state's share of a functional at the times ts: mass(x)
-    at each time x < w0, and +0.0 from w0 on. Every initial job starts at a
-    workload coordinate of at most w0, which falls at unit rate, so by time
-    w0 all of them have left."""
+def _initial_share(solution: FluidSolution, k: int, ts: np.ndarray, mass) -> np.ndarray:
+    """The initial state's share of a class k functional at the times ts:
+    mass(model, k, x) at each time x < w0, and +0.0 from w0 on. Every
+    initial job starts at a workload coordinate of at most w0, which falls
+    at unit rate, so by time w0 all of them have left."""
     out = np.zeros(len(ts))
     early = ts < solution.w0
-    out[early] = [mass(x) for x in ts[early].tolist()]
+    out[early] = [mass(solution.model, k, x) for x in ts[early].tolist()]
     return out
 
 
@@ -681,61 +654,94 @@ def eval_fluid(solution: FluidSolution, k: int, t, box: Box):
     edges into integration limits, and the patience coordinate
     contributes a survival-difference weight with closed-form integral.
     """
-    return _like(t, _eval_boxes(solution, k, _times(solution.workload, t), (box,))[0])
+    return _like(t, _eval_boxes(solution, (k,), _times(solution.workload, t), (box,))[0, 0])
 
 
-def _eval_boxes(solution: FluidSolution, k: int, ts: np.ndarray, boxes) -> np.ndarray:
-    """eval_fluid on each box at the flat, checked times ts, indexed [box,
-    time], from one tau call for the left and right edges of every box.
-    tau and the survival integrals work elementwise, so each entry has the
-    floats of eval_fluid on its box alone."""
-    path = solution.workload
-    law = solution.model.classes[k].deadline
-    rate = solution.model.classes[k].arrival_rate
-    out = np.array([_initial_share(solution, ts, lambda x, box=box: solution.initial.eval0(
-        solution.model, k, box.shifted(x))) for box in boxes]).reshape(len(boxes), len(ts))
+def _eval_boxes(solution: FluidSolution, classes, ts: np.ndarray, boxes) -> np.ndarray:
+    """eval_fluid of each class on each box at the flat, checked times ts,
+    indexed [class, box, time], from one tau call for the left and right
+    edges of every box. tau and the survival integrals work elementwise, so
+    each entry has the floats of eval_fluid on its class and box alone."""
     a, b, c, d = (np.array(col)[:, None] for col in zip(*(
         (box.a, box.b, box.c, box.d) for box in boxes)))
-    lo, hi = np.minimum(path.tau(np.stack([a + ts, b + ts])), ts)
+    lo, hi = np.minimum(solution.workload.tau(np.stack([a + ts, b + ts])), ts)
     some = hi > lo
-    if some.any():
-        ts, c, d = (np.broadcast_to(x, some.shape)[some] for x in (ts, c, d))
-        lo, hi = lo[some], hi[some]
-        val = _survival_integrals(law, c + ts - hi, c + ts - lo)
-        bounded = np.isfinite(d)
-        if bounded.any():
-            ts, d, lo, hi = ts[bounded], d[bounded], lo[bounded], hi[bounded]
-            val[bounded] -= _survival_integrals(law, d + ts - hi, d + ts - lo)
-        out[some] += rate * val
-    return out
+    at, c, d = (np.broadcast_to(x, some.shape)[some] for x in (ts, c, d))
+    lo, hi = lo[some], hi[some]
+    bounded = np.isfinite(d)
+    out = []
+    for k in classes:
+        law = solution.model.classes[k].deadline
+        share = np.array([_initial_share(solution, k, ts, lambda model, k, x, box=box:
+                                         solution.initial.eval0(model, k, box.shifted(x)))
+                          for box in boxes]).reshape(len(boxes), len(ts))
+        val = _survival_integrals(law, c + at - hi, c + at - lo)
+        val[bounded] -= _survival_integrals(law, (d + at - hi)[bounded], (d + at - lo)[bounded])
+        share[some] += solution.model.classes[k].arrival_rate * val
+        out.append(share)
+    return np.array(out)
+
+
+class FluidGrid(NamedTuple):
+    """fluid_grid's values: tau shaped like the times; z, n and a indexed
+    [class, ...]; the age counts [age, class, ...], NaN at an age u > t."""
+
+    tau: np.ndarray
+    queue_length: np.ndarray
+    nonabandoning: np.ndarray
+    abandoning: np.ndarray
+    age_count: np.ndarray
+
+
+def fluid_grid(solution: FluidSolution, t, ages=()) -> FluidGrid:
+    """z, n, a and the age count at each age in ages, of every class at the
+    time(s) t, from one pass over the frontier: tau(t) and w(tau(t)) once,
+    and per class one waiting integral over [tau(t), t] for both n and a.
+    Each value has the bits of its public functional, which calls the same
+    helpers; an age count at an age u > t is NaN, where fluid_age_count
+    raises."""
+    if not all(u >= 0 for u in ages):
+        raise FluidModelError(f"ages must be nonnegative, got {ages}")
+    ts, s, oldest = _frontier(solution, t)
+    rows = []
+    for k in range(solution.model.K):
+        waiting = solution.workload.waiting_integral(k, s, ts)
+        rows.append([_age_count(solution, k, ts, oldest, 0.0),
+                     _nonabandoning(solution, k, ts, waiting),
+                     _abandoning(solution, k, ts, s, waiting),
+                     *(_age_count(solution, k, ts, oldest, u) for u in ages)])
+    values = np.reshape(rows, (len(rows), 3 + len(ages), *np.shape(t))).swapaxes(0, 1)
+    return FluidGrid(s.reshape(np.shape(t)), *values[:3], values[3:])
+
+
+def _frontier(solution: FluidSolution, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat, checked times ts of t, the frontier s = tau(ts), and the age
+    of the oldest arrival still waiting at each: an arrival waits until its
+    work reaches the server, so that is t while tau(t) = 0, and w(tau(t))
+    after that."""
+    path = solution.workload
+    ts = _times(path, t)
+    s = path.tau(ts)
+    return ts, s, np.where(ts < solution.w0, ts, path.at(s))
 
 
 def fluid_queue_length(solution: FluidSolution, k: int, t):
     """z_k(t): class k fluid mass in system at the time(s) t, the age count
     at age 0."""
-    return fluid_age_count(solution, k, t, 0.0)
+    ts, _, oldest = _frontier(solution, t)
+    return _like(t, _age_count(solution, k, ts, oldest, 0.0))
 
 
 def fluid_nonabandoning(solution: FluidSolution, k: int, t):
     """n_k(t): fluid mass of jobs that will eventually be served."""
-    path = solution.workload
-    ts = _times(path, t)
-    rate = solution.model.classes[k].arrival_rate
-    initial = _initial_share(solution, ts, lambda x: solution.initial.mass_nonabandoning(
-        solution.model, k, x))
-    return _like(t, initial + rate * path.waiting_integral(k, path.tau(ts), ts))
+    ts, s, _ = _frontier(solution, t)
+    return _like(t, _nonabandoning(solution, k, ts, solution.workload.waiting_integral(k, s, ts)))
 
 
 def fluid_abandoning(solution: FluidSolution, k: int, t):
     """a_k(t): fluid mass of jobs that will renege before reaching service."""
-    path = solution.workload
-    ts = _times(path, t)
-    cls = solution.model.classes[k]
-    initial = _initial_share(solution, ts, lambda x: solution.initial.mass_abandoning(
-        solution.model, k, x))
-    s = path.tau(ts)
-    window = _survival_integrals(cls.deadline, 0.0, ts - s)
-    return _like(t, initial + cls.arrival_rate * (window - path.waiting_integral(k, s, ts)))
+    ts, s, _ = _frontier(solution, t)
+    return _like(t, _abandoning(solution, k, ts, s, solution.workload.waiting_integral(k, s, ts)))
 
 
 def fluid_age_count(solution: FluidSolution, k: int, t, u: float):
@@ -744,25 +750,47 @@ def fluid_age_count(solution: FluidSolution, k: int, t, u: float):
 
     At a time x < w0, the initial jobs counted are those ahead of the
     arrival at time x - u, whose workload coordinate is then w(x - u) - u:
-    the box [x, w(x - u) - u + x) x [x, inf) at time 0. An arrival waits
-    until its work reaches the server, so the oldest arrival still waiting
-    has age t while tau(t) = 0, and w(tau(t)) after that.
+    the box [x, w(x - u) - u + x) x [x, inf) at time 0. The arrivals
+    counted are those whose age lies in [u, the oldest's age).
     """
-    path = solution.workload
-    ts = _times(path, t)
-    cls = solution.model.classes[k]
+    ts, _, oldest = _frontier(solution, t)
     if not (0 <= u and np.all(u <= ts)):
         raise FluidModelError(f"need 0 <= u <= t, got u={u}, t={t}")
+    return _like(t, _age_count(solution, k, ts, oldest, u))
 
-    def initial(x):
+
+def _nonabandoning(solution: FluidSolution, k: int, ts: np.ndarray, waiting) -> np.ndarray:
+    """n_k at the flat times ts, from the waiting integral over [tau(t), t]."""
+    return (_initial_share(solution, k, ts, solution.initial.mass_nonabandoning)
+            + solution.model.classes[k].arrival_rate * waiting)
+
+
+def _abandoning(solution: FluidSolution, k: int, ts: np.ndarray, s: np.ndarray,
+                waiting) -> np.ndarray:
+    """a_k at the flat times ts, from s = tau(ts) and the waiting integral
+    over [s, t]."""
+    cls = solution.model.classes[k]
+    window = _survival_integrals(cls.deadline, 0.0, ts - s)
+    return (_initial_share(solution, k, ts, solution.initial.mass_abandoning)
+            + cls.arrival_rate * (window - waiting))
+
+
+def _age_count(solution: FluidSolution, k: int, ts: np.ndarray, oldest: np.ndarray,
+               u: float) -> np.ndarray:
+    """z_k(t, u) at the flat times ts, from the oldest waiting arrival's age
+    at each; NaN where u > t."""
+    path, cls = solution.workload, solution.model.classes[k]
+
+    def initial(model, k, x):
         edge = max(path(x - u) - u, 0.0)
-        return solution.initial.eval0(solution.model, k, Box(x, edge + x, x, math.inf))
+        return solution.initial.eval0(model, k, Box(x, edge + x, x, math.inf))
 
-    age = np.where(ts < solution.w0, ts, path.at(path.tau(ts)))
-    out = _initial_share(solution, ts, initial)
-    some = u < age
-    out[some] += cls.arrival_rate * _survival_integrals(cls.deadline, u, age[some])
-    return _like(t, out)
+    later = u <= ts
+    out = np.full(len(ts), math.nan)
+    out[later] = _initial_share(solution, k, ts[later], initial)
+    some = later & (u < oldest)
+    out[some] += cls.arrival_rate * _survival_integrals(cls.deadline, u, oldest[some])
+    return out
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ log = logging.getLogger(__name__)
 
 
 def outside_horizon(t, horizon: float) -> bool:
-    """Whether any time in t is at least TIME_SLACK_ULPS ulps of the horizon
-    below 0 or above the horizon. The slack scales with the time unit."""
+    """Whether any time in t is NaN or at least TIME_SLACK_ULPS ulps of the
+    horizon below 0 or above the horizon. The slack scales with the time
+    unit."""
     slack = TIME_SLACK_ULPS * np.spacing(abs(float(horizon)))
-    return bool(np.any(t <= -slack) or np.any(t >= horizon + slack))
+    return not bool(np.all((t > -slack) & (t < horizon + slack)))
 
 
 # The 15-point Gauss-Legendre nodes and weights of [-1, 1], the floats of

@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 import time
 import traceback
@@ -27,8 +28,7 @@ import numpy as np
 
 from .distributions import mix_seed
 from .fluid import (FluidModelInput, FluidSolution, ZeroInitial, _eval_boxes,
-                    fluid_abandoning, fluid_age_count, fluid_nonabandoning,
-                    fluid_queue_length, residual_deadline_limit, solve_fluid)
+                    fluid_grid, residual_deadline_limit, solve_fluid)
 from .measures import (Box, _corner_grids, box_masses, corner_mass, rect_distance,
                        upper_right)
 from .numerics import sig17
@@ -88,13 +88,16 @@ class ScalingPlan:
             raise ScalingError("scales must be positive integers")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ScalingError("scales must be strictly increasing")
-        if self.replications < 1:
-            raise ScalingError("need at least one replication")
+        if not (isinstance(self.replications, numbers.Integral) and self.replications >= 1):
+            raise ScalingError(f"need a whole number of replications, at least one, "
+                               f"got {self.replications!r}")
         if self.time_grid is not None:
             grid = tuple(float(t) for t in self.time_grid)
-            if any(t < 0 or t > self.base.horizon for t in grid):
+            if not all(0 <= t <= self.base.horizon for t in grid):
                 raise ScalingError("time grid must lie within [0, horizon]")
             object.__setattr__(self, "time_grid", grid)
+        if not all(u >= 0 for u in self.ages):
+            raise ScalingError(f"ages must be nonnegative, got {self.ages}")
 
     @cached_property
     def model(self) -> FluidModelInput:
@@ -218,8 +221,10 @@ class ScalingReport:
 
 class _FluidTargets:
     """Fluid-side values on the comparison grids, computed once per plan:
-    each metric on the whole time grid in one call per class (and per box
-    or age), indexed [class][time index].
+    z, n, a and every age count from one fluid_grid pass over the whole
+    time grid, and the boxes of every class from one more inversion,
+    indexed [class][time index]. An age count at a grid time t < u is not
+    read: ages u > t get no rows.
 
     Warm-started simulations are compared against the time-shifted
     empty-start fluid solution: the fluid dynamics are autonomous, so the
@@ -237,21 +242,15 @@ class _FluidTargets:
         classes = range(len(plan.base.classes))
         self.K = len(classes)
         self.workload = solution.workload.at(ts).tolist()
-        self.queue_length = [fluid_queue_length(solution, k, ts).tolist() for k in classes]
-        self.nonabandoning = [fluid_nonabandoning(solution, k, ts).tolist() for k in classes]
-        self.abandoning = [fluid_abandoning(solution, k, ts).tolist() for k in classes]
-        # Ages u > t get no rows, so they are not evaluated.
-        self.age_count = {}
-        for u in plan.ages:
-            later = grid >= u
-            for k in classes:
-                values = np.full(len(grid), math.nan)
-                values[later] = fluid_age_count(solution, k, ts[later], u)
-                self.age_count[k, u] = values.tolist()
-        self.boxes = []     # per class and time, {box: mass}
-        for k in classes:
-            masses = _eval_boxes(solution, k, ts, rect_grid)
-            self.boxes.append([dict(zip(rect_grid, row)) for row in masses.T.tolist()])
+        values = fluid_grid(solution, ts, plan.ages)
+        self.queue_length = values.queue_length.tolist()
+        self.nonabandoning = values.nonabandoning.tolist()
+        self.abandoning = values.abandoning.tolist()
+        self.age_count = {(k, u): values.age_count[i, k].tolist()
+                          for i, u in enumerate(plan.ages) for k in classes}
+        # per class and time, {box: mass}
+        self.boxes = [[dict(zip(rect_grid, row)) for row in masses.T.tolist()]
+                      for masses in _eval_boxes(solution, classes, ts, rect_grid)]
         self.residual_tail = [[[residual_deadline_limit(model, k, t, c) for c in c_grid]
                                for t in grid.tolist()] for k in classes]
 

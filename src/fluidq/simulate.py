@@ -839,8 +839,8 @@ class SimTrace:
         touched, and counts its served and old jobs. The walk keeps its raw
         time and counts for queue_lengths at that time.
         """
-        if any(u < 0 for u in ages):
-            raise SimulationError(f"age must be nonnegative, got {min(ages)}")
+        if not all(u >= 0 for u in ages):
+            raise SimulationError(f"ages must be nonnegative, got {list(ages)}")
         raw = self._raw(t)
         self._kept = None
         win = self._window(raw)

@@ -455,8 +455,8 @@ def test_fluid_command_bisects_the_band_once(tmp_path, capsys, monkeypatch):
 
 def test_fluid_command_inverts_the_frontier_once(tmp_path, capsys, monkeypatch):
     """One `fluidq fluid` run bisects twice: the band, and tau on the time
-    grid, which workload.csv and every class's z, n and a read from the
-    path's kept inversion."""
+    grid in its one grid pass, which gives workload.csv's tau column and
+    every class's z, n and a."""
     from fluidq import numerics
 
     bisect = numerics.bisect_leftmost
@@ -476,9 +476,9 @@ def test_fluid_command_inverts_the_frontier_once(tmp_path, capsys, monkeypatch):
 
 
 def test_fluid_debug_log_shows_two_bisections(tmp_path, capsys, caplog):
-    """At DEBUG each bisection logs its lanes and passes, and tau each
-    answer it serves from its kept inversion: on the kink config, z, n and
-    a of both classes read the inversion that workload.csv's column made."""
+    """At DEBUG each bisection logs its lanes and passes: on the kink
+    config, the band and the grid pass. tau keeps no answers, so it logs
+    nothing."""
     cfg = write_config(tmp_path, KINK_FLUID_CONFIG)
     with caplog.at_level(logging.DEBUG, logger="fluidq"):
         code, _, _ = run_cli(capsys, "fluid", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -489,9 +489,7 @@ def test_fluid_debug_log_shows_two_bisections(tmp_path, capsys, caplog):
     for line, lanes in zip(bisections, (2, 30)):
         passes = int(re.fullmatch(rf"bisect_leftmost: {lanes} lanes, (\d+) passes", line)[1])
         assert 0 < passes <= 64
-    kept = [r.getMessage() for r in caplog.records
-            if r.name == "fluidq.fluid" and r.getMessage().startswith("tau:")]
-    assert kept == ["tau: 31 levels from the kept inversion"] * 6
+    assert not [r for r in caplog.records if r.getMessage().startswith("tau:")]
 
 
 def run_fresh(tmp_path, runs, packages):

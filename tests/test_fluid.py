@@ -18,7 +18,7 @@ from fluidq.distributions import (Deterministic, DistributionError,
 from fluidq.fluid import (BoxMixtureInitial, FluidClass, FluidModelError,
                           FluidModelInput, FluidSolution, InvariantInitial,
                           WorkloadPath, ZeroInitial, equilibrium_band, eval_fluid,
-                          fluid_abandoning, fluid_age_count,
+                          fluid_abandoning, fluid_age_count, fluid_grid,
                           fluid_nonabandoning, fluid_queue_length,
                           _hermite_coefficients, invariant_state,
                           residual_deadline_limit, solve_fluid, solve_workload)
@@ -701,7 +701,7 @@ def test_path_time_slack_scales_with_the_horizon(c):
     path = WorkloadPath(model, level, T, np.array([0.0, T]), np.array([level, level]), ())
     slack = TIME_SLACK_ULPS * np.spacing(T)
     assert path.at(np.array([0.0, T, math.nextafter(T, math.inf)])).tolist() == [level] * 3
-    for t in (T + slack, -slack, T + 1e-9 * c):
+    for t in (T + slack, -slack, T + 1e-9 * c, math.nan):
         with pytest.raises(FluidModelError):
             path(t)
 
@@ -745,85 +745,6 @@ def test_waiting_integral_matches_adaptive_quadrature(kink_solution):
                 assert abs(path.waiting_integral(k, lo, hi) - want) <= 1e-12, (k, lo, hi)
 
 
-def outcome(call, scribble=False):
-    """What a call gives, to the bit: its type, shape and bytes, or the
-    type of what it raised. With scribble, an array answer is then
-    overwritten, as a caller may."""
-    try:
-        value = call()
-    except Exception as exc:   # noqa: BLE001 - compared, not handled
-        return type(exc)
-    got = type(value), np.shape(value), np.asarray(value).tobytes()
-    if scribble and isinstance(value, np.ndarray):
-        value.fill(-7.0)
-    return got
-
-
-def shaped(values):
-    """One of the values as a float or a 0-d array, or several of them as
-    a 1-d array (possibly empty) or a 2 x 2 array."""
-    one = st.sampled_from(values)
-    return st.one_of(one, one.map(np.array),
-                     st.lists(one, max_size=5).map(lambda v: np.array(v, dtype=float)),
-                     st.lists(one, min_size=4, max_size=4).map(
-                         lambda v: np.array(v).reshape(2, 2)))
-
-
-# Frontier levels (phi(3) is about 4.09 on the kink path) and times in [0, 3],
-# with both zeros and a NaN.
-LEVELS = [0.0, -0.0, math.nan, 0.2, 1.3, 2.0, 4.0, 4.5, math.inf]
-TIMES = [0.0, -0.0, math.nan, 0.25, 0.5, 1.0, 1.75, 2.9, 3.0]
-# "again" repeats the last call; "lo" repeats the last waiting integral with
-# its lower end and a new upper one, "hi" with its upper end and a new lower one.
-calls = st.one_of(
-    st.tuples(st.just("tau"), shaped(LEVELS)),
-    st.tuples(st.just("waiting"), st.integers(0, 1), shaped(TIMES), shaped(TIMES)),
-    st.tuples(st.sampled_from(["lo", "hi"]), shaped(TIMES)),
-    st.just("again"))
-
-
-def ask(path, call, scribble=False):
-    if call[0] == "tau":
-        return outcome(lambda: path.tau(call[1]), scribble)
-    return outcome(lambda: path.waiting_integral(*call[1:]), scribble)
-
-
-@given(st.lists(calls, min_size=1, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_kept_answers_are_a_fresh_paths_bits(kink_model, sequence):
-    """tau and waiting_integral keep their last answers; interleaved calls
-    with scalars, 0-d and n-d arrays, repeats, both zeros and NaN give the
-    bits a path that never answered before gives, and a caller writing
-    into an answer leaves the next one alone."""
-    path = solve_workload(kink_model, 0.0, 3.0)
-    last = waiting = None
-    for call in sequence:
-        if call == "again":
-            call = last
-        elif call[0] in ("lo", "hi"):
-            call = waiting and ("waiting", waiting[1], *(
-                (waiting[2], call[1]) if call[0] == "lo" else (call[1], waiting[3])))
-        if call is None:
-            continue
-        got = ask(path, call, scribble=True)
-        assert got == ask(solve_workload(kink_model, 0.0, 3.0), call), call
-        last = call
-        waiting = call if call[0] == "waiting" else waiting
-
-
-def test_writing_into_an_answer_leaves_the_next_alone(kink_solution):
-    path = kink_solution.workload
-    ts = np.linspace(0.0, 3.0, 31)
-    taus = path.tau(ts)
-    want = taus.copy()
-    taus[:] = -1.0
-    assert path.tau(ts).tobytes() == want.tobytes()
-    waits = path.waiting_integral(1, want, ts)
-    kept = waits.copy()
-    waits[:] = -1.0
-    assert path.waiting_integral(1, path.tau(ts), ts).tobytes() == kept.tobytes()
-
-
 INITIAL_STATES = {
     "zero": (ZeroInitial(), 4.0),
     "invariant": (InvariantInitial(1.5), 4.0),
@@ -857,6 +778,74 @@ def test_functionals_on_arrays_equal_scalar_calls(kink_model, name):
         gap = (values["fluid_queue_length"] - values["fluid_nonabandoning"]
                - values["fluid_abandoning"])
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def kink_states(kink_model):
+    return {name: solve_fluid(kink_model, initial, T=T)
+            for name, (initial, T) in INITIAL_STATES.items()}
+
+
+def bits(value):
+    """A value's shape and the bytes of its floats."""
+    return np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+# Times of the kink states' horizon T = 4: both zeros, one a few ulps below
+# 0, both knots and the support edges of the invariant and box starts.
+GRID_TIMES = [0.0, -0.0, -3 * np.spacing(4.0), 0.25, 0.5, 0.9, 1.0, 1.2, 1.5, 2.9, 4.0]
+grid_times = st.one_of(st.sampled_from(GRID_TIMES), st.sampled_from(GRID_TIMES).map(np.array),
+                       st.lists(st.sampled_from(GRID_TIMES), max_size=6).map(
+                           lambda v: np.array(v, dtype=float)))
+
+
+@given(name=st.sampled_from(sorted(INITIAL_STATES)), t=grid_times,
+       ages=st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 4.5]), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_grid_pass_has_each_functionals_bits(kink_states, name, t, ages):
+    """fluid_grid's tau, z, n, a and age counts are the bits of tau and of
+    the public functionals at the same times, for scalars, 0-d and 1-d
+    arrays with repeats; an age count at an age u > t is NaN in the pass,
+    where fluid_age_count raises, and the other times keep their bits."""
+    solution = kink_states[name]
+    got = fluid_grid(solution, t, ages)
+    assert bits(got.tau) == bits(solution.workload.tau(t))
+    flat = np.reshape(t, -1)
+    for k in range(solution.model.K):
+        for field, f in ((got.queue_length, fluid_queue_length),
+                         (got.nonabandoning, fluid_nonabandoning),
+                         (got.abandoning, fluid_abandoning)):
+            assert bits(field[k]) == bits(f(solution, k, t)), f.__name__
+        for u, field in zip(ages, got.age_count[:, k]):
+            later = u <= np.maximum(flat, 0.0)
+            if not later.all():
+                with pytest.raises(FluidModelError, match="need 0 <= u <= t"):
+                    fluid_age_count(solution, k, t, u)
+            assert np.isnan(np.reshape(field, -1)[~later]).all()
+            assert bits(np.reshape(field, -1)[later]) == bits(
+                fluid_age_count(solution, k, flat[later], u))
+
+
+def test_grid_pass_rejects_negative_ages(kink_states):
+    for ages in ((0.25, -0.5), (math.nan,)):
+        with pytest.raises(FluidModelError, match="ages must be nonnegative"):
+            fluid_grid(kink_states["zero"], np.linspace(0.0, 4.0, 5), ages)
+
+
+def test_a_nan_time_is_outside_the_horizon(kink_states):
+    """NaN is no time of the horizon: the path, every functional and the grid
+    pass reject it, alone or among good times, as they reject 5 on [0, 4]."""
+    solution = kink_states["boxes"]
+    path = solution.workload
+    queries = [path.at, path.phi, lambda t: fluid_grid(solution, t, (0.25,)),
+               *(lambda t, f=f: f(solution, 1, t) for f in (
+                   fluid_queue_length, fluid_nonabandoning, fluid_abandoning)),
+               lambda t: fluid_age_count(solution, 1, t, 0.0),
+               lambda t: eval_fluid(solution, 1, t, Box(0.1, 0.9, 0.2, 1.4))]
+    for query in queries:
+        for t in (math.nan, np.array([1.0, math.nan]), 5.0):
+            with pytest.raises(FluidModelError, match="outside the solved horizon"):
+                query(t)
 
 
 def scaled_initial_states(model, c):

@@ -144,3 +144,10 @@ def test_gauss_legendre_nodes_are_leggauss_bits():
     for got, want in zip((numerics._GL_NODES, numerics._GL_WEIGHTS),
                          np.polynomial.legendre.leggauss(15)):
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_nan_is_outside_the_horizon():
+    assert numerics.outside_horizon(math.nan, 1.0)
+    assert numerics.outside_horizon(np.array([0.5, math.nan]), 1.0)
+    assert not numerics.outside_horizon(np.array([-0.0, 0.5, 1.0]), 1.0)
+    assert not numerics.outside_horizon(np.array([]), 1.0)

@@ -73,6 +73,10 @@ def test_plan_validation():
                     time_grid=(0.0, 5.0))
     with pytest.raises(ScalingError):
         ScalingPlan(base=markov_base(scale=2), scales=(10,), replications=1)
+    for bad in ({"time_grid": (0.0, math.nan)}, {"ages": (0.25, -0.5)},
+                {"ages": (math.nan,)}, {"replications": 1.5}):
+        with pytest.raises(ScalingError):
+            ScalingPlan(**{"base": base, "scales": (10,), "replications": 1, **bad})
 
 
 @pytest.mark.parametrize("kappa", (0.0, -0.1, math.inf, math.nan))
@@ -292,29 +296,28 @@ def bits(rows):
 
 
 def test_fluid_targets_invert_the_grid_once(monkeypatch):
-    """The fluid targets ask for z, n and a (and the age count at u = 0) on
-    one time grid: tau inverts the grid once and serves the rest from the
-    path's kept inversion, and each class's waiting integral over
-    [tau(t), t] is taken once, for n, and kept for a."""
+    """The fluid targets take z, n, a and the age counts at u = 0 and 0.25
+    from one grid pass: tau inverts the whole time grid once, and the box
+    edges of every class once more, and each class's waiting integral over
+    [tau(t), t] takes its antiderivative at t and at tau(t), once each."""
     inverted, ends = [], []
-    invert, antiderivative = WorkloadPath._invert, WorkloadPath._antiderivative
+    tau, antiderivative = WorkloadPath.tau, WorkloadPath._antiderivative
 
-    def counting_invert(self, flat):
-        inverted.append(flat.tobytes())
-        return invert(self, flat)
+    def counting_tau(self, x):
+        inverted.append(np.asarray(x).tobytes())
+        return tau(self, x)
 
     def counting_antiderivative(self, k, x):
         ends.append(k)
         return antiderivative(self, k, x)
 
-    monkeypatch.setattr(WorkloadPath, "_invert", counting_invert)
+    monkeypatch.setattr(WorkloadPath, "tau", counting_tau)
     monkeypatch.setattr(WorkloadPath, "_antiderivative", counting_antiderivative)
     plan = replace(CHUNK_PLANS["two_class_warm"], ages=(0.0, 0.25))
     grid = plan.resolved_time_grid()
     targets = scaling._FluidTargets(plan, grid, plan.resolved_rect_grid(), DEFAULT_C_GRID)
-    assert inverted.count((targets.t0 + np.array(grid)).tobytes()) == 1
-    # every other inversion is of other levels: the later ages' times, the boxes
-    assert len(inverted) == 3
+    assert len(inverted) == 2
+    assert inverted[0] == (targets.t0 + np.array(grid)).tobytes()
     assert sorted(ends) == [0, 0, 1, 1]     # hi and lo, once per class
 
 

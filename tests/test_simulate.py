@@ -117,8 +117,9 @@ def test_hand_trace_age_count(hand_trace):
     assert hand_trace.age_count(3.5, 1.0) == [2]
     assert hand_trace.age_count(3.5, 2.5) == [1]
     assert hand_trace.age_count(3.5, 3.0) == [0]
-    with pytest.raises(SimulationError):
-        hand_trace.age_count(3.5, -1.0)
+    for u in (-1.0, math.nan):
+        with pytest.raises(SimulationError, match="ages must be nonnegative"):
+            hand_trace.age_count(3.5, u)
 
 
 def test_no_arrivals_before_horizon():
@@ -748,16 +749,18 @@ def test_snapshot_equals_the_where_columns(markov_config):
 @pytest.mark.parametrize("c", (1e-6, 1.0, 1e6))
 def test_time_slack_scales_with_the_horizon(c):
     """Queries fewer than TIME_SLACK_ULPS ulps of the horizon outside
-    [0, horizon] are answered and the rest rejected, whatever the time unit."""
+    [0, horizon] are answered and the rest rejected, whatever the time unit.
+    NaN is rejected too, not read as NaN or as zero counts."""
     spec = ClassSpec(Exponential(2.0 / c), Exponential(1.0 / c), Exponential(1.0 / c))
     tr = run(SimConfig((spec,), horizon=6.0 * c, scale=10, seed=3))
     slack = TIME_SLACK_ULPS * np.spacing(tr.horizon)
     for t in (0.0, -0.0, tr.horizon, math.nextafter(tr.horizon, math.inf)):
         tr.snapshot(t)
         tr.workload_at(t)
-    for t in (tr.horizon + slack, -slack, tr.horizon + 1e-9 * c):
-        with pytest.raises(SimulationError):
-            tr.queue_lengths(t)
+    for t in (tr.horizon + slack, -slack, tr.horizon + 1e-9 * c, math.nan):
+        for query in (tr.queue_lengths, tr.workload_at, tr.idle_at):
+            with pytest.raises(SimulationError, match="outside the horizon"):
+                query(t)
 
 
 positive = st.floats(0.01, 3.0)
