@@ -11,7 +11,6 @@ package and stay only while the benchmark's tracer wraps them by name.
 from __future__ import annotations
 
 import logging
-import math
 from typing import Callable
 
 import numpy as np
@@ -223,11 +222,6 @@ def bisect_leftmost(holds: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.nda
 
 
 def sig17(x: float) -> str:
-    """Canonical decimal rendering with 17 significant digits (round-trips)."""
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
+    """Canonical decimal rendering with 17 significant digits (round-trips);
+    NaN of either sign is "nan", and the infinities "inf" and "-inf"."""
     return format(float(x), ".17g")

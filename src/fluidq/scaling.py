@@ -68,6 +68,12 @@ def corner_points(grid: tuple[Box, ...]) -> tuple[tuple[float, float], ...]:
     return tuple(sorted({(box.a, box.c) for box in grid}))
 
 
+def _whole(x) -> bool:
+    """A finite real number with no fractional part: not a bool or string."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and x == int(x))
+
+
 @dataclass(frozen=True)
 class ScalingPlan:
     """One convergence experiment: a base system, scales, replications,
@@ -81,14 +87,15 @@ class ScalingPlan:
     ages: tuple[float, ...] = (0.25,)
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(int(n) for n in self.scales))
         if self.base.scale != 1:
             raise ScalingError("plan base must be the unscaled (n=1) system")
-        if not self.scales or any(n < 1 for n in self.scales):
-            raise ScalingError("scales must be positive integers")
+        if not self.scales or not all(_whole(n) and n >= 1 for n in self.scales):
+            raise ScalingError(f"scales must be positive integers, got {self.scales!r}")
+        object.__setattr__(self, "scales", tuple(int(n) for n in self.scales))
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ScalingError("scales must be strictly increasing")
-        if not (isinstance(self.replications, numbers.Integral) and self.replications >= 1):
+        if not (isinstance(self.replications, numbers.Integral)
+                and not isinstance(self.replications, bool) and self.replications >= 1):
             raise ScalingError(f"need a whole number of replications, at least one, "
                                f"got {self.replications!r}")
         if self.time_grid is not None:
@@ -159,7 +166,9 @@ class ScalingReport:
 
     @staticmethod
     def _sup_of_mean_error(cells: dict) -> float:
-        return max(float(np.mean(errs)) for errs in cells.values())
+        """The largest mean over the cells, each holding one error per
+        replication: one row mean per cell, the bits of np.mean on each."""
+        return max(np.mean(np.array(list(cells.values())), axis=1).tolist())
 
     def sup_errors(self, n: int, metric: str) -> list[float]:
         """Per replication: sup over the time grid (and classes) of the

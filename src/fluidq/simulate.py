@@ -12,7 +12,10 @@ quantity is exact (no discretization anywhere).
 Every run is one stream, the recursion over the classes' merged draws in
 chunks of jobs: ``chunks`` gives each chunk arrays of its own, which
 ``run_plan`` consumes and drops, and ``run`` writes the chunks into
-whole-run columns that become its SimTrace.
+whole-run columns that become its SimTrace. Since each job's fate follows
+from the jobs before it, the columns keep the draws and the fates, and the
+workload and idleness only once per block of EXIT_BLOCK jobs; a trace
+rebuilds the rest of each block it reads, bit for bit.
 
 The recursion runs in windows of jobs (``_lindley``). While the server
 stays busy, the workload each job finds is a running sum of interarrival
@@ -94,8 +97,8 @@ def _is_integer(x) -> bool:
 
 
 def _nonnegative_finite(x) -> bool:
-    """A real number in [0, inf): not a string, NaN or infinity."""
-    return isinstance(x, numbers.Real) and 0 <= x < math.inf
+    """A real number in [0, inf): not a bool, string, NaN or infinity."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x < math.inf
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,7 @@ def _steps(t_arr, v, d, lo, hi, state, w_before, served, block_idle):
     return W, t_prev, idle
 
 
-def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
+def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None, known=False):
     """The Lindley pass over the merged arrivals, in windows of jobs.
 
     For jobs in arrival order with services v and deadlines d, starting from
@@ -312,8 +315,10 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
     time 0 by default) with a first window of `window` jobs, returns the
     workload each job found, whether it was served, the idleness up to the
     arrival of the first job of each block of EXIT_BLOCK jobs, and the
-    LindleyWork done; `out`, if given, holds the three arrays to write. The
-    outputs are those of the scalar recursion
+    LindleyWork done; `out`, if given, holds the three arrays to write, and
+    with `known` its served array already holds the flags, which the passes
+    then take as their guesses (SimTrace's rebuild). The outputs are those
+    of the scalar recursion
 
         found = W - (t - t_prev); if found < 0: idle += -found, found = 0
         served = d > found; W = found + v if served else found
@@ -347,7 +352,7 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
     w_before, served, block_idle = out or (np.empty(m), np.empty(m, dtype=bool),
                                            np.empty(-(-m // EXIT_BLOCK)))
     # state: W, t_prev, idle after the last accepted job
-    i = guessed = 0
+    i, guessed = 0, m if known else 0
     chunk, stretch = window, STRETCH_MIN
     passes = elements = scalar = 0
     while i < m:
@@ -362,14 +367,16 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
         seq[0] = W
         seq[1] = t_prev - t_arr[i]
         np.subtract(t_arr[i:j - 1], t_arr[i + 1:j], out=seq[3::2])
-        np.multiply(v[i:j], served[i:j], out=seq[2::2])
+        with np.errstate(invalid="ignore"):     # an infinite service guessed not served
+            np.multiply(v[i:j], served[i:j], out=seq[2::2])
         found = np.add.accumulate(seq)[1::2]
         fate = d[i:j] > found
         bad = (fate != served[i:j]) | ~(found >= 0.0)   # flipped, or negative (or NaN)
         p = int(np.argmax(bad))
         if not bad[p]:
             p = b
-        served[i:j] = fate
+        if not known:       # known flags stay: past p, fate is from a wrong state
+            served[i:j] = fate
         w_before[i:i + p] = found[:p]
         block_idle[-(-i // EXIT_BLOCK):-(-(i + p) // EXIT_BLOCK)] = idle
         if p:
@@ -398,17 +405,17 @@ def _lindley(t_arr, v, d, state=(0.0, 0.0, 0.0), window=CHUNK_MIN, out=None):
 
 class Chunk(NamedTuple):
     """Consecutive jobs of one run in arrival order, from the first job of an
-    exit block on: SimTrace's six per-job columns, then per block of
-    EXIT_BLOCK of them the idleness at its first job's arrival and its
-    latest exit."""
+    exit block on: SimTrace's five per-job columns, then per block of
+    EXIT_BLOCK of them the idleness up to its first job's arrival, the
+    workload that job found, and the block's latest exit."""
 
     t_arr: np.ndarray
     cls: np.ndarray
     v: np.ndarray
     d: np.ndarray
-    w_before: np.ndarray
     served: np.ndarray
     block_idle: np.ndarray
+    block_w: np.ndarray
     block_exits: np.ndarray
 
 
@@ -421,7 +428,7 @@ def _empty_chunk(kind, jobs: int) -> Chunk:
     """Uninitialized Chunk fields for `jobs` jobs, class indices of dtype kind."""
     blocks = -(-jobs // EXIT_BLOCK)
     return Chunk(np.empty(jobs), np.empty(jobs, dtype=kind), np.empty(jobs), np.empty(jobs),
-                 np.empty(jobs), np.empty(jobs, dtype=bool), np.empty(blocks),
+                 np.empty(jobs, dtype=bool), np.empty(blocks), np.empty(blocks),
                  np.empty(blocks))
 
 
@@ -447,7 +454,7 @@ def _span(fields: Chunk, a: int, b: int) -> Chunk:
     """The fields of jobs a..b-1 of a Chunk, with a the first job of an exit
     block: views, which a write goes through."""
     blocks = slice(a // EXIT_BLOCK, -(-b // EXIT_BLOCK))
-    return Chunk(*(col[a:b] for col in fields[:6]), *(col[blocks] for col in fields[6:]))
+    return Chunk(*(col[a:b] for col in fields[:5]), *(col[blocks] for col in fields[5:]))
 
 
 def _windows(config: SimConfig, t_end: float) -> Iterator[list]:
@@ -507,22 +514,26 @@ def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[Chunk]:
 
     Each merge window (_windows, _merge) is gathered in arrival order
     straight into the chunk being filled, and a full chunk is simulated in
-    place: _lindley and _block_exits write into its buffers. The Lindley
-    pass carries its state and window size across chunks, and its check
-    makes the chunks one pass's, bit for bit, whatever the chunk size.
+    place: _lindley writes into its buffers, and the workload each job
+    found into one scratch column reused by every chunk, which
+    _block_exits and the chunk's block_w read before the next chunk. The
+    Lindley pass carries its state and window size across chunks, and its
+    check makes the chunks one pass's, bit for bit, whatever the chunk size.
     """
     kind = _cls_kind(config)
     state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
     window = CHUNK_MIN                     # _lindley's window size after it
     work = [0, 0, 0, 0]                    # chunks, jobs, vector passes, scalar steps
     out, fill = None, 0                    # the chunk being filled
+    found = np.empty(STREAM_CHUNK)         # the workload its jobs found
 
     def simulated(fill: int) -> Chunk:
         nonlocal state, window
-        c = _span(out, 0, fill)
+        c, w_before = _span(out, 0, fill), found[:fill]
         lindley = _lindley(c.t_arr, c.v, c.d, state, window,
-                           out=(c.w_before, c.served, c.block_idle))[-1]
-        _block_exits(c.t_arr, c.v, c.d, c.w_before, c.served, out=c.block_exits)
+                           out=(w_before, c.served, c.block_idle))[-1]
+        _block_exits(c.t_arr, c.v, c.d, w_before, c.served, out=c.block_exits)
+        c.block_w[:] = w_before[::EXIT_BLOCK]
         state, window = lindley.state, lindley.window
         work[:] = (work[0] + 1, work[1] + fill, work[2] + lindley.passes,
                    work[3] + lindley.scalar_steps)
@@ -575,7 +586,7 @@ def run(config: SimConfig) -> "SimTrace":
         a, b = i * STREAM_CHUNK, (i + 1) * STREAM_CHUNK
         if b > len(columns.t_arr):
             old, columns = columns, _empty_chunk(kind, max(2 * len(columns.t_arr), b))
-            for new, col, end in zip(columns, old, (a,) * 6 + (a // EXIT_BLOCK,) * 2):
+            for new, col, end in zip(columns, old, (a,) * 5 + (a // EXIT_BLOCK,) * 3):
                 new[:end] = col[:end]
         return _span(columns, a, b)
 
@@ -652,36 +663,94 @@ def _block_exits(t_arr, v, d, w_before, served, out=None) -> np.ndarray:
     return out
 
 
+def _workloads(t_arr, v, d, served, block_w, out) -> np.ndarray:
+    """The workload each of m consecutive jobs found and the workload just
+    after its arrival, interleaved in out[:2 * m] (found at the even
+    places), for jobs from the first job of an exit block on, given block_w,
+    the workload found by the first job of each of their blocks.
+
+    These are the floats of the Lindley pass. While no job finds the system
+    empty, the workload is a running sum from the block's first job over
+    v * served and the arrival gaps t[k] - t[k + 1] (_lindley's argument),
+    so one np.add.accumulate per block repeats the pass's float operations.
+    From a place below zero or NaN, which an idle restart or an infinite
+    service not served makes, _lindley redoes the rest of the block from the
+    workload at the place before, which is right, with the stored fates as
+    its guesses, so that its passes stop only at idle restarts; the next
+    block starts afresh from its block_w.
+    """
+    m = len(t_arr)
+    x = out[:2 * m]
+    if not m:
+        return x
+    row = 2 * EXIT_BLOCK
+    np.subtract(t_arr[:-1], t_arr[1:], out=x[2::2])
+    with np.errstate(invalid="ignore"):     # an infinite service not served: NaN
+        np.multiply(v, served, out=x[1::2])
+    x[::row] = block_w
+    full = 2 * (m - m % EXIT_BLOCK)
+    rows = x[:full].reshape(-1, row)
+    np.add.accumulate(rows, axis=1, out=rows)
+    np.add.accumulate(x[full:], out=x[full:])
+    if not x.min() >= 0.0:
+        bad = np.flatnonzero(~(x >= 0.0))
+        bad = bad[bad % row != 0]           # a block's first place is its block_w
+        for q in bad[np.diff(bad // row, prepend=-1) != 0].tolist():
+            # place q - 1 is job (q - 1) // 2's found (q odd) or the workload after it
+            j, end = q // 2, min((q // row + 1) * EXIT_BLOCK, m)
+            state = (float(x[q - 1]), float(t_arr[(q - 1) // 2]), 0.0)
+            found, s = np.empty(end - j), served[j:end].copy()
+            _lindley(t_arr[j:end], v[j:end], d[j:end], state, CHUNK_MAX,
+                     out=(found, s, np.empty(-(-(end - j) // EXIT_BLOCK))), known=True)
+            x[2 * j:2 * end:2] = found
+            x[2 * j + 1:2 * end:2] = np.where(s, found + v[j:end], found)
+    return x
+
+
+def _idle_steps(w_after, t) -> np.ndarray:
+    """What the pass added to the idleness at the arrivals t[1:]: gap - W
+    where the workload W after the job before (w_after) is below the gap,
+    and 0.0 elsewhere, which adds nothing. These are the floats of _steps,
+    the only place the idleness grows."""
+    gap = np.diff(t)
+    return np.where(w_after < gap, gap - w_after, 0.0)
+
+
 class SimTrace:
     """Immutable record of one run, or of its jobs from some exit block on;
     all queries take model time.
 
-    Per job, in arrival order, it stores what the simulation pass decides:
-    ``t_arr``, ``cls`` (narrowest integer dtype holding K - 1), ``v``, ``d``,
-    the workload found ``w_before`` and ``served``; per block of EXIT_BLOCK
-    jobs, ``block_idle``, the idleness up to the arrival of its first job.
-    The pass is ``_lindley``: vector passes over windows of jobs, each
-    accepting only the prefix it verified against the scalar recursion, so
-    these arrays are the recursion's bit for bit. ``_virtual`` and
-    ``_patience`` derive the virtual sojourn and patience on the jobs a query
-    reads. A job's virtual sojourn is the workload just after its arrival,
-    and the path between arrivals has slope -1 while positive, so these
-    reconstruct it everywhere; ``_idle_raw`` rebuilds the idleness from its
-    block's first job (``cum_idle``, like ``t_exit``, is derived). One walk
-    over a time's query window, ``state``, decides which jobs are in the
-    system and gives their measures and every count of them.
+    Per job, in arrival order, it stores the draws and the fate the
+    simulation pass decides: ``t_arr``, ``cls`` (narrowest integer dtype
+    holding K - 1), ``v``, ``d`` and ``served``, 26 bytes with a one-byte
+    class. Per block of EXIT_BLOCK jobs it stores ``block_idle`` and
+    ``block_w``, the idleness up to the arrival of the block's first job and
+    the workload that job found. The pass is ``_lindley``: vector passes
+    over windows of jobs, each accepting only the prefix it verified against
+    the scalar recursion, so these arrays are the recursion's bit for bit.
 
-    It is built from the fields of a Chunk of its jobs: the six per-job
-    columns, ``block_idle``, and ``block_exits``, the latest exit in each
-    block. A trace may hold a run's jobs from job EXIT_BLOCK * b on only
-    (``LiveJobs.trace``), given the idleness up to the origin as
-    ``idle_origin``. Its queries at a time answer as the full trace's do
-    when every job it lacks left by the time's exit cut (so the query window
-    starts within it) and it holds the last arrival by that time. ``jobs``
-    numbers each class's jobs from the first held.
+    Everything else is rebuilt on the exit blocks a query reads, with the
+    pass's float operations. ``_workloads`` gives the workload each job
+    found (``w_before``) and the workload just after its arrival, its
+    virtual sojourn, from its block's ``block_w``; ``_patience`` gives the
+    patience. The path between arrivals has slope -1 while positive, so
+    these reconstruct it everywhere; ``_idle_raw`` rebuilds the idleness
+    from its block's first job (``w_before``, ``cum_idle`` and ``t_exit``
+    are derived properties). One walk over a time's query window, ``state``,
+    decides which jobs are in the system and gives their measures and every
+    count of them.
+
+    It is built from the fields of a Chunk of its jobs: the five per-job
+    columns, ``block_idle``, ``block_w``, and ``block_exits``, the latest
+    exit in each block. A trace may hold a run's jobs from job
+    EXIT_BLOCK * b on only (``LiveJobs.trace``), given the idleness up to
+    the origin as ``idle_origin``. Its queries at a time answer as the full
+    trace's do when every job it lacks left by the time's exit cut (so the
+    query window starts within it) and it holds the last arrival by that
+    time. ``jobs`` numbers each class's jobs from the first held.
     """
 
-    def __init__(self, config, origin, t_arr, cls, v, d, w_before, served, block_idle,
+    def __init__(self, config, origin, t_arr, cls, v, d, served, block_idle, block_w,
                  block_exits, idle_origin=None):
         self.config = config
         self.origin = float(origin)
@@ -690,22 +759,45 @@ class SimTrace:
         self.cls = cls
         self.v = v
         self.d = d
-        self.w_before = w_before
         self.served = served
         self.block_idle = block_idle
+        self.block_w = block_w
         # exit_bound[j]: the latest exit among the jobs of blocks 0..j.
         self.exit_bound = np.maximum.accumulate(block_exits)
-        for arr in (t_arr, cls, v, d, w_before, served, block_idle, self.exit_bound):
+        for arr in (t_arr, cls, v, d, served, block_idle, block_w, self.exit_bound):
             arr.flags.writeable = False
         self._kept = None       # (raw, counts) of the last state walk
         self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
 
-    # Each derived column repeats the pass's float operations (W = w_before + v
-    # if served), on the jobs of a query window win, and only what is asked.
-    def _virtual(self, win) -> np.ndarray:
-        """Virtual sojourn: the workload just after each arrival."""
-        w = self.w_before[win]
-        return np.where(self.served[win], w + self.v[win], w)
+    def _spans(self, lo: int, hi: int) -> Iterator[tuple]:
+        """_workloads over jobs lo..hi-1, lo the first job of an exit block,
+        RESIDUAL_BLOCK jobs at a time into one buffer allocated once: per
+        span, its first job, the workload each job found and the one just
+        after its arrival, views that the next span overwrites."""
+        out = np.empty(2 * max(min(RESIDUAL_BLOCK, hi - lo), 0))
+        for a in range(lo, hi, RESIDUAL_BLOCK):
+            b = min(a + RESIDUAL_BLOCK, hi)
+            x = _workloads(self.t_arr[a:b], self.v[a:b], self.d[a:b], self.served[a:b],
+                           self.block_w[a // EXIT_BLOCK:-(-b // EXIT_BLOCK)], out)
+            yield a, x[::2], x[1::2]
+
+    def _rebuilt(self, lo: int = 0, hi: int | None = None, kinds=(0, 1)) -> list[np.ndarray]:
+        """For jobs lo..hi-1 (all by default), lo the first job of an exit
+        block, the workload each found (kind 0) and the workload just after
+        each arrival, its virtual sojourn (kind 1): one array per entry of
+        kinds."""
+        hi = len(self.t_arr) if hi is None else hi
+        out = [np.empty(hi - lo) for _ in kinds]
+        for a, *rebuilt in self._spans(lo, hi):
+            for o, kind in zip(out, kinds):
+                o[a - lo:a - lo + len(rebuilt[kind])] = rebuilt[kind]
+        return out
+
+    @property
+    def w_before(self) -> np.ndarray:
+        """The workload each job found (derived, not stored): the pass's
+        floats, rebuilt from block_w."""
+        return self._rebuilt(kinds=(0,))[0]
 
     def _patience(self, win) -> np.ndarray:
         d = self.d[win]
@@ -716,19 +808,12 @@ class SimTrace:
         """Raw exit epoch of every job (derived, not stored): arrival plus
         virtual sojourn if served, plus deadline if not (addition commutes,
         so these are the floats of t_arr + np.where(served, w_before + v, d))."""
-        out = self.w_before + self.v
-        np.copyto(out, self.d, where=~self.served)
+        return self._exits(self._rebuilt(kinds=(1,))[0])
+
+    def _exits(self, virtual) -> np.ndarray:
+        out = np.where(self.served, virtual, self.d)
         out += self.t_arr
         return out
-
-    def _idle_steps(self, lo: int, hi: int) -> np.ndarray:
-        """What the pass added to the idleness at the arrivals of jobs
-        lo+1..hi-1: gap - W where the workload W after the job before is
-        below the gap, and 0.0 elsewhere, which adds nothing. These are the
-        floats of _steps, the only place the idleness grows."""
-        w_after = self._virtual(slice(lo, hi - 1))
-        gap = np.diff(self.t_arr[lo:hi])
-        return np.where(w_after < gap, gap - w_after, 0.0)
 
     @property
     def cum_idle(self) -> np.ndarray:
@@ -737,7 +822,7 @@ class SimTrace:
         additions in its order."""
         n, blocks = len(self.t_arr), len(self.block_idle)
         sums = np.zeros(blocks * EXIT_BLOCK)
-        sums[1:n] = self._idle_steps(0, n)
+        sums[1:n] = _idle_steps(self._rebuilt(kinds=(1,))[0][:-1], self.t_arr)
         sums[::EXIT_BLOCK] = self.block_idle
         return np.add.accumulate(sums.reshape(blocks, EXIT_BLOCK), axis=1).ravel()[:n]
 
@@ -752,8 +837,8 @@ class SimTrace:
 
     def jobs(self) -> list[JobRecord]:
         """All jobs in arrival order; warm-up jobs carry negative arrivals."""
-        virtual, patience = self._virtual(slice(None)), self._patience(slice(None))
-        t_exit = self.t_exit
+        w_before, virtual = self._rebuilt()
+        patience, t_exit = self._patience(slice(None)), self._exits(virtual)
         count = [0] * self.K
         out = []
         for i, k in enumerate(self.cls.tolist()):
@@ -764,7 +849,7 @@ class SimTrace:
                 arrival=float(self.t_arr[i] - self.origin),
                 service=float(self.v[i]),
                 deadline=float(self.d[i]),
-                workload_before=float(self.w_before[i]),
+                workload_before=float(w_before[i]),
                 virtual_sojourn=float(virtual[i]),
                 patience=float(patience[i]),
                 served=bool(self.served[i]),
@@ -779,7 +864,7 @@ class SimTrace:
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
             return 0.0
-        w_after = self._virtual(slice(i, i + 1))[0]
+        w_after = self._rebuilt(i - i % EXIT_BLOCK, i + 1, (1,))[0][-1]
         return max(float(w_after - (raw - self.t_arr[i])), 0.0)
 
     def idle_at(self, t: float) -> float:
@@ -798,12 +883,12 @@ class SimTrace:
         if i < 0:
             return raw
         lo = i - i % EXIT_BLOCK
+        after = self._rebuilt(lo, i + 1, (1,))[0]
         sums = np.empty(i - lo + 1)
         sums[0] = self.block_idle[i // EXIT_BLOCK]
-        sums[1:] = self._idle_steps(lo, i + 1)
+        sums[1:] = _idle_steps(after[:-1], self.t_arr[lo:i + 1])
         idle = np.add.accumulate(sums)[-1]
-        w_after = self._virtual(slice(i, i + 1))[0]
-        return float(idle) + max(raw - self.t_arr[i] - w_after, 0.0)
+        return float(idle) + max(raw - self.t_arr[i] - after[-1], 0.0)
 
     def _window(self, raw: float) -> slice:
         """Index range of every job that can be in the system at raw: later
@@ -831,12 +916,13 @@ class SimTrace:
         atoms once.
 
         The window goes through in blocks of RESIDUAL_BLOCK, in buffers
-        allocated once. Per block, v * served goes onto w_before and d (for
-        finite services, the floats of _virtual's and _patience's np.where)
-        and elapsed comes off in place; each class's mask picks its atoms
-        into w and p arrays allocated for the whole window and shrunk in
-        place (realloc), so that their pages past the atoms are never
-        touched, and counts its served and old jobs. The walk keeps its raw
+        allocated once. Per block, _workloads rebuilds the workload just
+        after each arrival, v * served goes onto d (for finite services, the
+        floats of _patience's np.where), and elapsed comes off both in
+        place; each class's mask picks its atoms into w and p arrays
+        allocated for the whole window and shrunk in place (realloc), so
+        that their pages past the atoms are never touched, and counts its
+        served and old jobs. The walk keeps its raw
         time and counts for queue_lengths at that time.
         """
         if not all(u >= 0 for u in ages):
@@ -853,13 +939,12 @@ class SimTrace:
         atoms = [(np.empty(jobs), np.empty(jobs)) for _ in range(self.K)]
         held, served = [0] * self.K, [0] * self.K
         old = [[0] * self.K for _ in ages]
-        for a in range(win.start, win.stop, RESIDUAL_BLOCK):
-            n = min(a + RESIDUAL_BLOCK, win.stop) - a
+        for a, _, after in self._spans(win.start, win.stop):
+            n = len(after)
             e, w, p, kept, s, h = elapsed[:n], rw[:n], rp[:n], keep[:n], sel[:n], hit[:n]
             np.subtract(raw, self.t_arr[a:a + n], out=e)
+            np.subtract(after, e, out=w)
             np.multiply(self.v[a:a + n], self.served[a:a + n], out=p)
-            np.add(self.w_before[a:a + n], p, out=w)
-            w -= e
             p += self.d[a:a + n]
             p -= e
             np.greater(w, 0.0, out=kept)

@@ -93,10 +93,10 @@ def test_traced_fluid_kink_bisects_the_band_once(tmp_path):
 
 
 def test_tracer_bounds_trace_bytes_per_job():
-    """A trace keeps six per-job arrays (34 B/job with a one-byte class)
-    plus the idleness and an exit bound per EXIT_BLOCK jobs; the twelve
-    per-job arrays it used to keep took 89, and seven with the idleness per
-    job 42."""
+    """A trace keeps five per-job arrays (26 B/job with a one-byte class)
+    plus the idleness, the workload found and an exit bound per EXIT_BLOCK
+    jobs; the twelve per-job arrays it used to keep took 89, seven with the
+    idleness per job 42, and six with the workload found per job 34."""
     classes = (ClassSpec(Exponential(2.0), Exponential(1.0), Exponential(1.0)),
                ClassSpec(Exponential(1.0), UniformInterval(0.5, 1.5),
                          UniformInterval(0.0, 2.0)))
@@ -107,11 +107,11 @@ def test_tracer_bounds_trace_bytes_per_job():
     finally:
         tracer.uninstall()
     arrays = {name for name, value in vars(trace).items() if isinstance(value, np.ndarray)}
-    assert arrays == {"t_arr", "cls", "v", "d", "w_before", "served", "block_idle",
+    assert arrays == {"t_arr", "cls", "v", "d", "served", "block_idle", "block_w",
                       "exit_bound"}
     metrics = tracer.metrics(wall_s=1.0, bytes_written=0)
     assert metrics["simulate.jobs"] > 1000
-    assert metrics["simulate.trace_bytes_per_job"] <= 34.1
+    assert metrics["simulate.trace_bytes_per_job"] <= 26.1
 
 
 def test_simulate_large_workload_runs_traced_and_passes_its_checks(tmp_path):

@@ -138,6 +138,19 @@ def test_sig17_special_values():
     assert float(sig17(math.log(2))) == math.log(2)
 
 
+def test_sig17_pins_the_golden_renderings():
+    """format's ".17g" alone renders the edge values as the goldens hold
+    them: NaN of either sign, the infinities, negative zero, the smallest
+    subnormal and the largest float."""
+    negative_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+    assert math.copysign(1.0, negative_nan) == -1.0
+    cases = [(math.nan, "nan"), (negative_nan, "nan"), (-math.nan, "nan"),
+             (math.inf, "inf"), (-math.inf, "-inf"), (np.float64(-math.inf), "-inf"),
+             (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+             (1.7976931348623157e308, "1.7976931348623157e+308")]
+    assert [sig17(x) for x, _ in cases] == [text for _, text in cases]
+
+
 def test_gauss_legendre_nodes_are_leggauss_bits():
     """The written-out nodes and weights are the floats of
     np.polynomial.legendre.leggauss(15)."""

@@ -79,6 +79,43 @@ def test_plan_validation():
             ScalingPlan(**{"base": base, "scales": (10,), "replications": 1, **bad})
 
 
+@pytest.mark.parametrize("scales", ((10.7, 20.2), (math.nan,), (math.inf,), (True, 5),
+                                    ("10",)))
+def test_plan_rejects_scales_that_are_not_whole_numbers(scales):
+    """Fractional, non-finite, bool and string scales raise ScalingError; they
+    are not truncated, nor left to int() to raise a bare ValueError or
+    OverflowError."""
+    with pytest.raises(ScalingError, match="scales must be positive integers"):
+        ScalingPlan(base=markov_base(), scales=scales, replications=1)
+
+
+def test_plan_rejects_bool_replications():
+    with pytest.raises(ScalingError, match="replications"):
+        ScalingPlan(base=markov_base(), scales=(10,), replications=True)
+
+
+def test_plan_keeps_whole_float_scales_as_ints():
+    plan = ScalingPlan(base=markov_base(), scales=(10.0, np.float64(100.0), np.int64(1000)),
+                       replications=np.int64(2))
+    assert plan.scales == (10, 100, 1000)
+    assert all(type(n) is int for n in plan.scales)
+
+
+@pytest.mark.parametrize("reps", (1, 2, 3, 8, 9, 17))
+def test_sup_of_mean_error_is_the_per_cell_means(reps):
+    """One row mean per (t, class) cell over a cells x R array gives the
+    bits of np.mean on each cell's errors, so summary.json does not move."""
+    rng = np.random.default_rng(reps)
+    cells = {(t, k): (rng.exponential(1.0, reps) * 10.0 ** rng.integers(-8, 2)).tolist()
+             for t in np.linspace(0.0, 6.0, 13).tolist() for k in (0, 1, None)}
+    want = max(float(np.mean(errs)) for errs in cells.values())
+    got = scaling.ScalingReport._sup_of_mean_error(cells)
+    assert type(got) is float and got.hex() == want.hex()
+    means = np.mean(np.array(list(cells.values())), axis=1)
+    assert [m.hex() for m in means.tolist()] == [float(np.mean(e)).hex()
+                                                 for e in cells.values()]
+
+
 @pytest.mark.parametrize("kappa", (0.0, -0.1, math.inf, math.nan))
 def test_run_plan_rejects_bad_corner_radii_before_simulating(kappa, monkeypatch):
     import fluidq.scaling

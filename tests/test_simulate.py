@@ -186,7 +186,8 @@ def test_workload_stieltjes_identity(markov_config):
 
 def stored_fate(tr):
     """Virtual sojourn, patience and raw exit epoch of every job, from the
-    seven stored arrays, by the float operations of the Lindley pass."""
+    stored arrays and the rebuilt w_before, by the float operations of the
+    Lindley pass."""
     virtual = np.where(tr.served, tr.w_before + tr.v, tr.w_before)
     patience = np.where(tr.served, tr.d + tr.v, tr.d)
     return virtual, patience, tr.t_arr + np.where(tr.served, virtual, tr.d)
@@ -271,7 +272,7 @@ def test_dynamics_match_measure_evolution(markov_config):
 def test_rerun_is_bitwise_identical(markov_config):
     a = run(markov_config)
     b = run(markov_config)
-    for name in ("t_arr", "cls", "v", "d", "w_before", "served", "block_idle",
+    for name in ("t_arr", "cls", "v", "d", "served", "block_idle", "block_w",
                  "exit_bound"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.jobs() == b.jobs()
@@ -391,6 +392,19 @@ def test_config_validation():
                 {"horizon": 1.0, "seed": -1}, {"horizon": 1.0, "seed": np.int64(-3)}):
         with pytest.raises(SimulationError):
             SimConfig(classes=(spec,), **bad)
+
+
+def test_bool_horizon_is_rejected():
+    spec = ClassSpec(Exponential(1.0), Exponential(1.0), Exponential(1.0))
+    for horizon in (True, False, np.bool_(True)):
+        with pytest.raises(SimulationError, match="horizon"):
+            SimConfig(classes=(spec,), horizon=horizon)
+
+
+def test_bool_warm_up_duration_is_rejected():
+    for duration in (True, False):
+        with pytest.raises(SimulationError, match="warm-up duration"):
+            WarmStart(duration)
 
 
 def test_queries_past_horizon_rejected(hand_trace):
@@ -728,8 +742,9 @@ def test_snapshot_keeps_fifo_order(classes, scale, seed, initial, frac):
 
 
 def test_snapshot_equals_the_where_columns(markov_config):
-    """snapshot adds v * served onto w_before and d; for finite services
-    those are the floats of np.where(served, x + v, x), also on a
+    """snapshot takes the rebuilt workload after each arrival, w_before
+    plus v * served, and adds v * served onto d; for finite services those
+    are the floats of np.where(served, x + v, x), also on a
     two-class trace, whose classes snapshot takes by mask."""
     two = replace(markov_config, classes=markov_config.classes * 2, horizon=5.0)
     for tr in (run(markov_config), run(two)):
@@ -779,6 +794,30 @@ def test_scripted_run_equals_scalar_recursion(inter, services, deadlines, twin):
     assert_trace_is_reference(run(SimConfig(classes, horizon=sum(inter) + 1.0)))
 
 
+def test_infinite_services_are_rebuilt_as_the_scalar_recursion():
+    """An infinite service makes v * served NaN for a job that is not
+    served; the rebuild hands that block to the scalar step, which adds no
+    service there, so w_before, the idleness and every exit are the scalar
+    recursion's."""
+    tr = run(scripted((1.0, 0.5, 0.5, 0.5, 0.5, 4.0), (2.0, math.inf, 1.0, math.inf, 1.0, 1.0),
+                      (10.0, 0.1, 10.0, 10.0, 10.0, 10.0), 8.0))
+    assert_trace_is_reference(tr)
+    assert tr.jobs()[1].virtual_sojourn == 1.5 and tr.workload_at(2.0) == 2.0
+    assert tr.workload_at(2.75) == math.inf
+
+
+def test_an_infinite_service_guessed_unserved_is_simulated_without_a_warning():
+    """The first infinite service fills the system for good, so the pass
+    guesses the later jobs unserved, and v * served is NaN at the later
+    infinite services: the pass rejects those places and takes the scalar
+    step there, without numpy's invalid-value warning."""
+    n = 40
+    tr = run(scripted((0.1,) * n, (math.inf,) + (1.0,) * 25 + (math.inf,) * (n - 26),
+                      (10.0,) * n, 8.0))
+    assert_trace_is_reference(tr)
+    assert tr.served.tolist() == [True] + [False] * (n - 1)
+
+
 ADVERSARIAL = {
     # deterministic service, deadlines within 1e-3 of the band level 1, rho = 2
     "band_level": (ClassSpec(Exponential(2.0), Deterministic(1.0),
@@ -801,6 +840,36 @@ def test_lindley_work_is_bounded_on_adversarial_inputs(name):
     *got, work = _lindley(tr.t_arr, tr.v, tr.d)
     assert_same_bits(got, reference_blocks(tr.t_arr, tr.v, tr.d))
     assert_bounded_work(work, m)
+
+
+@pytest.mark.parametrize("name", ("band_level", "band_level_tied", "overloaded_markov"))
+def test_lindley_with_known_fates_stops_only_at_idle_restarts(name, monkeypatch):
+    """Given the stored fates as its guesses, the pass keeps them: no pass
+    stops at a flipped guess, only at an idle restart. So on these
+    overloaded queues started from empty, whose few restarts come first, a
+    pass fails at most once per restart and the scalar step takes at most
+    one stretch per restart, both in one call over the whole run and in
+    SimTrace's rebuild of w_before. The outputs are the run's."""
+    tr = run(SimConfig(ADVERSARIAL[name], horizon=4.0, scale=500, seed=9))
+    m = len(tr.t_arr)
+    found, served = np.empty(m), tr.served.copy()
+    works = [_lindley(tr.t_arr, tr.v, tr.d, window=CHUNK_MAX, known=True,
+                      out=(found, served, np.empty(-(-m // EXIT_BLOCK))))[-1]]
+    assert_same_bits((found, served), (tr.w_before, tr.served))
+    restarts = np.count_nonzero(found == 0.0)
+    assert 0 < restarts < 20
+
+    def counted(*args, **kwargs):
+        out = _lindley(*args, **kwargs)
+        works.append(out[-1])
+        return out
+
+    monkeypatch.setattr(simulate, "_lindley", counted)
+    assert_same_bits([tr.w_before], [found])
+    assert len(works) > 1 or restarts == 1      # a lone restart is job 0, at block_w
+    for work in works:
+        assert work.passes <= restarts + 2
+        assert work.scalar_steps <= restarts * (1 + simulate.STRETCH_MIN)
 
 
 def test_stream_carries_the_window_across_chunks(caplog):
@@ -840,13 +909,14 @@ LARGE_CLASSES = (
 
 def test_run_memory_peak_per_job():
     """run's peak allocation, per job, on simulate_large's model: the
-    trace keeps 34 B/job. The sort used to hold every unsorted column and
+    trace keeps 26 B/job. The sort used to hold every unsorted column and
     the order beside the sorted ones (99 B/job), and the exit bound two
     full temporaries (61 B/job), then one (51 B/job); one whole-run merge
     through one buffer took 45.3 B/job (42.7 at scale 2e4). Streamed into
-    whole-run columns, it takes 44.8 B/job (36.6 at scale 2e4), most of it
-    the columns' capacity, 65,536 jobs for 63,360 here: tracemalloc counts
-    their untouched end."""
+    whole-run columns, it took 44.8 B/job (36.6 at scale 2e4) with the
+    workload found kept per job, and takes 40.7 (28.8) with it kept per
+    exit block, most of it the columns' capacity, 65,536 jobs for 63,360
+    here: tracemalloc counts their untouched end."""
     config = SimConfig(LARGE_CLASSES, horizon=6.0, scale=2000, seed=1, initial=WarmStart())
     run(replace(config, scale=10))   # warm numpy and the band solve outside the count
     tracemalloc.start()
@@ -856,7 +926,7 @@ def test_run_memory_peak_per_job():
     finally:
         tracemalloc.stop()
     assert len(tr.t_arr) > 50_000
-    assert peak / len(tr.t_arr) <= 56
+    assert peak / len(tr.t_arr) <= 48
 
 
 def test_block_exits_are_each_blocks_latest_exit():
@@ -1008,7 +1078,7 @@ LIVE_CONFIGS = {
 # (STREAM_CHUNK, DRAW_BLOCK) settings: small chunks that the stream cuts
 # anywhere, and the defaults, at which every LIVE_CONFIGS run is one chunk.
 CHUNKINGS = ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK))
-COLUMNS = ("t_arr", "cls", "v", "d", "w_before", "served", "block_idle", "exit_bound")
+COLUMNS = ("t_arr", "cls", "v", "d", "served", "block_idle", "block_w", "exit_bound")
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
@@ -1051,6 +1121,47 @@ def test_run_outgrows_its_columns(name, monkeypatch):
     assert sizes[:3] == [1024, 2048, 4096] and sizes[-1] >= len(tr.t_arr)
     assert_same_bits([getattr(tr, c) for c in COLUMNS], want)
     assert_trace_is_reference(tr)
+
+
+REBUILD_LAWS = {
+    # rho = 0.5: about half the jobs find the system empty
+    "underloaded": ADVERSARIAL["underloaded"],
+    # deterministic service with deadlines near the band level, every epoch tied
+    "band_level_tied": ADVERSARIAL["band_level_tied"],
+    "band_level": ADVERSARIAL["band_level"],
+    "two_class_warm": LARGE_CLASSES,
+}
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rebuilt_workload_equals_lindley_from_the_start(data):
+    """A trace keeps the workload found once per exit block (block_w) and
+    rebuilds it: on any range of jobs from the first job of an exit block,
+    the workload found and the workload after each arrival are _lindley's,
+    run over all the jobs from the start, bit for bit. Idle-heavy input,
+    tied epochs and deterministic service near the band, at every chunking
+    of the stream, and in columns that start at one 1024-job chunk and are
+    outgrown."""
+    name = data.draw(st.sampled_from(sorted(REBUILD_LAWS)), label="laws")
+    chunk, draw = data.draw(st.sampled_from(CHUNKINGS), label="chunking")
+    outgrow = data.draw(st.booleans(), label="outgrow")
+    config = SimConfig(REBUILD_LAWS[name], horizon=2.0, scale=6000,
+                       seed=data.draw(st.integers(0, 1000), label="seed"),
+                       initial=WarmStart(1.0))
+    with chunked(chunk, draw), pytest.MonkeyPatch.context() as mp:
+        if outgrow:
+            mp.setattr(simulate, "_capacity", lambda config, t_end: 1024)
+        tr = run(config)
+    m = len(tr.t_arr)
+    assert m > 2 * chunk or chunk == simulate.STREAM_CHUNK
+    w_before, served, _, _ = _lindley(tr.t_arr, tr.v, tr.d)
+    after = np.where(served, w_before + tr.v, w_before)
+    assert_same_bits([tr.served, tr.block_w, tr.w_before],
+                     [served, w_before[::EXIT_BLOCK], w_before])
+    lo = EXIT_BLOCK * data.draw(st.integers(0, (m - 1) // EXIT_BLOCK), label="block")
+    hi = data.draw(st.integers(lo, m) | st.sampled_from((min(lo + 1, m), m)), label="hi")
+    assert_same_bits(tr._rebuilt(lo, hi), (w_before[lo:hi], after[lo:hi]))
 
 
 def streamed_answers(config, times, answer=None):
