@@ -7,9 +7,12 @@ are compared unscaled: both are O(1) objects in the accelerated system,
 and the theory sends idle time to zero outright.
 
 Weak convergence of measures is probed through evaluations on a grid of
-upper-right rectangles; those evaluations determine the limit measure and
-the limits charge no rectangle boundary, so shrinking evaluation gaps are
-a sound convergence surrogate.
+upper-right rectangles; those evaluations determine the limit measure,
+and while the fluid frontier w(s) + s strictly increases the limits charge
+no rectangle boundary, so shrinking evaluation gaps are a sound
+convergence surrogate. On a stretch where G(w) = 0, such as a drain from
+above the deadline support, the jobs arriving then share one residual
+sojourn and the limit can charge a vertical edge.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from .measures import (Box, _corner_grids, box_masses, corner_mass, rect_distanc
 from .numerics import sig17
 # run is not called here; bench/workloads.py reads and patches scaling.run
 # by name, so the name stays.
-from .simulate import (DEFAULT_C_GRID, LiveJobs, SimConfig, _warmup_duration,  # noqa: F401
-                       chunks, fluid_model_of, residual_tails, run, tail_counts)
+from .simulate import (DEFAULT_C_GRID, SimConfig, _warmup_duration,  # noqa: F401
+                       fluid_model_of, readings, run)
 from .simulate import log as simulate_log
 
 
@@ -303,9 +306,9 @@ def _timed(seconds: dict, section: str, fn, *args):
     return out
 
 
-def _workload_rows(n, rep, trace, targets, i, t) -> list[ReportRow]:
-    return [_row(n, rep, t, "workload", None, trace.workload_at(t), targets.workload[i]),
-            _row(n, rep, t, "idle", None, trace.idle_at(t), 0.0)]
+def _workload_rows(n, rep, now, targets, i, t) -> list[ReportRow]:
+    return [_row(n, rep, t, "workload", None, now.workload, targets.workload[i]),
+            _row(n, rep, t, "idle", None, now.idle, 0.0)]
 
 
 def _residual_rows(n, rep, per_class, targets, i, t, c_grid) -> list[ReportRow]:
@@ -339,11 +342,11 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     target lambda_k * int_c^{c+t} G_k; and the worst fluid-scaled mass near
     any grid corner set, per kappa.
 
-    Each simulation is streamed (simulate.chunks), and each grid time is
-    evaluated, in time order, as soon as the stream has passed it, on a
-    trace of the jobs still held (simulate.LiveJobs), so memory follows the
-    jobs in the system rather than the length of the run. The residual
-    tails sum each chunk's counts for every time not yet passed.
+    Each simulation is read at the grid times as it streams
+    (simulate.readings): each time's workload, idleness, jobs in the system
+    and tail counts come, in time order, as soon as the stream has passed
+    it, so memory follows the jobs in the system at the grid times rather
+    than the length of the run, and the rows are made from them here.
 
     The (scale, replication) simulations are seeded independently, so they
     run one share per CPU the process may use (``_shares``): this process
@@ -366,9 +369,9 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
 
     def task(n, rep):
         """One (n, rep) simulation: its rows, the jobs it simulated, the
-        most jobs it held, the seconds per section, and the fluidq.simulate
-        records it made, held back from every handler for this process to
-        emit."""
+        most atoms it held at once, the seconds per section (simulate: the
+        readings), and the fluidq.simulate records it made, held back from
+        every handler for this process to emit."""
         records = []
 
         def hold(record):
@@ -384,43 +387,29 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
     def simulate(n, rep):
         seconds = dict.fromkeys(("simulate", "workload", "state", "residual", "corner"), 0.0)
         config = replace(plan.base, scale=n, seed=seeds[n, rep])
-        live = LiveJobs(config, targets.t0)
-        raws = [grid[i] + live.origin for i in order]
-        counts = [None] * len(grid)     # tail_counts per time, summed over chunks
         workload, state, residual, corner = ([None] * len(grid) for _ in range(4))
-        stream = chunks(config, targets.t0)
-        j = 0
-        while j < len(order):
-            chunk = _timed(seconds, "simulate", next, stream, None)
-            live.push(chunk)
-            if chunk is not None:
-                _timed(seconds, "residual", _count_tails, counts, chunk, targets.K,
-                       live.origin, order[j:], raws[j:], c_grid)
-            while j < len(order) and live.passed(raws[j]):
-                i = order[j]
-                t = grid[i]
-                trace = live.trace()
-                workload[i] = _timed(seconds, "workload", _workload_rows,
-                                     n, rep, trace, targets, i, t)
-                residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
-                                     residual_tails(counts[i]), targets, i, t, c_grid)
-                # One walk over the window per time: its measures serve the
-                # corner and state rows, its counts the state rows, and it
-                # counts towards the state section. The corner probe bins
-                # each measure on a grid that holds the rectangle grid's
-                # edges, and box_masses then reads the table it left.
-                now = _timed(seconds, "state", trace.state, t, plan.ages)
-                corner[i] = _timed(seconds, "corner", _corner_rows,
-                                   n, rep, now.measures, t, corners, kappas)
-                state[i] = _timed(seconds, "state", _state_rows, n, rep, now,
-                                  targets, i, t, rect_grid, rect_edges, plan.ages)
-                del trace, now
-                j += 1
-            live.release(raws[j:])
+        stream = readings(config, targets.t0, [grid[i] for i in order], plan.ages, c_grid)
+        jobs = held = 0
+        for i in order:
+            t = grid[i]
+            now = _timed(seconds, "simulate", next, stream)
+            jobs, held = now.jobs, now.held
+            workload[i] = _timed(seconds, "workload", _workload_rows,
+                                 n, rep, now, targets, i, t)
+            residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
+                                 now.tails, targets, i, t, c_grid)
+            # The corner probe bins each measure on a grid that holds the
+            # rectangle grid's edges, and box_masses then reads the table it
+            # left.
+            corner[i] = _timed(seconds, "corner", _corner_rows,
+                               n, rep, now.state.measures, t, corners, kappas)
+            state[i] = _timed(seconds, "state", _state_rows, n, rep, now.state,
+                              targets, i, t, rect_grid, rect_edges, plan.ages)
+            del now
         stream.close()
         rows = [row for section in (workload, state, residual, corner)
                 for part in section for row in part]
-        return rows, live.jobs, live.most, seconds
+        return rows, jobs, held, seconds
 
     tasks = [(n, rep) for n in plan.scales for rep in range(plan.replications)]
     # Seeded and gridded before any child is forked, which then inherits
@@ -441,8 +430,8 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
         rows += task_rows
         for record in records:
             simulate_log.handle(record)
-        log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s; share %d",
-                  n, rep, jobs, most,
+        log.debug("run_plan n=%d rep=%d: %d jobs, at most %d atoms held; seconds: %s; "
+                  "share %d", n, rep, jobs, most,
                   ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()),
                   share_of[n, rep])
     footer = (
@@ -532,14 +521,6 @@ def _run_share(task, share, send) -> None:
         except Exception:   # it does not pickle
             send.send((True, ScalingError(f"{type(exc).__name__}: {exc}")))
     send.close()
-
-
-def _count_tails(counts, chunk, K, origin, indices, raws, c_grid) -> None:
-    """Add one chunk's residual-tail counts to counts[i] for each grid index
-    i and its raw time."""
-    for i, raw in zip(indices, raws):
-        part = tail_counts(chunk.t_arr, chunk.cls, chunk.v, chunk.d, K, origin, raw, c_grid)
-        counts[i] = part if counts[i] is None else counts[i] + part
 
 
 def corner_regularity_probe(plan: ScalingPlan, kappas=None) -> ScalingReport:

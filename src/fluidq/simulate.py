@@ -10,12 +10,14 @@ one Lindley recursion over the merged arrival stream, and every produced
 quantity is exact (no discretization anywhere).
 
 Every run is one stream, the recursion over the classes' merged draws in
-chunks of jobs: ``chunks`` gives each chunk arrays of its own, which
-``run_plan`` consumes and drops, and ``run`` writes the chunks into
-whole-run columns that become its SimTrace. Since each job's fate follows
-from the jobs before it, the columns keep the draws and the fates, and the
-workload and idleness only once per block of EXIT_BLOCK jobs; a trace
-rebuilds the rest of each block it reads, bit for bit.
+chunks of jobs. ``run`` writes the chunks into whole-run columns that
+become its SimTrace. Since each job's fate follows from the jobs before
+it, the columns keep the draws and the fates, and the workload and
+idleness only once per block of EXIT_BLOCK jobs; a trace rebuilds the rest
+of each block it reads, bit for bit. ``readings`` instead reads given
+times off each chunk, in one buffer reused by every chunk, while the
+workload its jobs found is still at hand, so it holds the jobs in the
+system at those times rather than the run.
 
 The recursion runs in windows of jobs (``_lindley``). While the server
 stays busy, the workload each job finds is a running sum of interarrival
@@ -38,7 +40,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,9 +67,9 @@ STRETCH_MIN, STRETCH_MAX = 16, 1 << 14
 # Jobs per span of _block_exits: its temporaries take about 128 KiB whatever
 # the run's length.
 EXITS_SPAN = 8 * EXIT_BLOCK
-# Jobs per chunk of the simulation stream (``chunks``). A multiple of
-# EXIT_BLOCK, so chunk boundaries are boundaries of SimTrace's exit blocks
-# and a buffer of whole chunks sees the blocks the full trace sees.
+# Jobs per chunk of the simulation stream (_stream). A multiple of
+# EXIT_BLOCK, so every chunk starts at an exit block of the run: it holds
+# the blocks the full trace holds.
 STREAM_CHUNK = 32 * EXIT_BLOCK
 # Arrivals per block of each class's draws; the blocks being merged into a
 # chunk are all that the stream holds besides the chunk itself.
@@ -499,26 +500,19 @@ def _merge(parts: list, kind) -> tuple:
     return (t, cls, np.concatenate(vs), np.concatenate(ds)), np.argsort(t, kind="stable")
 
 
-def chunks(config: SimConfig, t_warm: float) -> Iterator[Chunk]:
+def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[tuple[Chunk, np.ndarray]]:
     """The run's jobs in arrival order, in chunks of STREAM_CHUNK jobs (the
-    last one shorter, and empty only when no job arrives); t_warm is the
-    warm-up duration, _warmup_duration(config). Each chunk has arrays of
-    its own."""
-    kind = _cls_kind(config)
-    return _stream(config, t_warm, lambda i: _empty_chunk(kind, STREAM_CHUNK))
-
-
-def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[Chunk]:
-    """chunks, with chunk i's fields written into buffers(i), a Chunk of
-    arrays for STREAM_CHUNK jobs.
+    last one shorter, and empty only when no job arrives), chunk i written
+    into buffers(i), a Chunk of arrays for STREAM_CHUNK jobs, with the
+    workload each of its jobs found, in a scratch column that the next
+    chunk reuses; t_warm is the warm-up duration, _warmup_duration(config).
 
     Each merge window (_windows, _merge) is gathered in arrival order
     straight into the chunk being filled, and a full chunk is simulated in
-    place: _lindley writes into its buffers, and the workload each job
-    found into one scratch column reused by every chunk, which
-    _block_exits and the chunk's block_w read before the next chunk. The
-    Lindley pass carries its state and window size across chunks, and its
-    check makes the chunks one pass's, bit for bit, whatever the chunk size.
+    place: _lindley writes into its buffers and the scratch column, which
+    _block_exits and the chunk's block_w read. The Lindley pass carries its
+    state and window size across chunks, and its check makes the chunks one
+    pass's, bit for bit, whatever the chunk size.
     """
     kind = _cls_kind(config)
     state = (0.0, 0.0, 0.0)                # (W, t_prev, idle) after the last chunk
@@ -527,7 +521,7 @@ def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[Chunk]:
     out, fill = None, 0                    # the chunk being filled
     found = np.empty(STREAM_CHUNK)         # the workload its jobs found
 
-    def simulated(fill: int) -> Chunk:
+    def simulated(fill: int) -> tuple[Chunk, np.ndarray]:
         nonlocal state, window
         c, w_before = _span(out, 0, fill), found[:fill]
         lindley = _lindley(c.t_arr, c.v, c.d, state, window,
@@ -537,7 +531,7 @@ def _stream(config: SimConfig, t_warm: float, buffers) -> Iterator[Chunk]:
         state, window = lindley.state, lindley.window
         work[:] = (work[0] + 1, work[1] + fill, work[2] + lindley.passes,
                    work[3] + lindley.scalar_steps)
-        return c
+        return c, w_before
 
     for parts in _windows(config, t_warm + config.horizon):
         merged, order = _merge(parts, kind)
@@ -569,10 +563,10 @@ def run(config: SimConfig) -> "SimTrace":
     see pathwise-coupled primitives. Arrival ties across classes resolve
     in class order.
 
-    The run is the stream of ``chunks``, whose chunk buffers are consecutive
-    slices of whole-run columns instead of arrays of their own, so the
-    trace's columns are the streamed chunks' joined, bit for bit, with no
-    copy to join them. The columns are allocated once, for _capacity's
+    The run is the stream (_stream) with consecutive slices of whole-run
+    columns as its chunk buffers, so the trace's columns are the streamed
+    chunks' joined, bit for bit, with no copy to join them. The columns are
+    allocated once, for _capacity's
     jobs; pages that no job reaches are never touched, so they take no
     resident memory. A stream that outgrows the columns moves the jobs so
     far to columns of twice the size.
@@ -590,7 +584,7 @@ def run(config: SimConfig) -> "SimTrace":
                 new[:end] = col[:end]
         return _span(columns, a, b)
 
-    jobs = sum(len(chunk.t_arr) for chunk in _stream(config, t_warm, buffers))
+    jobs = sum(len(chunk.t_arr) for chunk, _ in _stream(config, t_warm, buffers))
     return SimTrace(config, t_warm, *_span(columns, 0, jobs))
 
 
@@ -638,6 +632,13 @@ def residual_tails(counts: np.ndarray) -> list[ResidualTails]:
     """tail_counts' rows as one ResidualTails per class."""
     c = len(counts) // 2
     return [ResidualTails(tuple(row[:c]), tuple(row[c:])) for row in counts.T.tolist()]
+
+
+def _raw(t: float, horizon: float, origin: float) -> float:
+    """The raw time of model time t in a run with this horizon and origin."""
+    if outside_horizon(t, horizon):
+        raise SimulationError(f"time {t} outside the horizon [0, {horizon}]")
+    return t + origin
 
 
 def _exit_cut(raw: float) -> float:
@@ -716,9 +717,85 @@ def _idle_steps(w_after, t) -> np.ndarray:
     return np.where(w_after < gap, gap - w_after, 0.0)
 
 
+def _plus_served(x, v, served, out=None) -> np.ndarray:
+    """The floats of np.where(served, x + v, x), without its branch per
+    element: x + v * served, where an infinite service not served makes
+    the product NaN, and x replaces it."""
+    with np.errstate(invalid="ignore"):
+        out = np.multiply(v, served, out=out)
+    out += x
+    np.copyto(out, x, where=np.isnan(out))
+    return out
+
+
+def _path_at(raw: float, t_arr, after, idle) -> tuple[float, float]:
+    """The workload and the idleness at raw, off jobs lo..i of a run, i the
+    last arrival by raw and lo the first job of its exit block: their
+    arrivals, the workloads just after them, and the idleness up to lo,
+    which adds _idle_steps in the pass's order, then the idle stretch after
+    i's workload ran out."""
+    sums = np.empty(len(t_arr))
+    sums[0] = idle
+    sums[1:] = _idle_steps(after[:-1], t_arr)
+    since = raw - t_arr[-1]
+    return (max(float(after[-1] - since), 0.0),
+            float(np.add.accumulate(sums)[-1]) + max(since - after[-1], 0.0))
+
+
+class _InSystem:
+    """The jobs in the system at raw time raw, gathered from consecutive
+    runs of a run's jobs (``add``, the kernel of SimTrace.state and
+    readings): per class, in arrival order, their residual virtual sojourns
+    w and patiences p, in arrays for `jobs` atoms that double when full and
+    shrink in place (realloc) at the end, so pages past the atoms are never
+    touched; their counts by fate, and per age u those arrived by raw - u."""
+
+    def __init__(self, raw: float, ages, K: int, jobs: int = 0):
+        self.raw = raw
+        self.cuts = [raw - u for u in ages]
+        self.atoms = [(np.empty(jobs), np.empty(jobs)) for _ in range(K)]
+        self.held, self.served = [0] * K, [0] * K
+        self.old = [[0] * K for _ in ages]
+
+    def add(self, t_arr, cls, v, d, served, after) -> int:
+        """Gather, among jobs given by their arrivals, classes, services,
+        deadlines, fates and workloads just after arrival, those with
+        w = after - elapsed and p = np.where(served, d + v, d) - elapsed
+        both positive, elapsed being raw - t_arr; returns how many."""
+        elapsed = np.subtract(self.raw, t_arr)
+        w = after - elapsed
+        p = _plus_served(d, v, served)
+        p -= elapsed
+        kept = (w > 0.0) & (p > 0.0)
+        for k, (ws, ps) in enumerate(self.atoms):
+            mask = kept if len(self.atoms) == 1 else kept & (cls == k)
+            # np.compress(..., out=) would read each page of ws before
+            # writing it, faulting it in twice
+            w_k = w.compress(mask)
+            a, b = self.held[k], self.held[k] + len(w_k)
+            if b > len(ws):     # resize would zero the new pages
+                grown = np.empty(max(2 * len(ws), b)), np.empty(max(2 * len(ws), b))
+                grown[0][:a], grown[1][:a] = ws[:a], ps[:a]
+                ws, ps = self.atoms[k] = grown
+            ws[a:b] = w_k
+            ps[a:b] = p.compress(mask)
+            self.held[k] = b
+            self.served[k] += int(np.count_nonzero(mask & served))
+            for per_class, cut in zip(self.old, self.cuts):
+                per_class[k] += int(np.count_nonzero(mask & (t_arr <= cut)))
+        return int(np.count_nonzero(kept))
+
+    def state(self) -> TraceState:
+        for (ws, ps), m in zip(self.atoms, self.held):
+            ws.resize(m, refcheck=False)
+            ps.resize(m, refcheck=False)
+        return TraceState([AtomicMeasure2D._wrap(*atoms, k) for k, atoms in enumerate(self.atoms)],
+                          [ClassCounts(m, s, m - s) for m, s in zip(self.held, self.served)],
+                          self.old)
+
+
 class SimTrace:
-    """Immutable record of one run, or of its jobs from some exit block on;
-    all queries take model time.
+    """Immutable record of one run; all queries take model time.
 
     Per job, in arrival order, it stores the draws and the fate the
     simulation pass decides: ``t_arr``, ``cls`` (narrowest integer dtype
@@ -734,24 +811,17 @@ class SimTrace:
     found (``w_before``) and the workload just after its arrival, its
     virtual sojourn, from its block's ``block_w``; ``_patience`` gives the
     patience. The path between arrivals has slope -1 while positive, so
-    these reconstruct it everywhere; ``_idle_raw`` rebuilds the idleness
-    from its block's first job (``w_before``, ``cum_idle`` and ``t_exit``
-    are derived properties). One walk over a time's query window, ``state``,
-    decides which jobs are in the system and gives their measures and every
-    count of them.
-
-    It is built from the fields of a Chunk of its jobs: the five per-job
-    columns, ``block_idle``, ``block_w``, and ``block_exits``, the latest
-    exit in each block. A trace may hold a run's jobs from job
-    EXIT_BLOCK * b on only (``LiveJobs.trace``), given the idleness up to
-    the origin as ``idle_origin``. Its queries at a time answer as the full
-    trace's do when every job it lacks left by the time's exit cut (so the
-    query window starts within it) and it holds the last arrival by that
-    time. ``jobs`` numbers each class's jobs from the first held.
+    these reconstruct it everywhere; ``_path`` reads the workload and the
+    idleness at a time off its block's jobs (``w_before``, ``cum_idle`` and
+    ``t_exit`` are derived properties). One walk over a time's query
+    window, ``state``, decides which jobs are in the system and gives their
+    measures and every count of them, with the kernel that ``readings``
+    runs on the stream. It is built from the fields of a Chunk of all its
+    jobs.
     """
 
     def __init__(self, config, origin, t_arr, cls, v, d, served, block_idle, block_w,
-                 block_exits, idle_origin=None):
+                 block_exits):
         self.config = config
         self.origin = float(origin)
         self.horizon = float(config.horizon)
@@ -767,7 +837,7 @@ class SimTrace:
         for arr in (t_arr, cls, v, d, served, block_idle, block_w, self.exit_bound):
             arr.flags.writeable = False
         self._kept = None       # (raw, counts) of the last state walk
-        self.idle_origin = self._idle_raw(self.origin) if idle_origin is None else idle_origin
+        self.idle_origin = self._path(self.origin)[1]
 
     def _spans(self, lo: int, hi: int) -> Iterator[tuple]:
         """_workloads over jobs lo..hi-1, lo the first job of an exit block,
@@ -830,11 +900,6 @@ class SimTrace:
     def K(self) -> int:
         return len(self.config.classes)
 
-    def _raw(self, t: float) -> float:
-        if outside_horizon(t, self.horizon):
-            raise SimulationError(f"time {t} outside the horizon [0, {self.horizon}]")
-        return t + self.origin
-
     def jobs(self) -> list[JobRecord]:
         """All jobs in arrival order; warm-up jobs carry negative arrivals."""
         w_before, virtual = self._rebuilt()
@@ -860,35 +925,21 @@ class SimTrace:
 
     def workload_at(self, t: float) -> float:
         """W(t): remaining work at model time t (right-continuous)."""
-        raw = self._raw(t)
-        i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
-        if i < 0:
-            return 0.0
-        w_after = self._rebuilt(i - i % EXIT_BLOCK, i + 1, (1,))[0][-1]
-        return max(float(w_after - (raw - self.t_arr[i])), 0.0)
+        return self._path(_raw(t, self.horizon, self.origin))[0]
 
     def idle_at(self, t: float) -> float:
         """I(t): cumulative idleness of the server over model (0, t]."""
-        return self._idle_raw(self._raw(t)) - self.idle_origin
+        return self._path(_raw(t, self.horizon, self.origin))[1] - self.idle_origin
 
-    def busy_at(self, t: float) -> float:
-        """B(t) = t - I(t): cumulative busy time over model (0, t]."""
-        return t - self.idle_at(t)
-
-    def _idle_raw(self, raw: float) -> float:
-        """The idleness up to raw: at the last arrival i by raw, the block's
-        idleness at its first job plus _idle_steps up to i, summed in the
-        pass's order, then the idle stretch after i's workload ran out."""
+    def _path(self, raw: float) -> tuple[float, float]:
+        """The workload and the idleness up to raw (_path_at on the exit
+        block of the last arrival by raw); 0 and raw before any arrival."""
         i = int(np.searchsorted(self.t_arr, raw, side="right")) - 1
         if i < 0:
-            return raw
+            return 0.0, raw
         lo = i - i % EXIT_BLOCK
-        after = self._rebuilt(lo, i + 1, (1,))[0]
-        sums = np.empty(i - lo + 1)
-        sums[0] = self.block_idle[i // EXIT_BLOCK]
-        sums[1:] = _idle_steps(after[:-1], self.t_arr[lo:i + 1])
-        idle = np.add.accumulate(sums)[-1]
-        return float(idle) + max(raw - self.t_arr[i] - after[-1], 0.0)
+        return _path_at(raw, self.t_arr[lo:i + 1], self._rebuilt(lo, i + 1, (1,))[0],
+                        self.block_idle[i // EXIT_BLOCK])
 
     def _window(self, raw: float) -> slice:
         """Index range of every job that can be in the system at raw: later
@@ -915,64 +966,24 @@ class SimTrace:
         built on it, so a time's corner probe and rectangle grid bin its
         atoms once.
 
-        The window goes through in blocks of RESIDUAL_BLOCK, in buffers
-        allocated once. Per block, _workloads rebuilds the workload just
-        after each arrival, v * served goes onto d (for finite services, the
-        floats of _patience's np.where), and elapsed comes off both in
-        place; each class's mask picks its atoms into w and p arrays
-        allocated for the whole window and shrunk in place (realloc), so
-        that their pages past the atoms are never touched, and counts its
-        served and old jobs. The walk keeps its raw
-        time and counts for queue_lengths at that time.
+        The window goes through in blocks of RESIDUAL_BLOCK: per block,
+        _workloads rebuilds the workload just after each arrival, and
+        _InSystem's kernel gathers the block's jobs in the system into
+        arrays allocated for the whole window. The walk keeps its raw time
+        and counts for queue_lengths at that time.
         """
         if not all(u >= 0 for u in ages):
             raise SimulationError(f"ages must be nonnegative, got {list(ages)}")
-        raw = self._raw(t)
+        raw = _raw(t, self.horizon, self.origin)
         self._kept = None
         win = self._window(raw)
-        jobs = win.stop - win.start
-        size = min(RESIDUAL_BLOCK, jobs)
-        elapsed, rw, rp = np.empty(size), np.empty(size), np.empty(size)
-        keep, sel, hit = (np.empty(size, dtype=bool) for _ in range(3))
-        aged = np.empty((len(ages), size), dtype=bool)
-        cuts = [raw - u for u in ages]
-        atoms = [(np.empty(jobs), np.empty(jobs)) for _ in range(self.K)]
-        held, served = [0] * self.K, [0] * self.K
-        old = [[0] * self.K for _ in ages]
+        now = _InSystem(raw, ages, self.K, win.stop - win.start)
+        columns = self.t_arr, self.cls, self.v, self.d, self.served
         for a, _, after in self._spans(win.start, win.stop):
-            n = len(after)
-            e, w, p, kept, s, h = elapsed[:n], rw[:n], rp[:n], keep[:n], sel[:n], hit[:n]
-            np.subtract(raw, self.t_arr[a:a + n], out=e)
-            np.subtract(after, e, out=w)
-            np.multiply(self.v[a:a + n], self.served[a:a + n], out=p)
-            p += self.d[a:a + n]
-            p -= e
-            np.greater(w, 0.0, out=kept)
-            kept &= np.greater(p, 0.0, out=s)
-            olds = [np.less_equal(self.t_arr[a:a + n], cut, out=row[:n])
-                    for cut, row in zip(cuts, aged)]
-            for k, (ws, ps) in enumerate(atoms):
-                mask = kept
-                if self.K > 1:
-                    mask = np.equal(self.cls[a:a + n], k, out=s)
-                    mask &= kept
-                # np.compress(..., out=) would read each page of ws before
-                # writing it, faulting it in twice
-                w_k = w.compress(mask)
-                m = held[k] + len(w_k)
-                ws[held[k]:m] = w_k
-                ps[held[k]:m] = p.compress(mask)
-                held[k] = m
-                served[k] += np.count_nonzero(np.logical_and(mask, self.served[a:a + n], out=h))
-                for per_class, o in zip(old, olds):
-                    per_class[k] += np.count_nonzero(np.logical_and(mask, o, out=h))
-        for (ws, ps), m in zip(atoms, held):
-            ws.resize(m, refcheck=False)
-            ps.resize(m, refcheck=False)
-        counts = [ClassCounts(m, n_served, m - n_served) for m, n_served in zip(held, served)]
-        self._kept = (raw, tuple(counts))
-        return TraceState([AtomicMeasure2D._wrap(ws, ps, k) for k, (ws, ps) in enumerate(atoms)],
-                          counts, old)
+            now.add(*(col[a:a + len(after)] for col in columns), after)
+        state = now.state()
+        self._kept = (raw, tuple(state.counts))
+        return state
 
     def snapshot(self, t: float) -> list[AtomicMeasure2D]:
         """Per-class counting measures at (residual sojourn, residual patience),
@@ -983,7 +994,7 @@ class SimTrace:
         """Per class: jobs in system at t, split by eventual fate: state(t)'s
         counts, read from the last walk when it was at t."""
         kept = self._kept
-        if kept is not None and kept[0] == self._raw(t):
+        if kept is not None and kept[0] == _raw(t, self.horizon, self.origin):
             return list(kept[1])
         return self.state(t).counts
 
@@ -994,7 +1005,7 @@ class SimTrace:
         how many have that plus their service positive and at least c
         (``tail_counts`` over all the trace's jobs)."""
         return residual_tails(tail_counts(self.t_arr, self.cls, self.v, self.d, self.K,
-                                          self.origin, self._raw(t), cs))
+                                          self.origin, _raw(t, self.horizon, self.origin), cs))
 
     def age_count(self, t: float, u: float) -> list[int]:
         """Per class: jobs in system at t that arrived at or before t - u,
@@ -1002,79 +1013,86 @@ class SimTrace:
         return self.state(t, (u,)).old[0]
 
 
-class LiveJobs:
-    """The jobs of a streamed run (``chunks``) that queries at the times not
-    yet passed can still read, held in whole chunks.
+class Reading(NamedTuple):
+    """A streamed run at one time (``readings``): its trace's answers there."""
 
-    ``push`` takes each chunk of the stream in turn, and None once it ends.
-    When ``passed(raw)``, every job that arrives by raw is in, and the
-    queries of ``trace()`` at raw answer as the full trace's would.
-    ``release(raws)`` drops the leading chunks that no query at the raw
-    times raws can read: a chunk goes once every job in it left by the
-    earliest exit cut of raws (so did every job before it), so that every
-    query window starts after it. The newest chunk stays: a time not yet
-    passed comes after its last arrival, so the last arrival workload_at
-    and idle_at read is in it or later. Until the first trace has read the
-    idleness at the origin, a chunk also stays unless a later one arrived
-    by the origin.
+    workload: float                 # workload_at
+    idle: float                     # idle_at
+    state: TraceState               # state at the readings' ages
+    tails: list[ResidualTails]      # residual_deadline_measures at the readings' cs
+    jobs: int                       # jobs streamed by then
+    held: int                       # the most atoms held at once by then
+
+
+def readings(config: SimConfig, t_warm: float, times, ages=(),
+             cs=DEFAULT_C_GRID) -> Iterator[Reading]:
+    """The run's Reading at each model time of `times`, in their order, once
+    the stream has passed it, the times before it and the origin (ascending
+    times come one by one as the stream goes); t_warm is the warm-up
+    duration, _warmup_duration(config). Its floats are run(config)'s
+    queries' at the time, bit for bit.
+
+    The stream (_stream) writes every chunk into one buffer, and one pass
+    over the chunk, while the workload its jobs found is at hand, serves
+    each time not yet passed: skipping the jobs that arrive after it and
+    the leading exit blocks whose jobs all left by its exit cut, it gathers
+    the jobs in the system (_InSystem, SimTrace.state's kernel) and adds
+    tail_counts. Once the stream passes a time, or the origin, the path
+    there is read off the last arrival by it (_path_at), in this chunk or
+    in the kept last exit block of the one before. So the readings hold,
+    besides the chunk, the atoms of the times whose windows the stream has
+    reached, not the run.
     """
+    K, origin = len(config.classes), float(t_warm)
+    marks = [origin, *(_raw(t, config.horizon, origin) for t in times)]   # the origin first
+    if len(marks) == 1:
+        return
+    path = [None] * len(marks)      # (workload, idleness) at each mark the stream passed
+    last = None                     # the last exit block streamed: _path_at's arrays and idleness
+    now = [_InSystem(raw, ages, K) for raw in marks[1:]]
+    tails = [np.zeros((2 * len(cs), K), dtype=np.int64) for _ in marks[1:]]
+    buffer, after_buffer = _empty_chunk(_cls_kind(config), STREAM_CHUNK), np.empty(STREAM_CHUNK)
+    j = jobs = held = most = 0      # j: the first time not yet yielded
 
-    def __init__(self, config: SimConfig, origin: float):
-        self.config = config
-        self.origin = float(origin)
-        self.chunks: deque = deque()
-        self.idle_origin = None         # I at the origin, from the first trace
-        self.last_arrival = -math.inf
-        self.ended = False
-        self.jobs = self.held = self.most = 0     # pushed, held now, held at most
-        self._trace = None
+    def before(raw: float) -> tuple[float, float]:
+        """The path at raw when no arrival by raw is in the chunk at hand."""
+        return _path_at(raw, *last) if last else (0.0, raw)
 
-    def push(self, chunk: Chunk | None) -> None:
-        self._trace = None
-        if chunk is None:
-            self.ended = True
+    def reading(i: int) -> Reading:
+        nonlocal held
+        held -= sum(now[i].held)
+        state, now[i] = now[i].state(), None
+        workload, idle = path[i + 1]
+        return Reading(workload, idle - path[0][1], state, residual_tails(tails[i]), jobs,
+                       most)
+
+    for c, found in _stream(config, t_warm, lambda i: buffer):
+        m = len(c.t_arr)
+        jobs += m
+        if not m:
+            continue
+        after = _plus_served(found, c.v, c.served, after_buffer[:m])
+        bound = np.maximum.accumulate(c.block_exits)
+        for q, raw in enumerate(marks):
+            if path[q] is None:
+                hi = int(np.searchsorted(c.t_arr, raw, side="right"))
+                if q and hi:
+                    tails[q - 1] += tail_counts(c.t_arr, c.cls, c.v, c.d, K, origin, raw, cs)
+                    lo = EXIT_BLOCK * int(np.searchsorted(bound, _exit_cut(raw), side="right"))
+                    if lo < hi:
+                        held += now[q - 1].add(*(col[lo:hi] for col in c[:5]), after[lo:hi])
+                        most = max(most, held)
+                if c.t_arr[-1] > raw:
+                    lo = (hi - 1) - (hi - 1) % EXIT_BLOCK
+                    path[q] = before(raw) if not hi else _path_at(
+                        raw, c.t_arr[lo:hi], after[lo:hi], c.block_idle[lo // EXIT_BLOCK])
+            if q - 1 == j and path[0] and path[q]:
+                yield reading(j)
+                j += 1
+        if j == len(marks) - 1:
             return
-        self.chunks.append(chunk)
-        m = len(chunk.t_arr)
-        if m:
-            self.last_arrival = float(chunk.t_arr[-1])
-        self.jobs += m
-        self.held += m
-        self.most = max(self.most, self.held)
-
-    def passed(self, raw: float) -> bool:
-        return self.ended or self.last_arrival > raw
-
-    def trace(self) -> SimTrace:
-        """A trace of the held jobs. Each field is joined in turn, and the
-        held chunks' arrays of it become views of the joined array at once,
-        so the jobs are held once, not twice, beyond the field being joined."""
-        if self._trace is None:
-            held = [list(chunk) for chunk in self.chunks]
-            self.chunks.clear()
-            columns = []
-            for c in range(len(Chunk._fields)):
-                column = np.concatenate([chunk[c] for chunk in held])
-                end = 0
-                for chunk in held:
-                    end += len(chunk[c])
-                    chunk[c] = column[end - len(chunk[c]):end]
-                columns.append(column)
-            self.chunks.extend(map(Chunk._make, held))
-            self._trace = SimTrace(self.config, self.origin, *columns,
-                                   idle_origin=self.idle_origin)
-            self.idle_origin = self._trace.idle_origin
-        return self._trace
-
-    def release(self, raws) -> None:
-        if not raws:
-            return
-        cut = min(_exit_cut(raw) for raw in raws)
-        while len(self.chunks) > 1:
-            chunk, after = self.chunks[0], self.chunks[1]
-            if (chunk.block_exits.max() > cut
-                    or (self.idle_origin is None and after.t_arr[0] > self.origin)):
-                return
-            self.chunks.popleft()
-            self.held -= len(chunk.t_arr)
-            self._trace = None
+        lo = (m - 1) - (m - 1) % EXIT_BLOCK
+        last = (c.t_arr[lo:].copy(), after[lo:].copy(), c.block_idle[-1])
+    path = [p or before(raw) for p, raw in zip(path, marks)]
+    for i in range(j, len(marks) - 1):
+        yield reading(i)

@@ -581,7 +581,7 @@ def test_converge_rejects_bad_corner_radii_before_simulating(tmp_path, capsys, m
     def no_run(*args):
         raise AssertionError("converge simulated before checking its kappas")
 
-    monkeypatch.setattr(fluidq.scaling, "chunks", no_run)
+    monkeypatch.setattr(fluidq.scaling, "readings", no_run)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "model": {"classes": [MARKOV_CLASS]},

@@ -5,11 +5,15 @@ from __future__ import annotations
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fluidq
 from fluidq.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,3 +57,19 @@ def test_readme_python_example_runs(capsys):
     exec(compile(PYTHON[0], str(README), "exec"), {})
     band = ast.literal_eval(capsys.readouterr().out.splitlines()[0])
     assert band == pytest.approx((math.log(2.0), math.log(2.0)))
+
+
+def test_the_package_imports_numpy_and_nothing_else():
+    """"The package needs Python 3.10+ and numpy, nothing else": importing
+    fluidq and its command line in a fresh interpreter loads no top-level
+    module outside the standard library but fluidq and numpy (what site
+    loads before the import does not count)."""
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import fluidq, fluidq.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+            "- set(sys.stdlib_module_names)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert ast.literal_eval(out) == ["fluidq", "numpy"]

@@ -123,7 +123,7 @@ def test_run_plan_rejects_bad_corner_radii_before_simulating(kappa, monkeypatch)
     def no_run(*args):
         raise AssertionError("run_plan simulated before checking its kappas")
 
-    monkeypatch.setattr(fluidq.scaling, "chunks", no_run)
+    monkeypatch.setattr(fluidq.scaling, "readings", no_run)
     plan = ScalingPlan(base=markov_base(), scales=(5,), replications=1)
     with pytest.raises(ScalingError, match="kappas must be positive and finite"):
         run_plan(plan, kappas=(0.1, kappa))
@@ -373,10 +373,12 @@ def test_run_plan_logs_jobs_and_section_times(caplog, monkeypatch):
     shares = {key: s for s, share in enumerate(scaling._shares(tasks, 2)) for key in share}
     for (n, rep), record in zip(tasks, records):
         line = record.getMessage()
-        # every job fits one chunk, so all of them are held at the end
-        jobs = len(run(replace(plan.base, scale=n, seed=plan.seed(n, rep))).t_arr)
-        assert line.startswith(f"run_plan n={n} rep={rep}: {jobs} jobs, at most {jobs} "
-                               "held; seconds: ")
+        # every job fits one chunk, so each time's atoms are handed over
+        # before the next time's are gathered
+        trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
+        held = max(sum(c.total for c in trace.queue_lengths(t)) for t in plan.time_grid)
+        assert line.startswith(f"run_plan n={n} rep={rep}: {len(trace.t_arr)} jobs, "
+                               f"at most {held} atoms held; seconds: ")
         for section in ("simulate", "workload", "state", "residual", "corner"):
             assert f"{section} " in line
         assert line.endswith(f"; share {shares[n, rep]}")
@@ -456,13 +458,13 @@ def test_shares_split_heaviest_first_and_repeat():
     assert scaling._shares([(7, 0)], 8) == [[(7, 0)]]
 
 
-def failing_chunks(fail):
-    """scaling.chunks, with fail(n) called first for a run at scale n."""
-    stream = scaling.chunks
+def failing_readings(fail):
+    """scaling.readings, with fail(n) called first for a run at scale n."""
+    read = scaling.readings
 
-    def wrapped(config, t_warm):
+    def wrapped(config, *args):
         fail(config.scale)
-        return stream(config, t_warm)
+        return read(config, *args)
 
     return wrapped
 
@@ -479,7 +481,7 @@ def test_a_child_error_reaches_the_caller(monkeypatch):
         if os.getpid() != parent:
             raise SimulationError(f"no jobs at n={n}")
 
-    monkeypatch.setattr(scaling, "chunks", failing_chunks(fail_in_child))
+    monkeypatch.setattr(scaling, "readings", failing_readings(fail_in_child))
     with pytest.raises(SimulationError) as info:
         run_plan(plan)
     assert str(info.value) == "no jobs at n=5"
@@ -499,7 +501,7 @@ def test_a_parent_error_ends_the_children(monkeypatch):
         if os.getpid() == parent:
             raise KeyError(n)
 
-    monkeypatch.setattr(scaling, "chunks", failing_chunks(fail_here))
+    monkeypatch.setattr(scaling, "readings", failing_readings(fail_here))
     with pytest.raises(KeyError):
         run_plan(plan)
     assert multiprocessing.active_children() == []
@@ -525,7 +527,7 @@ def test_a_child_that_dies_or_fails_oddly_is_reported(monkeypatch):
 
     for fail, match in ((exit_in_child, "exited with code 3"),
                         (unpicklable_in_child, r"^ValueError: odd$")):
-        monkeypatch.setattr(scaling, "chunks", failing_chunks(fail))
+        monkeypatch.setattr(scaling, "readings", failing_readings(fail))
         with pytest.raises(ScalingError, match=match):
             run_plan(plan)
         assert multiprocessing.active_children() == []
@@ -559,9 +561,9 @@ def chunked(chunk, draw):
 @pytest.mark.parametrize("name", sorted(CHUNK_PLANS))
 def test_chunk_size_does_not_change_run_plan(name, caplog):
     """run_plan's rows are bit-identical whatever the stream's chunk and draw
-    sizes. At the defaults every run is one chunk, held whole, so the rows
-    are those of the full traces; 1024-job chunks are released as the
-    stream passes the grid times."""
+    sizes: at the defaults every run is one chunk. On 1024-job chunks the
+    readings hold fewer than half as many atoms at once as the run has
+    jobs."""
     plan = CHUNK_PLANS[name]
     reports = []
     for chunk, draw in ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK)):
@@ -570,7 +572,8 @@ def test_chunk_size_does_not_change_run_plan(name, caplog):
             reports.append(bits(run_plan(plan).rows))
         if chunk == 1024:
             last = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"][-1]
-            jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) held", last).groups())
+            jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) atoms held",
+                                            last).groups())
             assert simulate.STREAM_CHUNK > jobs > 2 * held
     assert reports[0] == reports[1] == reports[2]
 
@@ -595,3 +598,36 @@ def test_run_plan_memory_follows_the_jobs_in_the_system(no_child):
             tracemalloc.stop()
 
     assert peak(100_000) < 3 * peak(10_000)
+
+
+def unit_plan(unit):
+    """The M/M/1+M plan at scales 10 and 100, with every time multiplied by
+    unit: the laws, the horizon, the time grid, the ages, and the rectangle
+    grid, c grid and kappas that run_plan takes."""
+    spec = ClassSpec(Exponential(2.0 / unit), Exponential(1.0 / unit), Exponential(1.0 / unit))
+    rects = tuple(measures.Box(*(x * unit for x in (b.a, b.b, b.c, b.d)))
+                  for b in default_rect_grid(fluid_model_of(markov_base())))
+    plan = ScalingPlan(SimConfig((spec,), horizon=3.0 * unit, seed=5), (10, 100), 2,
+                       time_grid=tuple(t * unit for t in (0.0, 0.5, 1.5, 3.0)),
+                       rect_grid=rects, ages=(0.0, 0.25 * unit))
+    return plan, tuple(c * unit for c in DEFAULT_C_GRID), tuple(k * unit for k in DEFAULT_KAPPAS)
+
+
+@pytest.mark.parametrize("unit", (1e6, 1e-6))
+def test_rows_do_not_depend_on_the_time_unit(unit, monkeypatch):
+    """Every time of a plan multiplied by 1e6 or 1e-6 gives the rows of the
+    unit-1 plan within 1e-9 relative, workload and idle divided by the unit
+    (and the metric names' ages, levels and radii)."""
+    use_cpus(monkeypatch, 1)
+    want = run_plan(*unit_plan(1.0))
+    plan, c_grid, kappas = unit_plan(unit)
+    got = run_plan(plan, c_grid, kappas)
+    assert len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        per = unit if g.metric in ("workload", "idle") else 1.0
+        name, _, level = g.metric.partition("@")
+        assert (g.n, g.rep, g.cls, name) == (w.n, w.rep, w.cls, w.metric.partition("@")[0])
+        assert [float(level or 0.0) / unit, g.t / unit, g.sim_value / per, g.fluid_value / per,
+                g.abs_err / per] == pytest.approx(
+            [float(w.metric.partition("@")[2] or 0.0), w.t, w.sim_value, w.fluid_value,
+             w.abs_err], rel=1e-9, abs=0.0)

@@ -92,7 +92,7 @@ def test_hand_trace_snapshot(hand_trace):
 
 def test_hand_trace_idle_and_busy(hand_trace):
     assert hand_trace.idle_at(7.0) == 2.0
-    assert hand_trace.busy_at(7.0) == 5.0
+    assert 7.0 - hand_trace.idle_at(7.0) == 5.0     # busy time
     assert hand_trace.idle_at(1.0) == 1.0   # empty before the first arrival
     assert hand_trace.idle_at(6.0) == 1.0   # busy throughout [1, 6]
     assert hand_trace.idle_at(6.5) == 1.5
@@ -181,7 +181,7 @@ def test_workload_stieltjes_identity(markov_config):
         if job.served:
             total += job.service
         assert trace.workload_at(job.arrival) == pytest.approx(
-            total - trace.busy_at(job.arrival), abs=1e-9)
+            total - (job.arrival - trace.idle_at(job.arrival)), abs=1e-9)
 
 
 def stored_fate(tr):
@@ -560,9 +560,10 @@ def test_trace_window_skips_departed_blocks(query_traces):
 
 
 def test_one_window_walk_per_time(markov_config, monkeypatch):
-    """snapshot then queue_lengths at one time walk the query window once, as
-    run_plan does once per (n, rep, grid time); a time asked again after
-    another gets the same answers."""
+    """snapshot then queue_lengths at one time walk the query window once; a
+    time asked again after another gets the same answers. run_plan walks no
+    trace: it gathers the jobs in the system once per (n, rep, grid time),
+    off the stream."""
     from fluidq import scaling
     from fluidq.simulate import SimTrace
 
@@ -581,11 +582,17 @@ def test_one_window_walk_per_time(markov_config, monkeypatch):
     assert answers[0] == answers[2]
     assert answers[0][1] == answers[0][3]
 
+    # run_plan gathers each time's jobs in the system once, off the stream
     monkeypatch.setattr(scaling, "_cpus", lambda: 1)    # every walk in this process
     walks.clear()
+    gathered = []
+    state = simulate._InSystem.state
+    monkeypatch.setattr(simulate._InSystem, "state",
+                        lambda self: gathered.append(self.raw) or state(self))
     plan = scaling.ScalingPlan(replace(markov_config, horizon=6.0), (10, 20), 2)
     scaling.run_plan(plan)
-    assert len(walks) == 2 * 2 * len(plan.resolved_time_grid())
+    assert not walks
+    assert len(gathered) == 2 * 2 * len(plan.resolved_time_grid())
 
 
 def lindley_reference(t_arr, v, d):
@@ -818,6 +825,25 @@ def test_an_infinite_service_guessed_unserved_is_simulated_without_a_warning():
     assert tr.served.tolist() == [True] + [False] * (n - 1)
 
 
+def test_an_infinite_service_not_served_keeps_its_patience():
+    """Job 2 (arriving at 1.1, infinite service, deadline 0.5) finds 1.9 of
+    work and is not served; at 1.15 its residual patience is 0.45, not the
+    NaN of d + v * served, so it is in the system beside job 1. snapshot
+    gives both atoms without numpy's invalid-value warning, its counts and
+    age counts are Python ints, and readings reads the same state."""
+    config = scripted((1.0, 0.1, 0.1, 0.1, 0.1, 0.1), (2.0, math.inf, 1.0, math.inf, 1.0, 1.0),
+                      (5.0, 0.5, 5.0, 0.5, 5.0, 5.0), 2.0)
+    tr = run(config)
+    want = [(1.0 - 0.15 + 1.0, 5.0 + 2.0 - 0.15), (1.9 - 0.05, 0.5 - 0.05)]
+    streamed = next(simulate.readings(config, 0.0, (1.15,), (0.1,)))
+    for state in (tr.state(1.15, (0.1,)), streamed.state):
+        assert np.array(state.measures[0].atoms()) == pytest.approx(np.array(want), abs=1e-12)
+        assert state.counts == [(2, 1, 1)] and state.old == [[1]]
+        assert all(type(x) is int for x in (*state.counts[0], *state.old[0]))
+    assert [(s.w.tobytes(), s.p.tobytes()) for s in tr.snapshot(1.15)] == \
+        [(s.w.tobytes(), s.p.tobytes()) for s in streamed.state.measures]
+
+
 ADVERSARIAL = {
     # deterministic service, deadlines within 1e-3 of the band level 1, rho = 2
     "band_level": (ClassSpec(Exponential(2.0), Deterministic(1.0),
@@ -877,11 +903,12 @@ def test_stream_carries_the_window_across_chunks(caplog):
     so a streamed run of the acceptance model at n = 1e5 (37 chunks) makes
     about as many vector passes as one _lindley call over all its jobs, not
     a ramp from CHUNK_MIN per chunk: 398 passes against the one call's 418
-    (657 when each chunk started afresh). run is the same stream."""
+    (657 when each chunk started afresh). run and readings (here at the
+    horizon, so over the whole run) are the same stream."""
     config = SimConfig(ADVERSARIAL["overloaded_markov"], horizon=6.0, scale=100_000, seed=1)
     with caplog.at_level(logging.DEBUG, logger="fluidq.simulate"):
         tr = run(config)
-        for _ in simulate.chunks(config, 0.0):
+        for _ in simulate.readings(config, 0.0, (config.horizon,)):
             pass
     ran, streamed = (int(re.search(r"(\d+) vector passes", r.getMessage()).group(1))
                      for r in caplog.records)
@@ -1024,6 +1051,13 @@ def chunked(chunk, draw):
         yield
 
 
+def streamed_chunks(config, t_warm):
+    """The stream's chunks in arrival order, each in arrays of its own."""
+    kind = simulate._cls_kind(config)
+    return [chunk for chunk, _ in simulate._stream(
+        config, t_warm, lambda i: simulate._empty_chunk(kind, simulate.STREAM_CHUNK))]
+
+
 interarrivals = st.sampled_from((
     Exponential(2.0), HyperExponential(((0.5, 1.0), (0.5, 4.0))),
     UniformInterval(0.25, 0.75), Deterministic(0.5), Deterministic(0.3)))
@@ -1050,7 +1084,7 @@ def test_chunked_arrival_epochs_equal_one_cumsum(laws, scale, horizon, seed, dra
     order = np.argsort(t, kind="stable")
     cls = np.repeat(np.arange(len(laws)), [len(e) for e in epochs])[order]
     with chunked(chunk, draw):
-        parts = list(simulate.chunks(config, 0.0))
+        parts = streamed_chunks(config, 0.0)
     streamed = [np.concatenate([p.t_arr for p in parts]),
                 np.concatenate([p.cls for p in parts]).astype(np.int64)]
     tr = run(config)
@@ -1093,7 +1127,7 @@ def test_chunks_join_into_run(name):
     want = [getattr(tr, c) for c in COLUMNS]
     for chunk, draw in CHUNKINGS:
         with chunked(chunk, draw):
-            parts = list(simulate.chunks(config, tr.origin))
+            parts = streamed_chunks(config, tr.origin)
         *got, block_exits = (np.concatenate(field) for field in zip(*parts))
         assert_same_bits(got + [np.maximum.accumulate(block_exits)], want)
     assert_trace_is_reference(tr)
@@ -1164,42 +1198,41 @@ def test_rebuilt_workload_equals_lindley_from_the_start(data):
     assert_same_bits(tr._rebuilt(lo, hi), (w_before[lo:hi], after[lo:hi]))
 
 
-def streamed_answers(config, times, answer=None):
-    """Each query of run_plan at each time (ascending), or answer(trace, t),
-    answered on the jobs LiveJobs holds when the stream passes it; also the
-    most jobs held."""
-    answer = answer or query_answers
-    t_warm = simulate._warmup_duration(config)
-    live = simulate.LiveJobs(config, t_warm)
-    raws = [t + live.origin for t in times]
-    answers, j = [], 0
-    stream_ = simulate.chunks(config, t_warm)
-    while j < len(times):
-        live.push(next(stream_, None))
-        while j < len(times) and live.passed(raws[j]):
-            answers.append(answer(live.trace(), times[j]))
-            j += 1
-        live.release(raws[j:])
-    return answers, live.most
+AGES = (0.25, 0.0)
+
+
+def streamed_answers(config, times):
+    """readings' answers at each time (ascending) in query_answers' form,
+    and the most atoms they held at once."""
+    got = list(simulate.readings(config, simulate._warmup_duration(config), times, AGES))
+    answers = [answer_bits([(s.w, s.p) for s in r.state.measures], r.state.counts,
+                           r.state.old, r.workload, r.idle, r.tails) for r in got]
+    return answers, got[-1].held
+
+
+def answer_bits(atoms, counts, old, workload, idle, tails):
+    """What run_plan reads at one time, floats as their bits."""
+    snaps = [(w.view(np.int64).tolist(), p.view(np.int64).tolist()) for w, p in atoms]
+    w, idle = (np.float64(x).view(np.int64) for x in (workload, idle))
+    return snaps, counts, old, w, idle, tails
 
 
 def query_answers(tr, t):
-    """What run_plan reads at t, floats as their bits."""
-    snaps = [(s.w.view(np.int64).tolist(), s.p.view(np.int64).tolist())
-             for s in tr.snapshot(t)]
-    w, idle = (np.float64(x).view(np.int64) for x in (tr.workload_at(t), tr.idle_at(t)))
-    return snaps, tr.queue_lengths(t), tr.age_count(t, 0.25), tr.age_count(t, 0.0), w, idle
+    """run's trace's queries at t, in answer_bits' form."""
+    return answer_bits([(s.w, s.p) for s in tr.snapshot(t)], tr.queue_lengths(t),
+                       [tr.age_count(t, u) for u in AGES], tr.workload_at(t), tr.idle_at(t),
+                       tr.residual_deadline_measures(t))
 
 
 def live_times(name, tr):
-    """Query times for test_live_jobs_answer_as_the_full_trace: grid times,
+    """Query times for test_readings_answer_as_the_full_trace: grid times,
     times on arrival epochs, on the first arrival of each 1024-job chunk
     (tied with the last of the chunk before in the three deterministic
     classes) and between the last job of a chunk and the first of the next,
     where the underloaded queue is often empty. That queue's times start
     after the second chunk past the one holding its warm-up origin has
-    begun, so the stream drops chunks before the first trace reads the
-    idleness at the origin."""
+    begun, so the idleness at the origin is read chunks before the first
+    time is."""
     ends, starts = tr.t_arr[1023::1024], tr.t_arr[1024::1024]
     between = [e + f * (s - e) for e, s in zip(ends, starts) for f in (0.3, 0.6)]
     arrivals = tr.t_arr[len(tr.t_arr) // 3::len(tr.t_arr) // 5]
@@ -1212,18 +1245,22 @@ def live_times(name, tr):
                   if start <= t <= tr.horizon)
 
 
-@pytest.mark.parametrize("name", ("markov_empty", "two_class_warm", "underloaded_warm",
-                                  "tied_deterministic"))
-def test_live_jobs_answer_as_the_full_trace(name):
-    """LiveJobs on 1024-job chunks releases most of the run, and its traces
-    answer every query run_plan makes as the full trace does."""
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
+def test_readings_answer_as_the_full_trace(name, chunking):
+    """readings answers every query run_plan makes as run's trace does, bit
+    for bit, at every chunking. The atoms it holds at once are those of
+    times not yet passed, so at most the times' queue lengths summed, and
+    at least the largest one, which it holds whole when it passes that
+    time."""
     config = LIVE_CONFIGS[name]
     full = run(config)
     times = live_times(name, full)
-    with chunked(1024, 100):
-        answers, most = streamed_answers(config, times)
+    with chunked(*chunking):
+        answers, held = streamed_answers(config, times)
     assert answers == [query_answers(full, t) for t in times]
-    assert most < len(full.t_arr) / 2
+    in_system = [sum(c.total for c in full.queue_lengths(t)) for t in times]
+    assert max(in_system) <= held <= sum(in_system)
 
 
 @pytest.fixture(scope="module")
@@ -1280,10 +1317,10 @@ def idle_times(tr, w_after):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_idle_at_equals_the_scalar_recursion(reference_idleness, data):
-    """idle_at and busy_at, rebuilt from each exit block's idleness, are the
-    scalar recursion's bit for bit, on run's trace and on LiveJobs' traces
-    at every chunking, at times on arrivals, on exit-block boundaries and
-    inside idle stretches."""
+    """idle_at, rebuilt from each exit block's idleness, and the busy time
+    t - idle_at(t) are the scalar recursion's bit for bit, on run's trace
+    and on readings at every chunking, at times on arrivals, on exit-block
+    boundaries and inside idle stretches."""
     name = data.draw(st.sampled_from(sorted(LIVE_CONFIGS)))
     tr, w_after, cum_idle = reference_idleness[name]
     times = sorted(data.draw(st.lists(idle_times(tr, w_after), min_size=1, max_size=20)))
@@ -1291,11 +1328,12 @@ def test_idle_at_equals_the_scalar_recursion(reference_idleness, data):
     idle = [reference_idle(tr.t_arr, w_after, cum_idle, t + tr.origin) - origin for t in times]
     want = [(i.hex(), (t - i).hex()) for t, i in zip(times, idle)]
 
-    def answer(trace, t):
-        return trace.idle_at(t).hex(), trace.busy_at(t).hex()
+    def answer(t, idle):
+        return idle.hex(), (t - idle).hex()
 
     chunk, draw = data.draw(st.sampled_from(CHUNKINGS))
     with chunked(chunk, draw):
         full = run(LIVE_CONFIGS[name])
-        assert [answer(full, t) for t in times] == want
-        assert streamed_answers(LIVE_CONFIGS[name], times, answer)[0] == want
+        assert [answer(t, full.idle_at(t)) for t in times] == want
+        streamed = simulate.readings(LIVE_CONFIGS[name], tr.origin, times)
+        assert [answer(t, r.idle) for t, r in zip(times, streamed)] == want
