@@ -369,9 +369,9 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
 
     def task(n, rep):
         """One (n, rep) simulation: its rows, the jobs it simulated, the
-        most atoms it held at once, the seconds per section (simulate: the
-        readings), and the fluidq.simulate records it made, held back from
-        every handler for this process to emit."""
+        most jobs it held from one chunk to the next, the seconds per
+        section (simulate: the readings), and the fluidq.simulate records it
+        made, held back from every handler for this process to emit."""
         records = []
 
         def hold(record):
@@ -389,11 +389,11 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
         config = replace(plan.base, scale=n, seed=seeds[n, rep])
         workload, state, residual, corner = ([None] * len(grid) for _ in range(4))
         stream = readings(config, targets.t0, [grid[i] for i in order], plan.ages, c_grid)
-        jobs = held = 0
+        jobs = most = 0
         for i in order:
             t = grid[i]
             now = _timed(seconds, "simulate", next, stream)
-            jobs, held = now.jobs, now.held
+            jobs, most = now.jobs, now.most
             workload[i] = _timed(seconds, "workload", _workload_rows,
                                  n, rep, now, targets, i, t)
             residual[i] = _timed(seconds, "residual", _residual_rows, n, rep,
@@ -409,7 +409,7 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
         stream.close()
         rows = [row for section in (workload, state, residual, corner)
                 for part in section for row in part]
-        return rows, jobs, held, seconds
+        return rows, jobs, most, seconds
 
     tasks = [(n, rep) for n in plan.scales for rep in range(plan.replications)]
     # Seeded and gridded before any child is forked, which then inherits
@@ -430,8 +430,8 @@ def run_plan(plan: ScalingPlan, c_grid=None, kappas=None) -> ScalingReport:
         rows += task_rows
         for record in records:
             simulate_log.handle(record)
-        log.debug("run_plan n=%d rep=%d: %d jobs, at most %d atoms held; seconds: %s; "
-                  "share %d", n, rep, jobs, most,
+        log.debug("run_plan n=%d rep=%d: %d jobs, at most %d held; seconds: %s; share %d",
+                  n, rep, jobs, most,
                   ", ".join(f"{name} {s:.3f}" for name, s in seconds.items()),
                   share_of[n, rep])
     footer = (

@@ -704,7 +704,7 @@ def _workloads(t_arr, v, d, served, block_w, out) -> np.ndarray:
             _lindley(t_arr[j:end], v[j:end], d[j:end], state, CHUNK_MAX,
                      out=(found, s, np.empty(-(-(end - j) // EXIT_BLOCK))), known=True)
             x[2 * j:2 * end:2] = found
-            x[2 * j + 1:2 * end:2] = np.where(s, found + v[j:end], found)
+            _plus_served(found, v[j:end], s, out=x[2 * j + 1:2 * end:2])
     return x
 
 
@@ -743,54 +743,47 @@ def _path_at(raw: float, t_arr, after, idle) -> tuple[float, float]:
 
 
 class _InSystem:
-    """The jobs in the system at raw time raw, gathered from consecutive
-    runs of a run's jobs (``add``, the kernel of SimTrace.state and
-    readings): per class, in arrival order, their residual virtual sojourns
-    w and patiences p, in arrays for `jobs` atoms that double when full and
-    shrink in place (realloc) at the end, so pages past the atoms are never
-    touched; their counts by fate, and per age u those arrived by raw - u."""
+    """The jobs in the system at raw time raw, gathered by ``add`` (the
+    kernel of SimTrace.state and readings): per class, in arrival order,
+    their residual virtual sojourns w and patiences p, in arrays for `jobs`
+    atoms, no fewer than the jobs given, shrunk in place at the end; their
+    counts by fate, and per age u those arrived by raw - u."""
 
-    def __init__(self, raw: float, ages, K: int, jobs: int = 0):
+    def __init__(self, raw: float, ages, K: int, jobs: int):
         self.raw = raw
         self.cuts = [raw - u for u in ages]
         self.atoms = [(np.empty(jobs), np.empty(jobs)) for _ in range(K)]
-        self.held, self.served = [0] * K, [0] * K
+        self.filled, self.served = [0] * K, [0] * K
         self.old = [[0] * K for _ in ages]
 
-    def add(self, t_arr, cls, v, d, served, after) -> int:
-        """Gather, among jobs given by their arrivals, classes, services,
-        deadlines, fates and workloads just after arrival, those with
-        w = after - elapsed and p = np.where(served, d + v, d) - elapsed
-        both positive, elapsed being raw - t_arr; returns how many."""
+    def add(self, t_arr, cls, served, after, patience):
+        """Gather, among jobs given by their arrivals, classes, fates,
+        workloads just after arrival and patiences (_plus_served(d, v,
+        served)), those with w = after - elapsed and p = patience - elapsed
+        both positive, elapsed being raw - t_arr."""
         elapsed = np.subtract(self.raw, t_arr)
         w = after - elapsed
-        p = _plus_served(d, v, served)
-        p -= elapsed
+        p = patience - elapsed
         kept = (w > 0.0) & (p > 0.0)
         for k, (ws, ps) in enumerate(self.atoms):
             mask = kept if len(self.atoms) == 1 else kept & (cls == k)
             # np.compress(..., out=) would read each page of ws before
             # writing it, faulting it in twice
             w_k = w.compress(mask)
-            a, b = self.held[k], self.held[k] + len(w_k)
-            if b > len(ws):     # resize would zero the new pages
-                grown = np.empty(max(2 * len(ws), b)), np.empty(max(2 * len(ws), b))
-                grown[0][:a], grown[1][:a] = ws[:a], ps[:a]
-                ws, ps = self.atoms[k] = grown
+            a, b = self.filled[k], self.filled[k] + len(w_k)
             ws[a:b] = w_k
             ps[a:b] = p.compress(mask)
-            self.held[k] = b
+            self.filled[k] = b
             self.served[k] += int(np.count_nonzero(mask & served))
             for per_class, cut in zip(self.old, self.cuts):
                 per_class[k] += int(np.count_nonzero(mask & (t_arr <= cut)))
-        return int(np.count_nonzero(kept))
 
     def state(self) -> TraceState:
-        for (ws, ps), m in zip(self.atoms, self.held):
+        for (ws, ps), m in zip(self.atoms, self.filled):
             ws.resize(m, refcheck=False)
             ps.resize(m, refcheck=False)
         return TraceState([AtomicMeasure2D._wrap(*atoms, k) for k, atoms in enumerate(self.atoms)],
-                          [ClassCounts(m, s, m - s) for m, s in zip(self.held, self.served)],
+                          [ClassCounts(m, s, m - s) for m, s in zip(self.filled, self.served)],
                           self.old)
 
 
@@ -807,17 +800,13 @@ class SimTrace:
     the scalar recursion, so these arrays are the recursion's bit for bit.
 
     Everything else is rebuilt on the exit blocks a query reads, with the
-    pass's float operations. ``_workloads`` gives the workload each job
-    found (``w_before``) and the workload just after its arrival, its
-    virtual sojourn, from its block's ``block_w``; ``_patience`` gives the
-    patience. The path between arrivals has slope -1 while positive, so
-    these reconstruct it everywhere; ``_path`` reads the workload and the
-    idleness at a time off its block's jobs (``w_before``, ``cum_idle`` and
-    ``t_exit`` are derived properties). One walk over a time's query
-    window, ``state``, decides which jobs are in the system and gives their
-    measures and every count of them, with the kernel that ``readings``
-    runs on the stream. It is built from the fields of a Chunk of all its
-    jobs.
+    pass's float operations: ``_workloads`` gives the workload each job
+    found (``w_before``) and the one just after its arrival, its virtual
+    sojourn, from its block's ``block_w``. The path between arrivals has
+    slope -1 while positive, so ``_path`` reads the workload and the
+    idleness at a time off its block's jobs. One walk over a time's query
+    window, ``state``, gives the jobs in the system with the kernel that
+    ``readings`` runs on the stream. It is built from a Chunk's fields.
     """
 
     def __init__(self, config, origin, t_arr, cls, v, d, served, block_idle, block_w,
@@ -870,8 +859,7 @@ class SimTrace:
         return self._rebuilt(kinds=(0,))[0]
 
     def _patience(self, win) -> np.ndarray:
-        d = self.d[win]
-        return np.where(self.served[win], d + self.v[win], d)
+        return _plus_served(self.d[win], self.v[win], self.served[win])
 
     @property
     def t_exit(self) -> np.ndarray:
@@ -966,10 +954,8 @@ class SimTrace:
         built on it, so a time's corner probe and rectangle grid bin its
         atoms once.
 
-        The window goes through in blocks of RESIDUAL_BLOCK: per block,
-        _workloads rebuilds the workload just after each arrival, and
-        _InSystem's kernel gathers the block's jobs in the system into
-        arrays allocated for the whole window. The walk keeps its raw time
+        The window goes through in blocks of RESIDUAL_BLOCK, rebuilt by
+        _workloads and gathered by _InSystem; the walk keeps its raw time
         and counts for queue_lengths at that time.
         """
         if not all(u >= 0 for u in ages):
@@ -978,9 +964,10 @@ class SimTrace:
         self._kept = None
         win = self._window(raw)
         now = _InSystem(raw, ages, self.K, win.stop - win.start)
-        columns = self.t_arr, self.cls, self.v, self.d, self.served
         for a, _, after in self._spans(win.start, win.stop):
-            now.add(*(col[a:a + len(after)] for col in columns), after)
+            span = slice(a, a + len(after))
+            now.add(self.t_arr[span], self.cls[span], self.served[span], after,
+                    self._patience(span))
         state = now.state()
         self._kept = (raw, tuple(state.counts))
         return state
@@ -1021,78 +1008,91 @@ class Reading(NamedTuple):
     state: TraceState               # state at the readings' ages
     tails: list[ResidualTails]      # residual_deadline_measures at the readings' cs
     jobs: int                       # jobs streamed by then
-    held: int                       # the most atoms held at once by then
+    most: int                       # the most jobs held from one chunk to the next by then
 
 
 def readings(config: SimConfig, t_warm: float, times, ages=(),
              cs=DEFAULT_C_GRID) -> Iterator[Reading]:
     """The run's Reading at each model time of `times`, in their order, once
-    the stream has passed it, the times before it and the origin (ascending
-    times come one by one as the stream goes); t_warm is the warm-up
-    duration, _warmup_duration(config). Its floats are run(config)'s
-    queries' at the time, bit for bit.
+    the stream has passed it, the times before it and the origin; t_warm is
+    _warmup_duration(config). Its floats are run(config)'s queries', bit for
+    bit.
 
-    The stream (_stream) writes every chunk into one buffer, and one pass
-    over the chunk, while the workload its jobs found is at hand, serves
-    each time not yet passed: skipping the jobs that arrive after it and
-    the leading exit blocks whose jobs all left by its exit cut, it gathers
-    the jobs in the system (_InSystem, SimTrace.state's kernel) and adds
-    tail_counts. Once the stream passes a time, or the origin, the path
-    there is read off the last arrival by it (_path_at), in this chunk or
-    in the kept last exit block of the one before. So the readings hold,
-    besides the chunk, the atoms of the times whose windows the stream has
-    reached, not the run.
+    The stream (_stream) writes every chunk into one buffer, and tail_counts
+    adds it to each time not yet passed. At a time or the origin the chunk
+    passes, the path is read off the last arrival by it (_path_at), and the
+    jobs in the system are gathered (_InSystem) from the chunk's jobs by then
+    and the jobs held: those of earlier chunks that may be in the system at
+    the earliest time not yet passed, each kept once (26 bytes with a
+    one-byte class). So the readings hold about the jobs in the system.
     """
-    K, origin = len(config.classes), float(t_warm)
+    K, origin, kind = len(config.classes), float(t_warm), _cls_kind(config)
     marks = [origin, *(_raw(t, config.horizon, origin) for t in times)]   # the origin first
     if len(marks) == 1:
         return
     path = [None] * len(marks)      # (workload, idleness) at each mark the stream passed
+    states = [None] * len(times)    # the state at each time the stream passed
+    tails = [np.zeros((2 * len(cs), K), dtype=np.int64) for _ in times]
     last = None                     # the last exit block streamed: _path_at's arrays and idleness
-    now = [_InSystem(raw, ages, K) for raw in marks[1:]]
-    tails = [np.zeros((2 * len(cs), K), dtype=np.int64) for _ in marks[1:]]
-    buffer, after_buffer = _empty_chunk(_cls_kind(config), STREAM_CHUNK), np.empty(STREAM_CHUNK)
-    j = jobs = held = most = 0      # j: the first time not yet yielded
+    held, since = [], None          # the jobs held, per chunk, and the raw time they were cut at
+    buffer, scratch = _empty_chunk(kind, STREAM_CHUNK), np.empty((2, STREAM_CHUNK))
+    j = jobs = most = 0             # j: the first time not yet yielded
 
-    def before(raw: float) -> tuple[float, float]:
-        """The path at raw when no arrival by raw is in the chunk at hand."""
+    def before(raw: float) -> tuple[float, float]:     # no arrival by raw in the chunk
         return _path_at(raw, *last) if last else (0.0, raw)
 
+    def gathered(raw: float, *parts) -> TraceState:    # RESIDUAL_BLOCK jobs at a time
+        now = _InSystem(raw, ages, K, sum(len(part[0]) for part in parts))
+        for part in parts:
+            for a in range(0, len(part[0]), RESIDUAL_BLOCK):
+                now.add(*(col[a:a + RESIDUAL_BLOCK] for col in part))
+        return now.state()
+
+    def kept(part, raw: float) -> tuple:
+        """part's jobs that may be in the system at raw or later: t_exit > _exit_cut(raw)."""
+        t_arr, _, served, after, patience = part
+        keep = np.where(served, after, patience) + t_arr > _exit_cut(raw)
+        return tuple(col.compress(keep) for col in part)
+
     def reading(i: int) -> Reading:
-        nonlocal held
-        held -= sum(now[i].held)
-        state, now[i] = now[i].state(), None
-        workload, idle = path[i + 1]
-        return Reading(workload, idle - path[0][1], state, residual_tails(tails[i]), jobs,
-                       most)
+        state, states[i] = states[i], None
+        return Reading(path[i + 1][0], path[i + 1][1] - path[0][1], state,
+                       residual_tails(tails[i]), jobs, most)
 
     for c, found in _stream(config, t_warm, lambda i: buffer):
         m = len(c.t_arr)
         jobs += m
         if not m:
             continue
-        after = _plus_served(found, c.v, c.served, after_buffer[:m])
+        chunk = (c.t_arr, c.cls, c.served, _plus_served(found, c.v, c.served, scratch[0, :m]),
+                 _plus_served(c.d, c.v, c.served, scratch[1, :m]))
         bound = np.maximum.accumulate(c.block_exits)
         for q, raw in enumerate(marks):
             if path[q] is None:
                 hi = int(np.searchsorted(c.t_arr, raw, side="right"))
                 if q and hi:
                     tails[q - 1] += tail_counts(c.t_arr, c.cls, c.v, c.d, K, origin, raw, cs)
-                    lo = EXIT_BLOCK * int(np.searchsorted(bound, _exit_cut(raw), side="right"))
-                    if lo < hi:
-                        held += now[q - 1].add(*(col[lo:hi] for col in c[:5]), after[lo:hi])
-                        most = max(most, held)
                 if c.t_arr[-1] > raw:
                     lo = (hi - 1) - (hi - 1) % EXIT_BLOCK
                     path[q] = before(raw) if not hi else _path_at(
-                        raw, c.t_arr[lo:hi], after[lo:hi], c.block_idle[lo // EXIT_BLOCK])
+                        raw, c.t_arr[lo:hi], chunk[3][lo:hi], c.block_idle[lo // EXIT_BLOCK])
+                    if q:
+                        lo = EXIT_BLOCK * int(np.searchsorted(bound, _exit_cut(raw), side="right"))
+                        states[q - 1] = gathered(raw, *held, [col[lo:hi] for col in chunk])
             if q - 1 == j and path[0] and path[q]:
                 yield reading(j)
                 j += 1
-        if j == len(marks) - 1:
+        if j == len(times):
             return
+        first = min(raw for raw, p in zip(marks, path) if p is None)
+        if first != since:          # the earliest time not yet passed moved on
+            held, since = [kept(part, first) for part in held], first
+        held.append(kept(chunk, first))
+        most = max(most, sum(len(part[0]) for part in held))
         lo = (m - 1) - (m - 1) % EXIT_BLOCK
-        last = (c.t_arr[lo:].copy(), after[lo:].copy(), c.block_idle[-1])
+        last = (c.t_arr[lo:].copy(), chunk[3][lo:].copy(), c.block_idle[-1])
     path = [p or before(raw) for p, raw in zip(path, marks)]
-    for i in range(j, len(marks) - 1):
+    for i in range(j, len(times)):
+        if states[i] is None:
+            states[i] = gathered(marks[i + 1], *held)
         yield reading(i)

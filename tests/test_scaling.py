@@ -373,12 +373,13 @@ def test_run_plan_logs_jobs_and_section_times(caplog, monkeypatch):
     shares = {key: s for s, share in enumerate(scaling._shares(tasks, 2)) for key in share}
     for (n, rep), record in zip(tasks, records):
         line = record.getMessage()
-        # every job fits one chunk, so each time's atoms are handed over
-        # before the next time's are gathered
+        # every job fits one chunk, so the jobs held are its jobs that may
+        # be in the system at the first grid time after its last arrival
         trace = run(replace(plan.base, scale=n, seed=plan.seed(n, rep)))
-        held = max(sum(c.total for c in trace.queue_lengths(t)) for t in plan.time_grid)
+        raws = [t + trace.origin for t in plan.time_grid if t + trace.origin >= trace.t_arr[-1]]
+        held = np.count_nonzero(trace.t_exit > simulate._exit_cut(min(raws))) if raws else 0
         assert line.startswith(f"run_plan n={n} rep={rep}: {len(trace.t_arr)} jobs, "
-                               f"at most {held} atoms held; seconds: ")
+                               f"at most {held} held; seconds: ")
         for section in ("simulate", "workload", "state", "residual", "corner"):
             assert f"{section} " in line
         assert line.endswith(f"; share {shares[n, rep]}")
@@ -562,8 +563,8 @@ def chunked(chunk, draw):
 def test_chunk_size_does_not_change_run_plan(name, caplog):
     """run_plan's rows are bit-identical whatever the stream's chunk and draw
     sizes: at the defaults every run is one chunk. On 1024-job chunks the
-    readings hold fewer than half as many atoms at once as the run has
-    jobs."""
+    readings hold fewer than half of the run's jobs from one chunk to the
+    next."""
     plan = CHUNK_PLANS[name]
     reports = []
     for chunk, draw in ((1024, 16), (4096, 333), (simulate.STREAM_CHUNK, simulate.DRAW_BLOCK)):
@@ -572,8 +573,7 @@ def test_chunk_size_does_not_change_run_plan(name, caplog):
             reports.append(bits(run_plan(plan).rows))
         if chunk == 1024:
             last = [r.getMessage() for r in caplog.records if r.name == "fluidq.scaling"][-1]
-            jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) atoms held",
-                                            last).groups())
+            jobs, held = map(int, re.search(r"(\d+) jobs, at most (\d+) held", last).groups())
             assert simulate.STREAM_CHUNK > jobs > 2 * held
     assert reports[0] == reports[1] == reports[2]
 

@@ -1203,11 +1203,11 @@ AGES = (0.25, 0.0)
 
 def streamed_answers(config, times):
     """readings' answers at each time (ascending) in query_answers' form,
-    and the most atoms they held at once."""
+    and the most jobs they held from one chunk to the next."""
     got = list(simulate.readings(config, simulate._warmup_duration(config), times, AGES))
     answers = [answer_bits([(s.w, s.p) for s in r.state.measures], r.state.counts,
                            r.state.old, r.workload, r.idle, r.tails) for r in got]
-    return answers, got[-1].held
+    return answers, got[-1].most
 
 
 def answer_bits(atoms, counts, old, workload, idle, tails):
@@ -1249,18 +1249,20 @@ def live_times(name, tr):
 @pytest.mark.parametrize("name", sorted(LIVE_CONFIGS))
 def test_readings_answer_as_the_full_trace(name, chunking):
     """readings answers every query run_plan makes as run's trace does, bit
-    for bit, at every chunking. The atoms it holds at once are those of
-    times not yet passed, so at most the times' queue lengths summed, and
-    at least the largest one, which it holds whole when it passes that
-    time."""
+    for bit, at every chunking, and holds fewer than half of the run's
+    jobs from one chunk to the next. Each job is held once, whatever the
+    number of times: at most the jobs arrived by one time (or the origin)
+    that leave after its exit cut."""
     config = LIVE_CONFIGS[name]
     full = run(config)
     times = live_times(name, full)
     with chunked(*chunking):
-        answers, held = streamed_answers(config, times)
+        answers, most = streamed_answers(config, times)
     assert answers == [query_answers(full, t) for t in times]
-    in_system = [sum(c.total for c in full.queue_lengths(t)) for t in times]
-    assert max(in_system) <= held <= sum(in_system)
+    assert most < len(full.t_arr) / 2
+    t_exit = full.t_exit
+    assert most <= max(np.count_nonzero((full.t_arr <= raw) & (t_exit > simulate._exit_cut(raw)))
+                       for raw in [full.origin, *(t + full.origin for t in times)])
 
 
 @pytest.fixture(scope="module")
